@@ -112,6 +112,15 @@ def _precision(text: str) -> int | None:
     return value
 
 
+def _start_values(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise InvalidArgumentError(
+            f"--start must be comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -267,9 +276,7 @@ def _cmd_optimize(args) -> int:
         rows = grid_scan(space, resolution=args.grid)
         _emit(grid_csv(space, rows, args.precision), args.out)
         return EXIT_OK
-    start = None
-    if args.start:
-        start = tuple(float(v) for v in args.start.split(","))
+    start = _start_values(args.start) if args.start else None
     result = maximize_chsh(
         space,
         budget=args.budget,

@@ -32,7 +32,7 @@ from .errors import (
     ZeroMeasureConditionError,
 )
 from .lattice import CubicTerm, Edge, Lattice, Node, Spin, _check_config
-from .model import ZERO_MEASURE, BoltzmannModel, _energies
+from .model import ZERO_MEASURE, BoltzmannModel, _weights
 from .independence import IndependenceReport, _lambda_ids, report_from_weights
 from ._format import fmt
 
@@ -134,15 +134,15 @@ class ClampedModel:
 
 def _clamped_model(model: BoltzmannModel, clamp: Mapping[str, Spin]) -> ClampedModel:
     reduced = clamp_reduce(model.lattice, clamp)
-    energies = _energies(reduced)
-    np.subtract(energies, model.shift, out=energies)
-    np.multiply(energies, -reduced.beta, out=energies)
-    weights = np.exp(energies, out=energies)
+    weights, _ = _weights(reduced, model.shift)
     inner = BoltzmannModel(reduced, weights, model.shift)
     return ClampedModel(clamp=tuple(sorted(clamp.items())), inner=inner)
 
 
-def clamped_models(model: BoltzmannModel) -> dict[tuple[Spin, Spin], ClampedModel]:
+_Clamped = dict[tuple[Spin, Spin], ClampedModel]
+
+
+def clamped_models(model: BoltzmannModel) -> _Clamped:
     """The four analyzer-clamped ensembles, keyed by (sa, sb)."""
     _, _, ida, idb = model.lattice.bell_ids()
     return {
@@ -161,9 +161,13 @@ def ex1_table(model: BoltzmannModel) -> ConditionalTable:
 def ex2_table(model: BoltzmannModel) -> ConditionalTable:
     """Outcome table from the four clamped ensembles: restricted weight sums
     over Z*."""
+    return _ex2_table(model, clamped_models(model))
+
+
+def _ex2_table(model: BoltzmannModel, clamped: _Clamped) -> ConditionalTable:
     id1, id2, _, _ = model.lattice.bell_ids()
     values = np.empty((2, 2, 2, 2))
-    for (sa, sb), cm in clamped_models(model).items():
+    for (sa, sb), cm in clamped.items():
         w = cm.inner.weight_table([id1, id2])
         z_star = float(w.sum())
         if z_star < ZERO_MEASURE:
@@ -176,14 +180,22 @@ def ex2_table(model: BoltzmannModel) -> ConditionalTable:
 
 def equivalence_discrepancy(model: BoltzmannModel) -> float:
     """max over the 16 cells of |ex1 - ex2|."""
+    return _discrepancy(model, clamped_models(model))
+
+
+def _discrepancy(model: BoltzmannModel, clamped: _Clamped) -> float:
     one = ex1_table(model).values
-    two = ex2_table(model).values
+    two = _ex2_table(model, clamped).values
     return float(np.max(np.abs(one - two)))
 
 
 def partition_gap(model: BoltzmannModel) -> float:
     """Relative gap |sum of Z* - Z| / Z over the four settings."""
-    total = sum(cm.z_star for cm in clamped_models(model).values())
+    return _partition_gap(model, clamped_models(model))
+
+
+def _partition_gap(model: BoltzmannModel, clamped: _Clamped) -> float:
+    total = sum(cm.z_star for cm in clamped.values())
     return abs(total - model.z_shifted) / model.z_shifted
 
 
@@ -193,8 +205,9 @@ def assert_equivalence(model: BoltzmannModel, tol: float = 1e-12) -> float:
     Returns the max cell discrepancy; raises EquivalenceViolationError if
     either it or the partition gap exceeds tol.
     """
-    disc = equivalence_discrepancy(model)
-    gap = partition_gap(model)
+    clamped = clamped_models(model)
+    disc = _discrepancy(model, clamped)
+    gap = _partition_gap(model, clamped)
     if disc > tol or gap > tol:
         raise EquivalenceViolationError(
             f"postselection and clamped routes disagree: cell discrepancy "
@@ -262,8 +275,9 @@ class FreewillReport:
 
 
 def freewill_report(model: BoltzmannModel) -> FreewillReport:
+    clamped = clamped_models(model)
     one = ex1_table(model)
-    two = ex2_table(model)
+    two = _ex2_table(model, clamped)
     cells = []
     for sa in _SPIN:
         for sb in _SPIN:
@@ -276,5 +290,5 @@ def freewill_report(model: BoltzmannModel) -> FreewillReport:
     return FreewillReport(
         cells=tuple(cells),
         max_discrepancy=disc,
-        partition_gap=partition_gap(model),
+        partition_gap=_partition_gap(model, clamped),
     )

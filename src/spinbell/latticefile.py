@@ -30,6 +30,7 @@ parameter groups of a SearchSpace:
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .errors import LatticeDefinitionError, LatticeFileError
@@ -72,7 +73,13 @@ def _expect_list(value, where: str) -> list:
 def _expect_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(where, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _expect_string(value, where: str) -> str:

@@ -61,32 +61,65 @@ def enumeration_cap() -> int:
     return cap
 
 
-def _energies(lattice: Lattice) -> np.ndarray:
-    """Energy of every configuration, vectorized over the bit words.
+# Spin values of one node, and the products s_i s_j and s_i s_j s_k, indexed
+# by bit (index 1 means spin +1). Each term's factor is one of these patterns
+# times its coefficient, so every entry is exactly +-coefficient.
+_FIELD = np.array([-1.0, 1.0])
+_PAIR = np.multiply.outer(_FIELD, _FIELD)
+_TRIPLE = np.multiply.outer(_PAIR, _FIELD)
 
-    Spin products are computed from XOR parities of the participating bits,
-    so a global spin flip leaves pair and triple terms bit-for-bit identical.
+
+def _energies(lattice: Lattice) -> np.ndarray:
+    """Energy of every configuration, indexed by integer word.
+
+    Each term is added in place onto the (2,)*N tensor (node k on axis
+    N-1-k) as a factor that spans only the term's own axes, in the order of
+    lattice.energy: offset, fields, edges, triples. Every factor entry is
+    exactly +-coefficient, so the result equals lattice.energy bit for bit.
+    A configuration and its global flip receive the same +-j from every
+    edge, in the same order, so without fields or triples their energies
+    are bit-identical.
     """
     n = lattice.n
-    idx = np.arange(1 << n, dtype=np.int64 if n > 31 else np.int32)
     index = lattice.index
-    e = np.full(idx.shape, float(lattice.offset))
+    e = np.full((2,) * n, float(lattice.offset))
+
+    def term_shape(*ids: str) -> list[int]:
+        shape = [1] * n
+        for nid in ids:
+            shape[n - 1 - index[nid]] = 2
+        return shape
+
+    # the patterns are symmetric, so axis order within a term does not matter
     for node in lattice.nodes:
         if node.h != 0.0:
-            bit = (idx >> index[node.id]) & 1
-            e -= node.h * (2.0 * bit - 1.0)
+            e -= node.h * _FIELD.reshape(term_shape(node.id))
     for edge in lattice.edges:
         if edge.j != 0.0:
-            par = ((idx >> index[edge.a]) ^ (idx >> index[edge.b])) & 1
-            # two equal bits: product +1 -> 1 - 2*parity
-            e -= edge.j * (1.0 - 2.0 * par)
+            e -= edge.j * _PAIR.reshape(term_shape(edge.a, edge.b))
     for term in lattice.cubic:
         if term.c != 0.0:
-            i, j, k = (index[t] for t in term.nodes)
-            par = ((idx >> i) ^ (idx >> j) ^ (idx >> k)) & 1
-            # triple product = 2*parity - 1
-            e += term.c * (2.0 * par - 1.0)
-    return e
+            e += term.c * _TRIPLE.reshape(term_shape(*term.nodes))
+    return e.reshape(-1)
+
+
+def _weights(lattice: Lattice, shift: float | None = None) -> tuple[np.ndarray, float]:
+    """Stabilized weights exp(-beta * (E - shift)), built in one 2^N array,
+    and the shift used. The shift defaults to the energy minimum, which must
+    be finite: NaN or -inf there means some energy left the double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = _energies(lattice)
+        if shift is None:
+            shift = float(energies.min())
+            if not math.isfinite(shift):
+                raise NumericRangeError(
+                    f"energies leave the double range (minimum energy is {shift}); "
+                    "reduce the couplings, fields or offset"
+                )
+        np.subtract(energies, shift, out=energies)
+        np.multiply(energies, -lattice.beta, out=energies)
+        return np.exp(energies, out=energies), shift
 
 
 class BoltzmannModel:
@@ -266,9 +299,5 @@ def build_model(lattice: Lattice, cap: int | None = None) -> BoltzmannModel:
             f"lattice has {lattice.n} spins; enumeration cap is {limit} "
             f"(override with {ENUM_CAP_ENV} or the cap argument)"
         )
-    energies = _energies(lattice)
-    shift = float(energies.min())
-    np.subtract(energies, shift, out=energies)
-    np.multiply(energies, -lattice.beta, out=energies)
-    weights = np.exp(energies, out=energies)
+    weights, shift = _weights(lattice)
     return BoltzmannModel(lattice, weights, shift)

@@ -5,6 +5,7 @@ handling, and each exit code: 0 success, 2 bad input, 3 degenerate
 numerics, 4 reference-case mismatch."""
 
 import json
+import warnings
 
 import pytest
 
@@ -106,6 +107,29 @@ def test_eval_degenerate_lattice(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["eval", "--lattice", str(path), "--report", "chsh"]) == EXIT_NUMERIC
     assert "zero weight" in capsys.readouterr().err
+
+
+def test_overflowing_energies_exit_numeric_without_warnings(tmp_path, capsys):
+    # 1e308 couplings overflow the energy sums to inf and inf - inf to NaN
+    doc = {
+        "nodes": [
+            {"id": "1", "role": "outcome1"},
+            {"id": "2", "role": "outcome2"},
+            {"id": "a", "role": "analyzer_a"},
+            {"id": "b", "role": "analyzer_b"},
+        ],
+        "edges": [
+            {"a": "1", "b": "a", "j": 1e308},
+            {"a": "a", "b": "b", "j": 1e308},
+            {"a": "b", "b": "2", "j": -1e308},
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--lattice", str(path)]) == EXIT_NUMERIC
+    assert "energies leave the double range" in capsys.readouterr().err
 
 
 def test_bad_precision():
@@ -258,6 +282,11 @@ def test_optimize_grid(config_file, capsys):
 def test_optimize_bad_start(config_file, capsys):
     assert main(["optimize", "--config", config_file, "--start", "5.0"]) == EXIT_INPUT
     assert "outside" in capsys.readouterr().err
+
+
+def test_optimize_start_not_numeric(config_file, capsys):
+    assert main(["optimize", "--config", config_file, "--start", "x"]) == EXIT_INPUT
+    assert "--start" in capsys.readouterr().err
 
 
 def test_optimize_missing_config(tmp_path, capsys):

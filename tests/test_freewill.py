@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spinbell import freewill
 from spinbell.errors import EquivalenceViolationError, InvalidArgumentError
 from spinbell.freewill import (
     assert_equivalence,
@@ -167,6 +168,23 @@ def test_clamped_independence_random(rng):
             assert getattr(clamped, name) == pytest.approx(
                 getattr(direct, name), abs=1e-12
             )
+
+
+def test_freewill_report_enumerates_each_clamped_ensemble_once(monkeypatch):
+    model = build_model(canonical_ladder())
+    calls = []
+    original = freewill._clamped_model
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(freewill, "_clamped_model", counting)
+    freewill_report(model)
+    assert len(calls) == 4
+    calls.clear()
+    assert_equivalence(model)
+    assert len(calls) == 4
 
 
 # -- report object -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from spinbell.cli import EXIT_INPUT, main
 from spinbell.errors import LatticeFileError
 from spinbell.latticefile import (
     format_lattice,
@@ -131,6 +132,29 @@ def test_lattice_level_errors_become_file_errors():
 def test_boolean_is_not_a_number():
     with pytest.raises(LatticeFileError, match="beta"):
         parse_lattice(_doc(beta=True))
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e999", "int-1e400"],
+)
+@pytest.mark.parametrize("key,location", [("j", "edges\\[0\\].j"), ("offset", "offset")])
+def test_non_finite_numbers_rejected_with_location(token, key, location):
+    # Python's json accepts NaN and Infinity, and 1e999 parses to inf
+    text = json.dumps(_doc(offset=0.5)).replace(f'"{key}": 0.5', f'"{key}": {token}')
+    with pytest.raises(LatticeFileError, match=f"{location}: expected a finite number"):
+        parse_lattice(text)
+
+
+def test_nan_field_exits_input_naming_location(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["nodes"][0]["h"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # writes the bare token NaN
+    assert "NaN" in path.read_text()
+    assert main(["eval", "--lattice", str(path)]) == EXIT_INPUT
+    assert "nodes[0].h" in capsys.readouterr().err
 
 
 # -- search configurations ---------------------------------------------------------

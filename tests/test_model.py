@@ -3,6 +3,8 @@ and joint tables against the pure-Python oracle."""
 
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +18,23 @@ from spinbell.errors import (
     NumericRangeError,
     ZeroMeasureConditionError,
 )
-from spinbell.lattice import Lattice
-from spinbell.model import ENUM_CAP_ENV, BoltzmannModel, build_model, enumeration_cap
-from spinbell.presets import canonical_ladder
+from spinbell.lattice import Lattice, energy
+from spinbell.model import (
+    ENUM_CAP_ENV,
+    BoltzmannModel,
+    _energies,
+    build_model,
+    enumeration_cap,
+)
+from spinbell.presets import BUILTIN_LATTICES, canonical_ladder, chain_lattice
 
-from conftest import oracle_conditional, oracle_distribution, oracle_marginal, random_bell_lattice
+from conftest import (
+    RANDOM_STYLES,
+    oracle_conditional,
+    oracle_distribution,
+    oracle_marginal,
+    random_bell_lattice,
+)
 
 
 def pair(j=1.0, h=(0.0, 0.0), beta=1.0):
@@ -180,6 +194,67 @@ def test_flip_symmetry_exact_without_fields():
     w = m.weights
     flipped = w[np.arange(w.size) ^ full]
     assert np.array_equal(w, flipped)
+
+
+# -- energies ---------------------------------------------------------------------
+
+
+def _assert_energies_exact(lat):
+    m = build_model(lat)
+    expect = [energy(lat, m.decode(w)) for w in range(1 << lat.n)]
+    assert np.array_equal(_energies(lat), expect)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_LATTICES))
+def test_energies_match_lattice_energy_on_builtins(name):
+    _assert_energies_exact(BUILTIN_LATTICES[name]())
+
+
+@pytest.mark.parametrize("style", RANDOM_STYLES)
+def test_energies_match_lattice_energy_on_random_styles(style, rng):
+    for _ in range(4):
+        _assert_energies_exact(random_bell_lattice(rng, style))
+
+
+_coef = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@given(
+    h=st.lists(_coef, min_size=5, max_size=5),
+    j=st.dictionaries(st.sampled_from(list(itertools.combinations(range(5), 2))), _coef),
+    c=st.dictionaries(st.sampled_from(list(itertools.combinations(range(5), 3))), _coef),
+    offset=_coef,
+)
+def test_energies_match_lattice_energy_on_generated(h, j, c, offset):
+    lat = Lattice.from_parts(
+        nodes=[(f"n{i}", "hidden", h[i]) for i in range(5)],
+        edges=[(f"n{a}", f"n{b}", v) for (a, b), v in j.items()],
+        cubic=[(tuple(f"n{i}" for i in t), v) for t, v in c.items()],
+        offset=offset,
+    )
+    _assert_energies_exact(lat)
+
+
+def test_build_peak_memory_is_one_weight_array():
+    """Energies and weights share one 2^N array: no word array, no per-term
+    temporaries of full size."""
+    lat = chain_lattice(16)
+    assert lat.n == 18
+    tracemalloc.start()
+    try:
+        build_model(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * (1 << 18)
+
+
+def test_overflowing_energies_raise_numeric_range_error():
+    lat = pair(j=1e308, h=(1e308, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRangeError, match="double range"):
+            build_model(lat)
 
 
 # -- tables -----------------------------------------------------------------------
