@@ -92,7 +92,11 @@ class ConditionalTable:
 def conditional_table(model: BoltzmannModel) -> ConditionalTable:
     """Exact P(s1, s2 | sa, sb) for a model whose lattice carries Bell roles."""
     id1, id2, ida, idb = model.lattice.bell_ids()
-    w = model.weight_table([id1, id2, ida, idb])
+    return _conditional_from_weights(model.weight_table([id1, id2, ida, idb]))
+
+
+def _conditional_from_weights(w: np.ndarray) -> ConditionalTable:
+    """P(s1, s2 | sa, sb) from stabilized weights over (s1, s2, sa, sb)."""
     mass = w.sum(axis=(0, 1))
     for ia in (0, 1):
         for ib in (0, 1):

@@ -17,6 +17,7 @@ so positive J favors alignment and positive h favors +1.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -117,8 +118,13 @@ class Lattice:
     def _validate(self) -> None:
         if not self.nodes:
             raise LatticeDefinitionError("lattice has no nodes")
-        if not (self.beta > 0.0):
-            raise LatticeDefinitionError(f"beta must be positive, got {self.beta}")
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise LatticeDefinitionError(f"beta must be positive and finite, got {self.beta}")
+        if not math.isfinite(self.offset):
+            raise LatticeDefinitionError(f"offset must be finite, got {self.offset}")
+        for n in self.nodes:
+            if not math.isfinite(n.h):
+                raise LatticeDefinitionError(f"node {n.id!r} has non-finite field h = {n.h}")
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -133,12 +139,18 @@ class Lattice:
                     raise LatticeDefinitionError(
                         f"edge {e.a}-{e.b} references unknown node {end!r}"
                     )
+            if not math.isfinite(e.j):
+                raise LatticeDefinitionError(f"edge {e.a}-{e.b} has non-finite coupling j = {e.j}")
             if e.key() in seen_edges:
                 raise LatticeDefinitionError(f"duplicate edge {e.a}-{e.b}")
             seen_edges.add(e.key())
         for t in self.cubic:
             if len(set(t.nodes)) != 3:
                 raise LatticeDefinitionError(f"cubic term {t.nodes} repeats a node")
+            if not math.isfinite(t.c):
+                raise LatticeDefinitionError(
+                    f"cubic term {t.nodes} has non-finite coefficient c = {t.c}"
+                )
             for end in t.nodes:
                 if end not in known:
                     raise LatticeDefinitionError(

@@ -104,12 +104,22 @@ def _energies(lattice: Lattice) -> np.ndarray:
 
 
 def _weights(lattice: Lattice, shift: float | None = None) -> tuple[np.ndarray, float]:
-    """Stabilized weights exp(-beta * (E - shift)), built in one 2^N array,
-    and the shift used. The shift defaults to the energy minimum, which must
-    be finite: NaN or -inf there means some energy left the double range.
-    """
+    """Stabilized weights of a lattice, built in one 2^N array, and the
+    shift used (see _stabilize)."""
     with np.errstate(over="ignore", invalid="ignore"):
         energies = _energies(lattice)
+    return _stabilize(energies, lattice.beta, shift)
+
+
+def _stabilize(
+    energies: np.ndarray, beta: float, shift: float | None = None
+) -> tuple[np.ndarray, float]:
+    """Turn energies into stabilized weights exp(-beta * (E - shift)) in
+    place, and return them with the shift used. The shift defaults to the
+    energy minimum, which must be finite: NaN or -inf there means some
+    energy left the double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         if shift is None:
             shift = float(energies.min())
             if not math.isfinite(shift):
@@ -118,7 +128,7 @@ def _weights(lattice: Lattice, shift: float | None = None) -> tuple[np.ndarray, 
                     "reduce the couplings, fields or offset"
                 )
         np.subtract(energies, shift, out=energies)
-        np.multiply(energies, -lattice.beta, out=energies)
+        np.multiply(energies, -beta, out=energies)
         return np.exp(energies, out=energies), shift
 
 
@@ -257,7 +267,8 @@ class BoltzmannModel:
             sel[n - 1 - self._index[nid]] = 1 if s == 1 else 0
         sub = self._tensor[tuple(sel)]
         # axes of sub: surviving nodes in descending declaration order
-        surviving = [k for k in range(n - 1, -1, -1) if self.lattice.node_ids[k] not in given]
+        ids = self.lattice.node_ids
+        surviving = [k for k in range(n - 1, -1, -1) if ids[k] not in given]
         wanted = {self._index[nid] for nid in node_ids}
         drop = tuple(pos for pos, k in enumerate(surviving) if k not in wanted)
         summed = sub.sum(axis=drop) if drop else sub
@@ -287,17 +298,22 @@ def _fmt_assignment(assignment: Mapping[str, Spin]) -> str:
     return "{" + ", ".join(f"{k}:{'+' if v == 1 else '-'}" for k, v in assignment.items()) + "}"
 
 
+def _check_cap(n: int, cap: int | None = None) -> None:
+    """Refuse to enumerate n spins beyond the cap (see build_model)."""
+    limit = enumeration_cap() if cap is None else int(cap)
+    if n > limit:
+        raise EnumerationLimitError(
+            f"lattice has {n} spins; enumeration cap is {limit} "
+            f"(override with {ENUM_CAP_ENV} or the cap argument)"
+        )
+
+
 def build_model(lattice: Lattice, cap: int | None = None) -> BoltzmannModel:
     """Enumerate the full ensemble for a lattice.
 
     cap limits the number of spins (default from SPINBELL_ENUM_CAP or 24);
     beyond it the 2^N table would not fit and EnumerationLimitError is raised.
     """
-    limit = enumeration_cap() if cap is None else int(cap)
-    if lattice.n > limit:
-        raise EnumerationLimitError(
-            f"lattice has {lattice.n} spins; enumeration cap is {limit} "
-            f"(override with {ENUM_CAP_ENV} or the cap argument)"
-        )
+    _check_cap(lattice.n, cap)
     weights, shift = _weights(lattice)
     return BoltzmannModel(lattice, weights, shift)

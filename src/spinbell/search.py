@@ -8,12 +8,22 @@ uniform random restarts from a seeded Philox stream. Evaluations that hit a
 degenerate or zero-measure model score -inf instead of raising, so the walk
 simply avoids them.
 
+Energies are linear in the search parameters, E(theta) = E_rest +
+sum_g theta_g Phi_g, so a space enumerates its lattice once: E_rest holds
+every term no group targets, and row g of Phi is the spin (or spin-pair)
+column summed over group g's targets. An evaluation is G multiply-adds and
+one exp over 2^N entries; it agrees with a fresh build of the same point
+to rounding, not bit for bit.
+
 Also here: a dense grid scan over the same parameter space, and an exhaustive
-search over placements of the four measurement roles on a two-row grid.
+search over placements of the four measurement roles on a two-row grid. The
+placements share one enumerated grid and differ only in which axes they
+read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,16 +31,21 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .bell import chsh, conditional_table
+from .bell import _conditional_from_weights, chsh, conditional_table
 from .errors import (
     DegenerateModelError,
     InvalidArgumentError,
     NumericRangeError,
     ZeroMeasureConditionError,
 )
-from .independence import measurement_dependence, outcome_dependence, parameter_dependence
+from .independence import (
+    _md_core,
+    measurement_dependence,
+    outcome_dependence,
+    parameter_dependence,
+)
 from .lattice import Lattice
-from .model import BoltzmannModel, build_model
+from .model import BoltzmannModel, _check_cap, _energies, _stabilize, build_model
 from ._format import fmt
 
 __all__ = [
@@ -85,6 +100,10 @@ class SearchParam:
             raise InvalidArgumentError(f"parameter {self.name!r} has no targets")
         object.__setattr__(self, "targets", tuple(self.targets))
         lo, hi = self.bounds
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidArgumentError(
+                f"parameter {self.name!r} has non-finite bounds [{lo}, {hi}]"
+            )
         if not lo < hi:
             raise InvalidArgumentError(f"parameter {self.name!r} has empty range [{lo}, {hi}]")
 
@@ -102,9 +121,17 @@ class SearchParam:
 
 @dataclass(frozen=True)
 class SearchSpace:
+    """Tied parameter groups over a base lattice, scored by one objective.
+
+    Construction enumerates the base once into the energy columns that every
+    evaluation reads (8 * (G + 1) * 2^N bytes for G groups).
+    """
+
     base: Lattice
     params: tuple[SearchParam, ...]
     objective: str = "x_bi"
+    _rest: np.ndarray = field(init=False, repr=False, compare=False)
+    _columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))
@@ -117,8 +144,22 @@ class SearchSpace:
             raise InvalidArgumentError(
                 f"unknown objective {self.objective!r}; choose from {sorted(OBJECTIVES)}"
             )
-        # Fail early on bad targets rather than mid-search.
-        self.build(self.center())
+        # Resolving the targets also rejects bad ones before any search.
+        owned_h, owned_j = self._targets(range(len(self.params)))
+        rest = self.base.with_fields(dict.fromkeys(owned_h, 0.0))
+        rest = rest.with_couplings(dict.fromkeys(owned_j, 0.0))
+        _check_cap(rest.n)
+        columns = np.empty((len(self.params), 1 << rest.n))
+        for g in range(len(self.params)):
+            # Phi_g: the energy of group g's targets at coefficient 1, all else 0
+            nodes = [dataclasses.replace(n, h=float(owned_h.get(n.id) == g)) for n in rest.nodes]
+            edges = [dataclasses.replace(e, j=float(owned_j.get(e.key()) == g)) for e in rest.edges]
+            columns[g] = _energies(Lattice(nodes, edges))
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = _energies(rest)
+        for name, array in (("_rest", energies), ("_columns", columns)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def center(self) -> tuple[float, ...]:
         return tuple((p.bounds[0] + p.bounds[1]) / 2.0 for p in self.params)
@@ -137,30 +178,49 @@ class SearchSpace:
                 )
         return vals
 
-    def build(self, values: Sequence[float]) -> Lattice:
-        """Lattice with every tied target set to its group's value."""
-        vals = self._check(values)
-        lattice = self.base
-        fields: dict[str, float] = {}
-        couplings: dict[frozenset, float] = {}
-        for p, v in zip(self.params, vals):
+    def _targets(self, values) -> tuple[dict, dict]:
+        """(fields, couplings): each target's value, the last group's where
+        groups overlap. Keys are node ids and frozenset edge keys."""
+        fields: dict[str, object] = {}
+        couplings: dict[frozenset, object] = {}
+        for p, v in zip(self.params, values):
             if p.kind == "h":
                 for nid in p.targets:
                     fields[nid] = v
             else:
                 for a, b in p.targets:
                     couplings[frozenset((a, b))] = v
+        return fields, couplings
+
+    def build(self, values: Sequence[float]) -> Lattice:
+        """Lattice with every tied target set to its group's value."""
+        fields, couplings = self._targets(self._check(values))
+        lattice = self.base
         if fields:
             lattice = lattice.with_fields(fields)
         if couplings:
             lattice = lattice.with_couplings(couplings)
         return lattice
 
+    def _model(self, values: Sequence[float]) -> BoltzmannModel:
+        """The ensemble at one point, read from the energy columns.
+
+        Its lattice is the base, which carries the roles, node order and
+        beta the objectives read, but not the point's fields and couplings;
+        the model must not leave this module.
+        """
+        vals = self._check(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = self._rest.copy()
+            for v, column in zip(vals, self._columns):
+                energies += v * column
+        weights, shift = _stabilize(energies, self.base.beta)
+        return BoltzmannModel(self.base, weights, shift)
+
     def evaluate(self, values: Sequence[float]) -> float:
         """Objective score; -inf where the model is degenerate or overflows."""
         try:
-            model = build_model(self.build(values))
-            return OBJECTIVES[self.objective](model)
+            return OBJECTIVES[self.objective](self._model(values))
         except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
             return -math.inf
 
@@ -313,7 +373,7 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
     rows = []
     for values in itertools.product(*axes):
         try:
-            model = build_model(space.build(values))
+            model = space._model(values)
             table = conditional_table(model)
         except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
             continue
@@ -385,10 +445,22 @@ def role_permutation_search(
     evaluated once when dedup_symmetry is set (and when the field pattern is
     itself flip-symmetric, which the caller must ensure). Returns the top
     placements by the CHSH combination, ties broken by placement order.
+
+    Roles do not enter the energy, so the grid is enumerated once and each
+    placement reads its outcome/analyzer axes (and, for md, the remaining
+    positions as lambda) from the one model.
     """
     from .presets import grid_lattice, grid_positions
 
     positions = grid_positions(columns)
+    if len(positions) < 4:  # no placement fits, and an empty grid would not build
+        return []
+    try:
+        model = build_model(
+            grid_lattice({}, j=j, fields=fields, beta=beta, columns=columns, diagonal_j=diagonal_j)
+        )
+    except NumericRangeError:
+        return []
     labels = ("outcome1", "outcome2", "analyzer_a", "analyzer_b")
     seen: set = set()
     results: list[PlacementResult] = []
@@ -399,19 +471,17 @@ def role_permutation_search(
             if key in seen:
                 continue
             seen.add(key)
-        lattice = grid_lattice(
-            placement, j=j, fields=fields, beta=beta, columns=columns, diagonal_j=diagonal_j
-        )
         try:
-            model = build_model(lattice)
-            table = conditional_table(model)
-        except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
+            table = _conditional_from_weights(model.weight_table(combo))
+        except ZeroMeasureConditionError:
             continue
+        lam = tuple(pos for pos in positions if pos not in combo)
+        w5 = model.weight_table(combo + lam).reshape(2, 2, 2, 2, -1)
         results.append(
             PlacementResult(
                 placement=tuple(sorted(placement.items())),
                 x_bi=chsh(table).x_bi,
-                md=measurement_dependence(model)[0],
+                md=_md_core(w5, lam)[0],
             )
         )
     results.sort(key=lambda r: (-r.x_bi, r.placement))

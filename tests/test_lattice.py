@@ -37,6 +37,39 @@ def test_rejects_nonpositive_beta():
         Lattice(nodes=(Node("x"),), edges=(), beta=0.0)
 
 
+_BAD = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=["nan", "inf", "-inf"])
+def test_rejects_non_finite_field_naming_node(bad):
+    with pytest.raises(LatticeDefinitionError, match="node '1' has non-finite field"):
+        Lattice.from_parts([("1", "outcome1", bad)], [])
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=["nan", "inf", "-inf"])
+def test_rejects_non_finite_coupling_naming_edge(bad):
+    with pytest.raises(LatticeDefinitionError, match="edge x-y has non-finite coupling"):
+        Lattice.from_parts([("x",), ("y",)], [("x", "y", bad)])
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=["nan", "inf", "-inf"])
+def test_rejects_non_finite_cubic_naming_term(bad):
+    with pytest.raises(LatticeDefinitionError, match=r"cubic term \('x', 'y', 'z'\) has non-finite"):
+        Lattice.from_parts([("x",), ("y",), ("z",)], [], cubic=[(("x", "y", "z"), bad)])
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=["nan", "inf", "-inf"])
+def test_rejects_non_finite_offset(bad):
+    with pytest.raises(LatticeDefinitionError, match="offset must be finite"):
+        Lattice.from_parts([("x",)], [], offset=bad)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf), ids=["nan", "inf"])
+def test_rejects_non_finite_beta(bad):
+    with pytest.raises(LatticeDefinitionError, match="beta must be positive and finite"):
+        Lattice.from_parts([("x",)], [], beta=bad)
+
+
 def test_rejects_duplicate_node_ids():
     with pytest.raises(LatticeDefinitionError, match="duplicate node"):
         Lattice(nodes=(Node("x"), Node("x")), edges=())

@@ -1,24 +1,45 @@
 """Pattern search over tied parameter groups, the dense grid scan, and the
 exhaustive role-placement search on the two-row grid."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from spinbell.errors import InvalidArgumentError
-from spinbell.model import build_model
-from spinbell.presets import canonical_ladder
+import spinbell.search as search_mod
+from spinbell.bell import chsh, conditional_table
+from spinbell.errors import (
+    DegenerateModelError,
+    EnumerationLimitError,
+    InvalidArgumentError,
+    NumericRangeError,
+    ZeroMeasureConditionError,
+)
+from spinbell.independence import (
+    measurement_dependence,
+    outcome_dependence,
+    parameter_dependence,
+)
+from spinbell.lattice import Lattice
+from spinbell.model import ENUM_CAP_ENV, build_model
+from spinbell.presets import canonical_ladder, grid_lattice, grid_positions
 from spinbell.search import (
     COUPLING_BOUNDS,
     FIELD_BOUNDS,
+    OBJECTIVES,
     GridRow,
+    PlacementResult,
     SearchParam,
     SearchSpace,
+    _canonical_placement,
     grid_csv,
     grid_scan,
     maximize_chsh,
     role_permutation_search,
 )
+
+_DEGENERATE = (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError)
 
 
 def _two_param_space(objective="x_bi"):
@@ -42,6 +63,14 @@ def test_param_validation():
         SearchParam("p", "h", targets=())
     with pytest.raises(InvalidArgumentError, match="empty range"):
         SearchParam("p", "h", targets=("1",), lo=2.0, hi=2.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf)]
+)
+def test_param_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(InvalidArgumentError, match="non-finite bounds"):
+        SearchParam("p", "h", targets=("1",), lo=lo, hi=hi)
 
 
 def test_param_default_bounds():
@@ -68,6 +97,13 @@ def test_space_rejects_bad_targets_up_front():
         SearchSpace(base, params=(SearchParam("p", "h", targets=("zz",)),))
     with pytest.raises(Exception):
         SearchSpace(base, params=(SearchParam("p", "j", targets=(("1", "2"),)),))
+
+
+def test_space_refuses_lattices_beyond_the_cap(monkeypatch):
+    # the space enumerates its base at construction, so the cap applies there
+    monkeypatch.setenv(ENUM_CAP_ENV, "9")
+    with pytest.raises(EnumerationLimitError, match="10 spins"):
+        _two_param_space()
 
 
 def test_space_bounds_enforced():
@@ -247,3 +283,157 @@ def test_placement_top_truncates(placement_results):
     top3 = role_permutation_search(j=1.0, fields=0.0, top=3)
     assert len(top3) == 3
     assert top3 == placement_results[:3]
+
+
+# -- shared enumerations: placements and energy columns --------------------------------
+
+
+def _reference_placements(dedup_symmetry, **grid):
+    """One grid_lattice + build_model per placement: the definition that the
+    shared-model sweep must reproduce exactly."""
+    labels = ("outcome1", "outcome2", "analyzer_a", "analyzer_b")
+    seen = set()
+    results = []
+    for combo in itertools.permutations(grid_positions(grid["columns"]), 4):
+        placement = dict(zip(combo, labels))
+        if dedup_symmetry:
+            key = _canonical_placement(placement, grid["columns"])
+            if key in seen:
+                continue
+            seen.add(key)
+        model = build_model(grid_lattice(placement, **grid))
+        try:
+            table = conditional_table(model)
+        except ZeroMeasureConditionError:
+            continue
+        results.append(
+            PlacementResult(
+                placement=tuple(sorted(placement.items())),
+                x_bi=chsh(table).x_bi,
+                md=measurement_dependence(model)[0],
+            )
+        )
+    results.sort(key=lambda r: (-r.x_bi, r.placement))
+    return results
+
+
+_GRID4 = dict(
+    j=0.8,
+    fields={pos: 0.15 * k - 0.4 for k, pos in enumerate(grid_positions(4))},
+    beta=1.3,
+    columns=4,
+    diagonal_j=0.35,
+)
+
+
+@pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "full"])
+def test_placements_equal_per_placement_builds(dedup):
+    got = role_permutation_search(top=0, dedup_symmetry=dedup, **_GRID4)
+    assert len(got) == (420 if dedup else 1680)
+    assert got == _reference_placements(dedup, **_GRID4)
+
+
+def test_placement_sweep_builds_one_model(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_model(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "build_model", counting)
+    for dedup in (True, False):
+        calls.clear()
+        role_permutation_search(top=0, dedup_symmetry=dedup, **_GRID4)
+        assert len(calls) == 1
+
+
+def _column_spaces():
+    """Spaces whose groups overlap on one target (the later group wins)
+    and whose groups repeat a target (it counts once)."""
+    base = canonical_ladder()
+    overlap = (
+        SearchParam("h_out", "h", targets=("1", "2", "3")),
+        SearchParam("h_mid", "h", targets=("3", "4"), lo=-1.0, hi=1.0),
+        SearchParam("j_arm", "j", targets=(("1", "a"), ("2", "b"), ("3", "4"))),
+        SearchParam("j_mid", "j", targets=(("4", "3"), ("6", "7")), lo=0.2, hi=2.5),
+    )
+    repeated = (
+        SearchParam("h_rep", "h", targets=("a", "a", "b")),
+        SearchParam("j_rep", "j", targets=(("1", "a"), ("a", "1"), ("5", "2"))),
+    )
+    return {"overlap": overlap, "repeated": repeated, "ladder": _two_param_space().params}, base
+
+
+def _built_score(space, values):
+    try:
+        return OBJECTIVES[space.objective](build_model(space.build(values)))
+    except _DEGENERATE:
+        return -math.inf
+
+
+@pytest.mark.parametrize("objective", ["x_bi", "md"])
+@pytest.mark.parametrize("kind", ["overlap", "repeated", "ladder"])
+def test_evaluate_matches_fresh_build(kind, objective):
+    groups, base = _column_spaces()
+    space = SearchSpace(base, params=groups[kind], objective=objective)
+    rng = np.random.Generator(np.random.Philox(7))
+    for _ in range(200):
+        values = tuple(float(rng.uniform(*p.bounds)) for p in space.params)
+        got, want = space.evaluate(values), _built_score(space, values)
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12
+
+
+def test_overlapping_groups_resolve_like_build():
+    groups, base = _column_spaces()
+    space = SearchSpace(base, params=groups["overlap"])
+    lat = space.build((1.5, -0.5, 2.0, 0.7))
+    assert lat.node("3").h == -0.5  # h_mid comes after h_out
+    js = {e.key(): e.j for e in lat.edges}
+    assert js[frozenset(("3", "4"))] == 0.7  # j_mid comes after j_arm
+    assert space.evaluate((1.5, -0.5, 2.0, 0.7)) == pytest.approx(
+        _built_score(space, (1.5, -0.5, 2.0, 0.7)), abs=1e-12
+    )
+
+
+def test_evaluate_builds_no_lattice(monkeypatch):
+    space = _two_param_space()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate rebuilt a lattice")
+
+    monkeypatch.setattr(Lattice, "with_fields", refuse)
+    monkeypatch.setattr(Lattice, "with_couplings", refuse)
+    monkeypatch.setattr(search_mod, "build_model", refuse)
+    assert math.isfinite(space.evaluate((0.3, 1.2)))
+    assert len(grid_scan(space, resolution=2)) == 4
+
+
+@pytest.mark.parametrize("kind", ["overlap", "ladder"])
+def test_grid_rows_match_fresh_builds(kind):
+    groups, base = _column_spaces()
+    space = SearchSpace(base, params=groups[kind][:3])
+    rows = grid_scan(space, resolution=3)
+    axes = [[lo + (hi - lo) * t / 2 for t in range(3)] for lo, hi in (p.bounds for p in space.params)]
+    expected = []
+    for values in itertools.product(*axes):
+        try:
+            model = build_model(space.build(values))
+            table = conditional_table(model)
+        except _DEGENERATE:
+            continue
+        expected.append(
+            (
+                values,
+                chsh(table).x_bi,
+                measurement_dependence(model)[0],
+                outcome_dependence(model)[0],
+                parameter_dependence(model)[0],
+            )
+        )
+    assert len(rows) == len(expected)
+    for row, (values, *want) in zip(rows, expected):
+        assert row.values == values
+        assert np.allclose((row.x_bi, row.md, row.od, row.pd), want, rtol=0, atol=1e-12)
