@@ -14,6 +14,7 @@ a diagnostic next to the fixed-convention value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ZeroMeasureConditionError
 from .model import ZERO_MEASURE, BoltzmannModel
-from ._format import fmt
+from ._format import SPINS, fmt, pm, spin_index, spin_of
 
 __all__ = [
     "ConditionalTable",
@@ -38,12 +39,6 @@ __all__ = [
 QUANTUM_MAX_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 _COLUMN_TOL = 1e-10
-
-
-def _bit(s: int) -> int:
-    if s not in (-1, 1):
-        raise InvalidArgumentError(f"spin value must be -1 or +1, got {s!r}")
-    return 1 if s == 1 else 0
 
 
 @dataclass(frozen=True)
@@ -72,20 +67,16 @@ class ConditionalTable:
 
     def entry(self, s1: int, s2: int, sa: int, sb: int) -> float:
         """P(s1, s2 | sa, sb), spins in {-1, +1}."""
-        return float(self.values[_bit(s1), _bit(s2), _bit(sa), _bit(sb)])
+        return float(self.values[spin_index(s1), spin_index(s2), spin_index(sa), spin_index(sb)])
 
     def column(self, sa: int, sb: int) -> np.ndarray:
         """The (2, 2) outcome distribution under one setting pair."""
-        return self.values[:, :, _bit(sa), _bit(sb)]
+        return self.values[:, :, spin_index(sa), spin_index(sb)]
 
     def as_dict(self) -> dict[tuple[int, int, int, int], float]:
-        spins = (-1, 1)
         return {
             (s1, s2, sa, sb): self.entry(s1, s2, sa, sb)
-            for sa in spins
-            for sb in spins
-            for s1 in spins
-            for s2 in spins
+            for sa, sb, s1, s2 in itertools.product(SPINS, repeat=4)
         }
 
 
@@ -102,7 +93,7 @@ def _conditional_from_weights(w: np.ndarray) -> ConditionalTable:
         for ib in (0, 1):
             if mass[ia, ib] < ZERO_MEASURE:
                 raise ZeroMeasureConditionError(
-                    f"setting (sa={'+' if ia else '-'}, sb={'+' if ib else '-'}) "
+                    f"setting (sa={pm(spin_of(ia))}, sb={pm(spin_of(ib))}) "
                     "has zero weight; conditional outcome table undefined"
                 )
     return ConditionalTable(w / mass)

@@ -49,7 +49,7 @@ from .series import (
     profile_csv,
     series_check,
 )
-from ._format import fmt
+from ._format import fmt, pm
 
 __all__ = ["main"]
 
@@ -164,14 +164,12 @@ def _table_text(table, precision) -> str:
     for sa in (1, -1):
         for sb in (1, -1):
             cells = ", ".join(
-                f"({'+' if s1 > 0 else '-'},{'+' if s2 > 0 else '-'})="
+                f"({pm(s1)},{pm(s2)})="
                 f"{fmt(table.entry(s1, s2, sa, sb), precision)}"
                 for s1 in (1, -1)
                 for s2 in (1, -1)
             )
-            lines.append(
-                f"  a={'+' if sa > 0 else '-'} b={'+' if sb > 0 else '-'}: {cells}"
-            )
+            lines.append(f"  a={pm(sa)} b={pm(sb)}: {cells}")
     return "\n".join(lines)
 
 

@@ -20,6 +20,7 @@ against the direct one (clamped_independence_report).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -34,7 +35,7 @@ from .errors import (
 from .lattice import CubicTerm, Edge, Lattice, Node, Spin, _check_config
 from .model import ZERO_MEASURE, BoltzmannModel, _weights
 from .independence import IndependenceReport, _lambda_ids, report_from_weights
-from ._format import fmt
+from ._format import SPINS, fmt
 
 __all__ = [
     "clamp_reduce",
@@ -49,8 +50,6 @@ __all__ = [
     "FreewillReport",
     "freewill_report",
 ]
-
-_SPIN = (-1, 1)
 
 
 def clamp_reduce(lattice: Lattice, clamp: Mapping[str, Spin]) -> Lattice:
@@ -147,8 +146,8 @@ def clamped_models(model: BoltzmannModel) -> _Clamped:
     _, _, ida, idb = model.lattice.bell_ids()
     return {
         (sa, sb): _clamped_model(model, {ida: sa, idb: sb})
-        for sa in _SPIN
-        for sb in _SPIN
+        for sa in SPINS
+        for sb in SPINS
     }
 
 
@@ -278,14 +277,10 @@ def freewill_report(model: BoltzmannModel) -> FreewillReport:
     clamped = clamped_models(model)
     one = ex1_table(model)
     two = _ex2_table(model, clamped)
-    cells = []
-    for sa in _SPIN:
-        for sb in _SPIN:
-            for s1 in _SPIN:
-                for s2 in _SPIN:
-                    cells.append(
-                        (s1, s2, sa, sb, one.entry(s1, s2, sa, sb), two.entry(s1, s2, sa, sb))
-                    )
+    cells = [
+        (s1, s2, sa, sb, one.entry(s1, s2, sa, sb), two.entry(s1, s2, sa, sb))
+        for sa, sb, s1, s2 in itertools.product(SPINS, repeat=4)
+    ]
     disc = max(abs(c[4] - c[5]) for c in cells)
     return FreewillReport(
         cells=tuple(cells),

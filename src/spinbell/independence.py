@@ -25,6 +25,7 @@ ensembles) can be pushed through identical arithmetic.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import DegenerateModelError, InvalidArgumentError
 from .lattice import Lattice, NodeRole
 from .model import ZERO_MEASURE, BoltzmannModel, build_model
-from ._format import fmt
+from ._format import SPINS, fmt, pm, spin_of
 
 __all__ = [
     "Witness",
@@ -48,12 +49,6 @@ __all__ = [
     "decoupling_sweep",
     "reevaluate",
 ]
-
-_SPIN = (-1, 1)
-
-
-def _spin(idx: int) -> int:
-    return 1 if idx else -1
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,6 @@ class Witness:
     skipped_cells: int = 0
 
     def describe(self) -> str:
-        def pm(s: int) -> str:
-            return "+" if s == 1 else "-"
-
         def pair(p: tuple[int, int]) -> str:
             return f"({pm(p[0])},{pm(p[1])})"
 
@@ -123,7 +115,7 @@ def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], 
     if not lam_ids:
         return ()
     bits = np.unravel_index(flat, (2,) * len(lam_ids))
-    return tuple((nid, _spin(int(b))) for nid, b in zip(lam_ids, bits))
+    return tuple((nid, spin_of(int(b))) for nid, b in zip(lam_ids, bits))
 
 
 # -- core reductions over a (2, 2, 2, 2, M) weight array ----------------------
@@ -146,8 +138,8 @@ def _md_core(w5: np.ndarray, lam_ids: Sequence[str]) -> tuple[float, Witness]:
     value = float(diff[ia, ib, ja, jb])
     witness = Witness(
         kind="md",
-        settings=(_spin(int(ia)), _spin(int(ib))),
-        alt_settings=(_spin(int(ja)), _spin(int(jb))),
+        settings=(spin_of(int(ia)), spin_of(int(ib))),
+        alt_settings=(spin_of(int(ja)), spin_of(int(jb))),
         value=value,
         skipped_cells=skipped,
     )
@@ -180,7 +172,7 @@ def _od_core(
     value = float(summed[ia, ib, m])
     witness = Witness(
         kind="od",
-        settings=(_spin(int(ia)), _spin(int(ib))),
+        settings=(spin_of(int(ia)), spin_of(int(ib))),
         lam=_decode_lambda(lam_ids, int(m)),
         value=value,
         skipped_cells=skipped,
@@ -212,10 +204,10 @@ def _pd_core(
                 best_a,
                 Witness(
                     kind="pd",
-                    settings=(1, _spin(int(ibi))),
-                    alt_settings=(-1, _spin(int(ibi))),
+                    settings=(1, spin_of(int(ibi))),
+                    alt_settings=(-1, spin_of(int(ibi))),
                     lam=_decode_lambda(lam_ids, int(mi)),
-                    outcome=(id2, _spin(int(s2i))),
+                    outcome=(id2, spin_of(int(s2i))),
                     value=best_a,
                 ),
             )
@@ -236,16 +228,15 @@ def _pd_core(
                 best_b,
                 Witness(
                     kind="pd",
-                    settings=(_spin(int(iai)), 1),
-                    alt_settings=(_spin(int(iai)), -1),
+                    settings=(spin_of(int(iai)), 1),
+                    alt_settings=(spin_of(int(iai)), -1),
                     lam=_decode_lambda(lam_ids, int(mi)),
-                    outcome=(id1, _spin(int(s1i))),
+                    outcome=(id1, spin_of(int(s1i))),
                     value=best_b,
                 ),
             )
         )
 
-    candidates = [c for c in candidates if c[0] >= 0.0]
     if not candidates:
         raise DegenerateModelError(
             "no analyzer flip leaves both (setting, lambda) cells with weight"
@@ -255,16 +246,7 @@ def _pd_core(
     for value, witness in candidates[1:]:
         if value > best_value:
             best_value, best_witness = value, witness
-    best_witness = Witness(
-        kind=best_witness.kind,
-        settings=best_witness.settings,
-        alt_settings=best_witness.alt_settings,
-        lam=best_witness.lam,
-        outcome=best_witness.outcome,
-        value=best_witness.value,
-        skipped_cells=skipped_pairs,
-    )
-    return best_value, best_witness, sides
+    return best_value, dataclasses.replace(best_witness, skipped_cells=skipped_pairs), sides
 
 
 def _fact_core(w5: np.ndarray, lam_ids: Sequence[str]) -> float:
@@ -486,8 +468,8 @@ def reevaluate(model: BoltzmannModel, witness: Witness, lam: Sequence[str] | Non
     if witness.kind == "od":
         given = {ida: sa, idb: sb, **lam_cfg}
         total = 0.0
-        for s1 in _SPIN:
-            for s2 in _SPIN:
+        for s1 in SPINS:
+            for s2 in SPINS:
                 joint = model.conditional({id1: s1, id2: s2}, given)
                 m1 = model.conditional({id1: s1}, given)
                 m2 = model.conditional({id2: s2}, given)

@@ -32,6 +32,7 @@ from .errors import (
     ZeroMeasureConditionError,
 )
 from .lattice import Lattice, Spin, _check_config
+from ._format import fmt_assignment
 
 __all__ = [
     "ZERO_MEASURE",
@@ -232,7 +233,7 @@ class BoltzmannModel:
         w_given = self.weight_sum(given)
         if w_given < ZERO_MEASURE:
             raise ZeroMeasureConditionError(
-                f"conditioning event {_fmt_assignment(given)} has weight {w_given!r}"
+                f"conditioning event {fmt_assignment(given)} has weight {w_given!r}"
             )
         return self.weight_sum({**target, **given}) / w_given
 
@@ -288,14 +289,10 @@ class BoltzmannModel:
         if total < ZERO_MEASURE:
             if given:
                 raise ZeroMeasureConditionError(
-                    f"conditioning event {_fmt_assignment(dict(given))} has weight {total!r}"
+                    f"conditioning event {fmt_assignment(dict(given))} has weight {total!r}"
                 )
             raise DegenerateModelError("all configurations carry zero weight")
         return w / total
-
-
-def _fmt_assignment(assignment: Mapping[str, Spin]) -> str:
-    return "{" + ", ".join(f"{k}:{'+' if v == 1 else '-'}" for k, v in assignment.items()) + "}"
 
 
 def _check_cap(n: int, cap: int | None = None) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InsufficientPostselectionWarning, InvalidArgumentError
 from .lattice import Spin
 from .model import BoltzmannModel
-from ._format import fmt
+from ._format import fmt, pm
 
 __all__ = [
     "SampleRun",
@@ -192,9 +192,6 @@ class ConvergenceReport:
         return "\n".join(lines)
 
     def to_text(self, precision: int | None = 6) -> str:
-        def pm(s: int) -> str:
-            return "+" if s == 1 else "-"
-
         ev = ",".join(f"{k}:{pm(v)}" for k, v in self.event)
         gv = ",".join(f"{k}:{pm(v)}" for k, v in self.given)
         head = f"P({ev}" + (f" | {gv})" if gv else ")")

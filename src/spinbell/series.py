@@ -16,13 +16,18 @@ analyzer b, and the hidden path 3..N connects the analyzers.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import InvalidArgumentError
+import numpy as np
+
+from .errors import InvalidArgumentError, ZeroMeasureConditionError
 from .lattice import Lattice
-from ._format import fmt
+from .model import ZERO_MEASURE, BoltzmannModel, build_model
+from ._format import SPINS, check_spins, fmt, fmt_assignment, spin_of
 
 __all__ = [
     "SeriesContext",
@@ -54,12 +59,6 @@ _LADDER_EDGE_COUNT = 13
 
 #: hidden-hidden ladder edges entering the lambda conditional, by node label
 _LADDER_HH_EDGES = (("3", "6"), ("3", "4"), ("6", "7"), ("4", "7"), ("4", "5"), ("7", "8"), ("5", "8"))
-
-
-def _check_spin(*spins: int) -> None:
-    for s in spins:
-        if s not in (-1, 1):
-            raise InvalidArgumentError(f"spin value must be -1 or +1, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def _ladder_setting_bracket(k: float, sa: int, sb: int) -> float:
 
 def ladder_joint_numerator(ctx: SeriesContext, s1: int, s2: int, sa: int, sb: int) -> float:
     """Z * P(s1, s2, sa, sb) on the canonical ladder."""
-    _check_spin(s1, s2, sa, sb)
+    check_spins(s1, s2, sa, sb)
     k = ctx.k
     return (
         ctx.alpha
@@ -147,7 +146,7 @@ def ladder_joint_numerator(ctx: SeriesContext, s1: int, s2: int, sa: int, sb: in
 
 def ladder_setting_marginal(ctx: SeriesContext, sa: int, sb: int) -> float:
     """Z * P(sa, sb) on the canonical ladder."""
-    _check_spin(sa, sb)
+    check_spins(sa, sb)
     return ctx.alpha * 256.0 * _ladder_setting_bracket(ctx.k, sa, sb)
 
 
@@ -159,7 +158,7 @@ def ladder_partition_sum(ctx: SeriesContext) -> float:
 
 def ladder_conditional(ctx: SeriesContext, s1: int, s2: int, sa: int, sb: int) -> float:
     """P(s1, s2 | sa, sb) on the canonical ladder (ratio of the two forms)."""
-    _check_spin(s1, s2, sa, sb)
+    check_spins(s1, s2, sa, sb)
     k = ctx.k
     num = (1.0 + k * s1 * sa) * (1.0 + k * s2 * sb) * _ladder_joint_bracket(k, s1, s2, sa, sb)
     return num / (4.0 * _ladder_setting_bracket(k, sa, sb))
@@ -172,7 +171,7 @@ def ladder_lambda_conditional(ctx: SeriesContext, lam: Sequence[int], sa: int, s
     """
     if len(lam) != 6:
         raise InvalidArgumentError(f"ladder lambda needs 6 spins, got {len(lam)}")
-    _check_spin(*lam, sa, sb)
+    check_spins(*lam, sa, sb)
     s = dict(zip(("3", "4", "5", "6", "7", "8"), lam))
     k = ctx.k
     num = (
@@ -188,14 +187,14 @@ def ladder_lambda_conditional(ctx: SeriesContext, lam: Sequence[int], sa: int, s
 
 def ladder_outcome1_factor(ctx: SeriesContext, s1: int, s3: int, sa: int) -> float:
     """P(s1 | s3, sa): outcome 1 is screened by its two neighbors."""
-    _check_spin(s1, s3, sa)
+    check_spins(s1, s3, sa)
     k = ctx.k
     return (1.0 + k * s1 * sa) * (1.0 + k * s1 * s3) / (2.0 * (1.0 + k * k * sa * s3))
 
 
 def ladder_outcome2_factor(ctx: SeriesContext, s2: int, s5: int, sb: int) -> float:
     """P(s2 | s5, sb): outcome 2 is screened by its two neighbors."""
-    _check_spin(s2, s5, sb)
+    check_spins(s2, s5, sb)
     k = ctx.k
     return (1.0 + k * s2 * sb) * (1.0 + k * s2 * s5) / (2.0 * (1.0 + k * k * sb * s5))
 
@@ -231,7 +230,7 @@ def chain_lambda_conditional(
         raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
     if len(lam) != n - 2:
         raise InvalidArgumentError(f"chain lambda needs {n - 2} spins, got {len(lam)}")
-    _check_spin(*lam, sa, sb)
+    check_spins(*lam, sa, sb)
     k = ctx.k
     num = 1.0 + k * sa * lam[0]
     for left, right in zip(lam, lam[1:]):
@@ -245,7 +244,7 @@ def chain_setting_marginal(n: int, ctx: SeriesContext, sa: int, sb: int) -> floa
     to a single K^(n-1) term."""
     if n < 5:
         raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
-    _check_spin(sa, sb)
+    check_spins(sa, sb)
     return ctx.alpha * 2.0**n * _chain_denominator(ctx, n, sa, sb)
 
 
@@ -257,7 +256,7 @@ def chain_outcome_factors(
     Each endpoint outcome is screened by its own analyzer alone, for every
     hidden configuration.
     """
-    _check_spin(s1, s2, sa, sb)
+    check_spins(s1, s2, sa, sb)
     k = ctx.k
     return (1.0 + k * s1 * sa) / 2.0, (1.0 + k * s2 * sb) / 2.0
 
@@ -276,8 +275,7 @@ def weak_coupling_chsh(ctx: SeriesContext) -> float:
 
 # -- chain measurement dependence, two readings -------------------------------
 
-_SPIN = (-1, 1)
-_SETTINGS = tuple((sa, sb) for sa in _SPIN for sb in _SPIN)
+_SETTINGS = tuple((sa, sb) for sa in SPINS for sb in SPINS)
 
 
 def _chain_edge_gap(n: int, k: float, s3: int, sn: int, pair_one, pair_two) -> float:
@@ -300,14 +298,12 @@ def chain_md_closed(n: int, k: float) -> float:
     if not -1.0 < k < 1.0:
         raise InvalidArgumentError(f"k must lie in (-1, 1), got {k}")
     best = 0.0
-    for pair_one in _SETTINGS:
-        for pair_two in _SETTINGS:
-            total = 0.0
-            for s3 in _SPIN:
-                for sn in _SPIN:
-                    w = (1.0 + s3 * sn * k ** (n - 3)) / 4.0
-                    total += w * abs(_chain_edge_gap(n, k, s3, sn, pair_one, pair_two))
-            best = max(best, total)
+    for pair_one, pair_two in itertools.product(_SETTINGS, repeat=2):
+        total = 0.0
+        for s3, sn in itertools.product(SPINS, repeat=2):
+            w = (1.0 + s3 * sn * k ** (n - 3)) / 4.0
+            total += w * abs(_chain_edge_gap(n, k, s3, sn, pair_one, pair_two))
+        best = max(best, total)
     return best
 
 
@@ -325,16 +321,13 @@ def chain_md_per_config(n: int, k: float) -> float:
         raise InvalidArgumentError(f"k must lie in (-1, 1), got {k}")
     scale = 2.0 ** (n - 2)
     best = 0.0
-    for pair_one in _SETTINGS:
-        for pair_two in _SETTINGS:
-            for s3 in _SPIN:
-                for sn in _SPIN:
-                    if s3 * sn == 1:
-                        interior = (1.0 + k) ** (n - 3)
-                    else:
-                        interior = (1.0 + k) ** (n - 4) * (1.0 - k)
-                    gap = abs(_chain_edge_gap(n, k, s3, sn, pair_one, pair_two))
-                    best = max(best, gap * interior / scale)
+    for pair_one, pair_two, s3, sn in itertools.product(_SETTINGS, _SETTINGS, SPINS, SPINS):
+        if s3 * sn == 1:
+            interior = (1.0 + k) ** (n - 3)
+        else:
+            interior = (1.0 + k) ** (n - 4) * (1.0 - k)
+        gap = abs(_chain_edge_gap(n, k, s3, sn, pair_one, pair_two))
+        best = max(best, gap * interior / scale)
     return best
 
 
@@ -408,9 +401,40 @@ class SeriesCheckReport:
         return "\n".join(lines)
 
 
-def _rel(a: float, b: float) -> float:
-    denom = max(abs(a), abs(b))
-    return abs(a - b) / denom if denom > 0.0 else 0.0
+def _closed_grid(form: Callable[..., float], d: int) -> np.ndarray:
+    """A closed form at every assignment of its d spin arguments, on (2,)*d
+    leading axes with index 1 meaning spin +1; a tuple-valued form adds one
+    last axis."""
+    values = np.array([form(*s) for s in itertools.product(SPINS, repeat=d)], dtype=float)
+    return values.reshape((2,) * d + values.shape[1:])
+
+
+def _exact_conditional(
+    model: BoltzmannModel, targets: Sequence[str], given: Sequence[str]
+) -> np.ndarray:
+    """P(targets | given) at every assignment, with axes targets + given.
+
+    Raises ZeroMeasureConditionError, as model.conditional does, when some
+    assignment of the given nodes carries no weight.
+    """
+    w = model.weight_table([*targets, *given])
+    mass = w.sum(axis=tuple(range(len(targets))))
+    if mass.min() < ZERO_MEASURE:
+        cell = np.unravel_index(int(mass.argmin()), mass.shape)
+        event = {nid: spin_of(int(i)) for nid, i in zip(given, cell)}
+        raise ZeroMeasureConditionError(
+            f"conditioning event {fmt_assignment(event)} has weight {float(mass.min())!r}"
+        )
+    return w / mass
+
+
+def _max_rel_dev(closed: np.ndarray, exact: np.ndarray) -> float:
+    """Largest |closed - exact| / max(|closed|, |exact|), counting 0 where
+    both are 0. closed broadcasts over trailing axes of exact it lacks."""
+    closed = closed.reshape(closed.shape + (1,) * (exact.ndim - closed.ndim))
+    denom = np.maximum(np.abs(closed), np.abs(exact))
+    rel = np.divide(np.abs(closed - exact), denom, out=np.zeros(denom.shape), where=denom > 0.0)
+    return float(rel.max())
 
 
 def series_check(
@@ -421,13 +445,13 @@ def series_check(
     """Compare every closed form against exact enumeration over a K grid.
 
     Each K is realized as a homogeneous coupling j = atanh(K)/beta on the
-    canonical ladder and on a chain of length chain_n; every spin-argument
-    combination is checked and the worst relative deviation recorded.
+    canonical ladder and on a chain of length chain_n. Each closed form is
+    evaluated at every spin-argument combination and compared cell by cell
+    with one weight table of the model; the worst relative deviation is
+    recorded.
     """
-    from .model import build_model
     from .presets import canonical_ladder, chain_lattice
 
-    spins = (-1, 1)
     rows: list[SeriesCheckRow] = []
     for k in k_values:
         if not 0.0 <= k < 1.0:
@@ -435,113 +459,43 @@ def series_check(
         j = math.atanh(k) / beta
         ladder = build_model(canonical_ladder(j=j, beta=beta))
         lctx = SeriesContext.ladder(j=j, beta=beta)
-        z = ladder.z
-
-        dev = 0.0
-        for s1 in spins:
-            for s2 in spins:
-                for sa in spins:
-                    for sb in spins:
-                        exact = z * ladder.marginal({"1": s1, "2": s2, "a": sa, "b": sb})
-                        dev = max(dev, _rel(ladder_joint_numerator(lctx, s1, s2, sa, sb), exact))
-        rows.append(SeriesCheckRow("joint-numerator", k, dev))
-
-        dev = 0.0
-        for sa in spins:
-            for sb in spins:
-                exact = z * ladder.marginal({"a": sa, "b": sb})
-                dev = max(dev, _rel(ladder_setting_marginal(lctx, sa, sb), exact))
-        rows.append(SeriesCheckRow("setting-marginal", k, dev))
-
-        dev = 0.0
-        for s1 in spins:
-            for s2 in spins:
-                for sa in spins:
-                    for sb in spins:
-                        exact = ladder.conditional({"1": s1, "2": s2}, {"a": sa, "b": sb})
-                        dev = max(dev, _rel(ladder_conditional(lctx, s1, s2, sa, sb), exact))
-        rows.append(SeriesCheckRow("outcome-conditional", k, dev))
-
-        dev = 0.0
-        hidden = ("3", "4", "5", "6", "7", "8")
-        for flat in range(64):
-            lam = tuple(1 if (flat >> (5 - i)) & 1 else -1 for i in range(6))
-            lam_cfg = dict(zip(hidden, lam))
-            for sa in spins:
-                for sb in spins:
-                    exact = ladder.conditional(lam_cfg, {"a": sa, "b": sb})
-                    dev = max(dev, _rel(ladder_lambda_conditional(lctx, lam, sa, sb), exact))
-        rows.append(SeriesCheckRow("lambda-conditional", k, dev))
-
-        dev1 = dev2 = devj = 0.0
-        for s1 in spins:
-            for s3 in spins:
-                for sa in spins:
-                    exact = ladder.conditional({"1": s1}, {"3": s3, "a": sa})
-                    dev1 = max(dev1, _rel(ladder_outcome1_factor(lctx, s1, s3, sa), exact))
-        for s2 in spins:
-            for s5 in spins:
-                for sb in spins:
-                    exact = ladder.conditional({"2": s2}, {"5": s5, "b": sb})
-                    dev2 = max(dev2, _rel(ladder_outcome2_factor(lctx, s2, s5, sb), exact))
-        for s1 in spins:
-            for s2 in spins:
-                for s3 in spins:
-                    for s5 in spins:
-                        for sa in spins:
-                            for sb in spins:
-                                exact = ladder.conditional(
-                                    {"1": s1, "2": s2}, {"3": s3, "5": s5, "a": sa, "b": sb}
-                                )
-                                joint, _, _ = ladder_factor_forms(lctx, s1, s2, s3, s5, sa, sb)
-                                devj = max(devj, _rel(joint, exact))
-        rows.append(SeriesCheckRow("outcome1-factor", k, dev1))
-        rows.append(SeriesCheckRow("outcome2-factor", k, dev2))
-        rows.append(SeriesCheckRow("outcome-factor-joint", k, devj))
-
         chain = build_model(chain_lattice(chain_n, j=j, beta=beta))
         cctx = SeriesContext.chain(chain_n, j=j, beta=beta)
-        zc = chain.z
-        hidden_chain = tuple(str(i) for i in range(3, chain_n + 1))
-        width = len(hidden_chain)
+        hidden = [str(i) for i in range(3, chain_n + 1)]
+        ab = ["a", "b"]
 
-        dev = 0.0
-        for sa in spins:
-            for sb in spins:
-                exact = zc * chain.marginal({"a": sa, "b": sb})
-                dev = max(dev, _rel(chain_setting_marginal(chain_n, cctx, sa, sb), exact))
-        rows.append(SeriesCheckRow("chain-setting-marginal", k, dev))
+        def row(name: str, exact: np.ndarray, form: Callable[..., float], d: int = 0) -> None:
+            # d spin arguments, by default one per axis of the exact table
+            closed = _closed_grid(form, d or exact.ndim)
+            rows.append(SeriesCheckRow(name, k, _max_rel_dev(closed, exact)))
 
-        dev = devf = 0.0
-        for flat in range(1 << width):
-            lam = tuple(1 if (flat >> (width - 1 - i)) & 1 else -1 for i in range(width))
-            lam_cfg = dict(zip(hidden_chain, lam))
-            for sa in spins:
-                for sb in spins:
-                    exact = chain.conditional(lam_cfg, {"a": sa, "b": sb})
-                    dev = max(dev, _rel(chain_lambda_conditional(chain_n, cctx, lam, sa, sb), exact))
-                    for s1 in spins:
-                        for s2 in spins:
-                            exact_j = chain.conditional(
-                                {"1": s1, "2": s2}, {"a": sa, "b": sb, **lam_cfg}
-                            )
-                            devf = max(
-                                devf, _rel(chain_joint_outcomes(cctx, s1, s2, sa, sb), exact_j)
-                            )
-        rows.append(SeriesCheckRow("chain-lambda-conditional", k, dev))
-        rows.append(SeriesCheckRow("chain-outcome-joint", k, devf))
-
-        dev = 0.0
-        for s1 in spins:
-            for sa in spins:
-                f1, _ = chain_outcome_factors(cctx, s1, 1, sa, 1)
-                exact = chain.conditional({"1": s1}, {"a": sa})
-                dev = max(dev, _rel(f1, exact))
-        for s2 in spins:
-            for sb in spins:
-                _, f2 = chain_outcome_factors(cctx, 1, s2, 1, sb)
-                exact = chain.conditional({"2": s2}, {"b": sb})
-                dev = max(dev, _rel(f2, exact))
-        rows.append(SeriesCheckRow("chain-outcome-factors", k, dev))
+        row("joint-numerator", ladder.z * ladder.joint_table(["1", "2", *ab]),
+            partial(ladder_joint_numerator, lctx))
+        row("setting-marginal", ladder.z * ladder.joint_table(ab),
+            partial(ladder_setting_marginal, lctx))
+        row("outcome-conditional", _exact_conditional(ladder, ["1", "2"], ab),
+            partial(ladder_conditional, lctx))
+        row("lambda-conditional", _exact_conditional(ladder, list("345678"), ab),
+            lambda *s: ladder_lambda_conditional(lctx, s[:-2], *s[-2:]))
+        row("outcome1-factor", _exact_conditional(ladder, ["1"], ["3", "a"]),
+            partial(ladder_outcome1_factor, lctx))
+        row("outcome2-factor", _exact_conditional(ladder, ["2"], ["5", "b"]),
+            partial(ladder_outcome2_factor, lctx))
+        row("outcome-factor-joint", _exact_conditional(ladder, ["1", "2"], ["3", "5", *ab]),
+            lambda *s: ladder_factor_forms(lctx, *s)[0])
+        row("chain-setting-marginal", chain.z * chain.joint_table(ab),
+            partial(chain_setting_marginal, chain_n, cctx))
+        row("chain-lambda-conditional", _exact_conditional(chain, hidden, ab),
+            lambda *s: chain_lambda_conditional(chain_n, cctx, s[:-2], *s[-2:]))
+        # independent of lambda: the closed form broadcasts over the lambda axes
+        row("chain-outcome-joint", _exact_conditional(chain, ["1", "2"], [*ab, *hidden]),
+            partial(chain_joint_outcomes, cctx), d=4)
+        # both one-sided factors at every (s1, s2, sa, sb), stacked on a last axis
+        factors = np.broadcast_arrays(
+            _exact_conditional(chain, ["1"], ["a"])[:, None, :, None],
+            _exact_conditional(chain, ["2"], ["b"])[None, :, None, :],
+        )
+        row("chain-outcome-factors", np.stack(factors, axis=-1),
+            partial(chain_outcome_factors, cctx), d=4)
 
     return SeriesCheckReport(rows=tuple(rows), chain_n=chain_n)

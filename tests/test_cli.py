@@ -5,6 +5,7 @@ handling, and each exit code: 0 success, 2 bad input, 3 degenerate
 numerics, 4 reference-case mismatch."""
 
 import json
+import re
 import warnings
 
 import pytest
@@ -201,6 +202,52 @@ def test_series_csv(capsys):
 
 def test_series_bad_k(capsys):
     assert main(["series", "--k", "1.5"]) == EXIT_INPUT
+
+
+_SERIES_ROWS = (
+    "joint-numerator",
+    "setting-marginal",
+    "outcome-conditional",
+    "lambda-conditional",
+    "outcome1-factor",
+    "outcome2-factor",
+    "outcome-factor-joint",
+    "chain-setting-marginal",
+    "chain-lambda-conditional",
+    "chain-outcome-joint",
+    "chain-outcome-factors",
+)
+
+
+def _mask_deviations(text: str) -> str:
+    """Replace the number that ends each line; only deviation digits may move."""
+    return re.sub(r"\d[\d.]*(?:e[-+]\d+)?$", "<dev>", text, flags=re.M)
+
+
+def test_series_text_layout(capsys):
+    assert main(["series", "--k", "0.2", "0.5", "--chain-n", "5"]) == EXIT_OK
+    expected = "\n".join(
+        [
+            "closed forms vs enumeration (chain n = 5)",
+            *(f"  {name:28s} max rel dev <dev>" for name in sorted(_SERIES_ROWS)),
+            "  overall max = <dev>",
+            "",
+        ]
+    )
+    assert _mask_deviations(capsys.readouterr().out) == expected
+
+
+def test_series_csv_layout(capsys):
+    argv = ["series", "--k", "0.2", "0.5", "--chain-n", "5", "--format", "csv"]
+    assert main(argv) == EXIT_OK
+    expected = "\n".join(
+        [
+            "name,k,max_rel_dev",
+            *(f"{name},{k},<dev>" for k in ("0.2", "0.5") for name in _SERIES_ROWS),
+            "",
+        ]
+    )
+    assert _mask_deviations(capsys.readouterr().out) == expected
 
 
 # -- freewill -----------------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinbell.errors import InvalidArgumentError
+from spinbell import series
+from spinbell.errors import InvalidArgumentError, ZeroMeasureConditionError
 from spinbell.independence import measurement_dependence
-from spinbell.model import build_model
+from spinbell.model import BoltzmannModel, build_model
 from spinbell.presets import canonical_ladder, chain_lattice, second_neighbor_lattice, tuned_ladder
 from spinbell.series import (
     DEFAULT_K_GRID,
@@ -104,6 +105,77 @@ def test_series_check_report_output():
     assert len(csv.splitlines()) == 12
     assert "overall max" in report.to_text()
     assert not report.ok(0.0) or report.overall() == 0.0
+
+
+#: the public closed form behind each row of series_check
+_ROW_FORMS = {
+    "joint-numerator": "ladder_joint_numerator",
+    "setting-marginal": "ladder_setting_marginal",
+    "outcome-conditional": "ladder_conditional",
+    "lambda-conditional": "ladder_lambda_conditional",
+    "outcome1-factor": "ladder_outcome1_factor",
+    "outcome2-factor": "ladder_outcome2_factor",
+    "outcome-factor-joint": "ladder_factor_forms",
+    "chain-setting-marginal": "chain_setting_marginal",
+    "chain-lambda-conditional": "chain_lambda_conditional",
+    "chain-outcome-joint": "chain_joint_outcomes",
+    "chain-outcome-factors": "chain_outcome_factors",
+}
+
+
+@pytest.mark.parametrize("spin", [1, -1], ids=["all-plus", "all-minus"])
+@pytest.mark.parametrize("name", list(_ROW_FORMS))
+def test_series_check_compares_every_cell(monkeypatch, name, spin):
+    """A closed form nudged by a relative 1e-6 at one spin assignment only
+    shows up in its row, so no cell of the row goes unchecked."""
+    original = getattr(series, _ROW_FORMS[name])
+
+    def nudged(*args):
+        value = original(*args)
+        # the spin arguments follow the context; a lambda sequence counts spin by spin
+        ctx_at = next(i for i, a in enumerate(args) if isinstance(a, SeriesContext))
+        spins = [s for a in args[ctx_at + 1 :] for s in (a if isinstance(a, tuple) else (a,))]
+        if any(s != spin for s in spins):
+            return value
+        if isinstance(value, tuple):
+            return tuple(v * (1 + 1e-6) for v in value)
+        return value * (1 + 1e-6)
+
+    monkeypatch.setattr(series, _ROW_FORMS[name], nudged)
+    report = series_check(k_values=(0.3,), chain_n=5)
+    assert report.by_name()[name] > 1e-7
+    assert not report.ok()
+
+
+def test_series_check_reads_no_single_cells(monkeypatch):
+    calls = []
+    for method in ("conditional", "marginal", "weight_sum"):
+
+        def counted(self, *args, _method=method, _original=getattr(BoltzmannModel, method)):
+            calls.append(_method)
+            return _original(self, *args)
+
+        monkeypatch.setattr(BoltzmannModel, method, counted)
+    report = series_check(chain_n=10)
+    assert report.ok()
+    assert calls == []
+
+
+def test_series_check_long_chain():
+    report = series_check(DEFAULT_K_GRID, chain_n=12)
+    assert [r.k for r in report.rows] == [k for k in DEFAULT_K_GRID for _ in range(11)]
+    assert report.overall() <= 1e-12
+
+
+def test_exact_conditional_refuses_zero_measure_condition():
+    """The exact side of series_check raises on a null conditioning cell,
+    with the message model.conditional gives for the same cell."""
+    model = build_model(chain_lattice(5, j=400.0))
+    with pytest.raises(ZeroMeasureConditionError) as table_error:
+        series._exact_conditional(model, ["1"], ["a", "3"])
+    with pytest.raises(ZeroMeasureConditionError) as cell_error:
+        model.conditional({"1": 1}, {"a": -1, "3": 1})
+    assert str(table_error.value) == str(cell_error.value)
 
 
 def test_weak_coupling_form():
