@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ZeroMeasureConditionError
 from .model import ZERO_MEASURE, BoltzmannModel
-from ._format import SPINS, fmt, pm, spin_index, spin_of
+from ._format import SPINS, csv_table, fmt, pm, spin_index, spin_of
 
 __all__ = [
     "ConditionalTable",
@@ -79,6 +79,20 @@ class ConditionalTable:
             for sa, sb, s1, s2 in itertools.product(SPINS, repeat=4)
         }
 
+    def csv(self, precision: int | None = None) -> str:
+        rows = sorted(self.as_dict().items(), reverse=True)
+        return csv_table(("s1", "s2", "sa", "sb", "p"), [(*key, p) for key, p in rows], precision)
+
+    def to_text(self, precision: int | None = 6) -> str:
+        lines = ["P(s1,s2|sa,sb):"]
+        for sa, sb in itertools.product((1, -1), repeat=2):
+            cells = ", ".join(
+                f"({pm(s1)},{pm(s2)})={fmt(self.entry(s1, s2, sa, sb), precision)}"
+                for s1, s2 in itertools.product((1, -1), repeat=2)
+            )
+            lines.append(f"  a={pm(sa)} b={pm(sb)}: {cells}")
+        return "\n".join(lines)
+
 
 def conditional_table(model: BoltzmannModel) -> ConditionalTable:
     """Exact P(s1, s2 | sa, sb) for a model whose lattice carries Bell roles."""
@@ -124,12 +138,8 @@ class ChshReport:
 
     CSV_FIELDS = ("m_ab", "m_apb", "m_abp", "m_apbp", "x_bi")
 
-    @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(cls.CSV_FIELDS)
-
-    def csv_row(self, precision: int | None = None) -> str:
-        return ",".join(fmt(getattr(self, f), precision) for f in self.CSV_FIELDS)
+    def csv(self, precision: int | None = None) -> str:
+        return csv_table(self.CSV_FIELDS, [[getattr(self, f) for f in self.CSV_FIELDS]], precision)
 
     def to_text(self, precision: int | None = 6) -> str:
         lines = [

@@ -49,7 +49,7 @@ from .series import (
     profile_csv,
     series_check,
 )
-from ._format import fmt, pm
+from ._format import fmt
 
 __all__ = ["main"]
 
@@ -159,54 +159,24 @@ def _add_output_options(sub) -> None:
     )
 
 
-def _table_text(table, precision) -> str:
-    lines = ["P(s1,s2|sa,sb):"]
-    for sa in (1, -1):
-        for sb in (1, -1):
-            cells = ", ".join(
-                f"({pm(s1)},{pm(s2)})="
-                f"{fmt(table.entry(s1, s2, sa, sb), precision)}"
-                for s1 in (1, -1)
-                for s2 in (1, -1)
-            )
-            lines.append(f"  a={pm(sa)} b={pm(sb)}: {cells}")
-    return "\n".join(lines)
-
-
-def _table_csv(table, precision) -> str:
-    lines = ["s1,s2,sa,sb,p"]
-    for (s1, s2, sa, sb), p in sorted(table.as_dict().items(), reverse=True):
-        lines.append(f"{s1},{s2},{sa},{sb},{fmt(p, precision)}")
-    return "\n".join(lines)
+def _render(report, args) -> str:
+    if args.format == "csv":
+        return report.csv(args.precision)
+    return report.to_text(args.precision)
 
 
 def _cmd_eval(args) -> int:
     model = build_model(_lattice_from_args(args))
     lam = args.lam.split(",") if args.lam else None
-    parts: list[str] = []
     want = ("chsh", "independence", "table") if args.report == "all" else (args.report,)
     if args.format == "csv" and len(want) > 1:
         raise InvalidArgumentError("csv output needs a single --report, not 'all'")
-    if "chsh" in want:
-        report = chsh(conditional_table(model))
-        if args.format == "csv":
-            parts.append(report.csv_header() + "\n" + report.csv_row(args.precision))
-        else:
-            parts.append(report.to_text(args.precision))
-    if "independence" in want:
-        report = independence_report(model, lam=lam)
-        if args.format == "csv":
-            parts.append(report.csv_header() + "\n" + report.csv_row(args.precision))
-        else:
-            parts.append(report.to_text(args.precision))
-    if "table" in want:
-        table = conditional_table(model)
-        parts.append(
-            _table_csv(table, args.precision)
-            if args.format == "csv"
-            else _table_text(table, args.precision)
-        )
-    _emit("\n\n".join(parts), args.out)
+    reports = {
+        "chsh": lambda: chsh(conditional_table(model)),
+        "independence": lambda: independence_report(model, lam=lam),
+        "table": lambda: conditional_table(model),
+    }
+    _emit("\n\n".join(_render(reports[name](), args) for name in want), args.out)
     return EXIT_OK
 
 
@@ -232,20 +202,14 @@ def _cmd_reproduce(args) -> int:
 def _cmd_series(args) -> int:
     ks = tuple(args.k) if args.k else DEFAULT_K_GRID
     report = series_check(k_values=ks, chain_n=args.chain_n)
-    if args.format == "csv":
-        _emit(report.csv(args.precision), args.out)
-    else:
-        _emit(report.to_text(args.precision), args.out)
+    _emit(_render(report, args), args.out)
     return EXIT_OK
 
 
 def _cmd_freewill(args) -> int:
     model = build_model(_lattice_from_args(args))
     report = freewill_report(model)
-    if args.format == "csv":
-        _emit(report.csv(args.precision), args.out)
-    else:
-        _emit(report.to_text(args.precision), args.out)
+    _emit(_render(report, args), args.out)
     return EXIT_OK
 
 
@@ -261,10 +225,7 @@ def _cmd_sample(args) -> int:
     event = _parse_assignment(args.event)
     given = _parse_assignment(args.given) if args.given else None
     report = frequency_report(model, run, event, given)
-    if args.format == "csv":
-        _emit(report.csv(args.precision), args.out)
-    else:
-        _emit(report.to_text(args.precision), args.out)
+    _emit(_render(report, args), args.out)
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ from .errors import (
 from .lattice import CubicTerm, Edge, Lattice, Node, Spin, _check_config
 from .model import ZERO_MEASURE, BoltzmannModel, _weights
 from .independence import IndependenceReport, _lambda_ids, report_from_weights
-from ._format import SPINS, fmt
+from ._format import SPINS, csv_table, fmt
 
 __all__ = [
     "clamp_reduce",
@@ -253,13 +253,11 @@ class FreewillReport:
     CSV_FIELDS = ("s1", "s2", "sa", "sb", "postselected", "clamped", "difference")
 
     def csv(self, precision: int | None = None) -> str:
-        lines = [",".join(self.CSV_FIELDS)]
-        for s1, s2, sa, sb, one, two in self.cells:
-            lines.append(
-                f"{s1:+d},{s2:+d},{sa:+d},{sb:+d},"
-                f"{fmt(one, precision)},{fmt(two, precision)},{fmt(one - two, precision)}"
-            )
-        return "\n".join(lines)
+        rows = [
+            (*(f"{s:+d}" for s in spins), one, two, one - two)
+            for *spins, one, two in self.cells
+        ]
+        return csv_table(self.CSV_FIELDS, rows, precision)
 
     def to_text(self, precision: int | None = 6) -> str:
         lines = ["s1 s2 sa sb  postselected  clamped  difference"]

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DegenerateModelError, InvalidArgumentError
 from .lattice import Lattice, NodeRole
 from .model import ZERO_MEASURE, BoltzmannModel, build_model
-from ._format import SPINS, fmt, pm, spin_of
+from ._format import SPINS, csv_table, fmt, pm, spin_of
 
 __all__ = [
     "Witness",
@@ -363,21 +363,8 @@ class IndependenceReport:
 
     CSV_FIELDS = ("md", "od", "pd", "mi_holds", "oi_holds", "pi_holds", "factorizable")
 
-    @classmethod
-    def csv_header(cls) -> str:
-        return ",".join(cls.CSV_FIELDS)
-
-    def csv_row(self, precision: int | None = None) -> str:
-        vals = [
-            fmt(self.md, precision),
-            fmt(self.od, precision),
-            fmt(self.pd, precision),
-            str(self.mi_holds).lower(),
-            str(self.oi_holds).lower(),
-            str(self.pi_holds).lower(),
-            str(self.factorizable).lower(),
-        ]
-        return ",".join(vals)
+    def csv(self, precision: int | None = None) -> str:
+        return csv_table(self.CSV_FIELDS, [[getattr(self, f) for f in self.CSV_FIELDS]], precision)
 
     def to_text(self, precision: int | None = 6) -> str:
         lines = [

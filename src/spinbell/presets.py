@@ -290,30 +290,32 @@ class Quantity:
 
 @dataclass(frozen=True)
 class QuantityResult:
-    label: str
+    quantity: Quantity
     value: float
-    expected: float
-    tol: float
-    kind: str
-    contingent: bool
+
+    @property
+    def label(self) -> str:
+        return self.quantity.label
 
     @property
     def passed(self) -> bool:
-        if self.kind == "min":
-            return self.value > self.expected
-        return abs(self.value - self.expected) <= self.tol
+        q = self.quantity
+        if q.kind == "min":
+            return self.value > q.expected
+        return abs(self.value - q.expected) <= q.tol
 
     @property
     def verdict(self) -> str:
         if self.passed:
             return "PASS"
-        return "CONTINGENT" if self.contingent else "FAIL"
+        return "CONTINGENT" if self.quantity.contingent else "FAIL"
 
     def describe(self) -> str:
-        if self.kind == "min":
-            target = f"> {self.expected:g}"
+        q = self.quantity
+        if q.kind == "min":
+            target = f"> {q.expected:g}"
         else:
-            target = f"{self.expected:g} +/- {self.tol:g}"
+            target = f"{q.expected:g} +/- {q.tol:g}"
         return f"{self.label}: {self.value:.10g} (target {target}) {self.verdict}"
 
 
@@ -327,19 +329,7 @@ class ReproductionCase:
 
     def run(self) -> list[QuantityResult]:
         values = self.runner()
-        out = []
-        for q in self.quantities:
-            out.append(
-                QuantityResult(
-                    label=q.label,
-                    value=float(values[q.label]),
-                    expected=q.expected,
-                    tol=q.tol,
-                    kind=q.kind,
-                    contingent=q.contingent,
-                )
-            )
-        return out
+        return [QuantityResult(q, float(values[q.label])) for q in self.quantities]
 
 
 def _run_ladder_uniform() -> dict[str, float]:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InsufficientPostselectionWarning, InvalidArgumentError
 from .lattice import Spin
 from .model import BoltzmannModel
-from ._format import fmt, pm
+from ._format import csv_table, fmt, pm
 
 __all__ = [
     "SampleRun",
@@ -184,12 +184,7 @@ class ConvergenceReport:
         return self.rows[-1]
 
     def csv(self, precision: int | None = None) -> str:
-        lines = [",".join(self.CSV_FIELDS)]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{fmt(r.freq, precision)},{fmt(r.exact, precision)},{fmt(r.se, precision)}"
-            )
-        return "\n".join(lines)
+        return csv_table(self.CSV_FIELDS, [(r.n, r.freq, r.exact, r.se) for r in self.rows], precision)
 
     def to_text(self, precision: int | None = 6) -> str:
         ev = ",".join(f"{k}:{pm(v)}" for k, v in self.event)

@@ -46,7 +46,7 @@ from .independence import (
 )
 from .lattice import Lattice
 from .model import BoltzmannModel, _check_cap, _energies, _stabilize, build_model
-from ._format import fmt
+from ._format import csv_table, fmt
 
 __all__ = [
     "SearchParam",
@@ -391,12 +391,7 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
 
 def grid_csv(space: SearchSpace, rows: Sequence[GridRow], precision: int | None = None) -> str:
     header = [p.name for p in space.params] + ["x_bi", "md", "od", "pd"]
-    lines = [",".join(header)]
-    for r in rows:
-        cells = [fmt(v, precision) for v in r.values]
-        cells += [fmt(r.x_bi, precision), fmt(r.md, precision), fmt(r.od, precision), fmt(r.pd, precision)]
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+    return csv_table(header, [(*r.values, r.x_bi, r.md, r.od, r.pd) for r in rows], precision)
 
 
 @dataclass(frozen=True)

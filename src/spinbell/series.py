@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ZeroMeasureConditionError
 from .lattice import Lattice
 from .model import ZERO_MEASURE, BoltzmannModel, build_model
-from ._format import SPINS, check_spins, fmt, fmt_assignment, spin_of
+from ._format import SPINS, check_spins, csv_table, fmt, fmt_assignment, spin_of
 
 __all__ = [
     "SeriesContext",
@@ -61,6 +61,11 @@ _LADDER_EDGE_COUNT = 13
 _LADDER_HH_EDGES = (("3", "6"), ("3", "4"), ("6", "7"), ("4", "7"), ("4", "5"), ("7", "8"), ("5", "8"))
 
 
+def _check_chain_n(n: int) -> None:
+    if n < 5:
+        raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
+
+
 @dataclass(frozen=True)
 class SeriesContext:
     """K and the cosh prefactor for one homogeneous zero-field lattice."""
@@ -88,8 +93,7 @@ class SeriesContext:
 
     @classmethod
     def chain(cls, n: int, j: float = 1.0, beta: float = 1.0) -> "SeriesContext":
-        if n < 5:
-            raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
+        _check_chain_n(n)
         # spins 1, 2, a, b plus hidden 3..n; path has n+1 bonds
         return cls.build(n + 1, j, beta)
 
@@ -226,8 +230,7 @@ def chain_lambda_conditional(
 
     lam gives the hidden path spins (s3, ..., sn) in order; n >= 5.
     """
-    if n < 5:
-        raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
+    _check_chain_n(n)
     if len(lam) != n - 2:
         raise InvalidArgumentError(f"chain lambda needs {n - 2} spins, got {len(lam)}")
     check_spins(*lam, sa, sb)
@@ -242,8 +245,7 @@ def chain_lambda_conditional(
 def chain_setting_marginal(n: int, ctx: SeriesContext, sa: int, sb: int) -> float:
     """Z * P(sa, sb) on the chain: the path between the analyzers telescopes
     to a single K^(n-1) term."""
-    if n < 5:
-        raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
+    _check_chain_n(n)
     check_spins(sa, sb)
     return ctx.alpha * 2.0**n * _chain_denominator(ctx, n, sa, sb)
 
@@ -293,8 +295,7 @@ def chain_md_closed(n: int, k: float) -> float:
     the interior path spins collapse into the weight
     (1 + s3 sn K^(n-3)) / 4 on the two boundary hidden spins.
     """
-    if n < 5:
-        raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
+    _check_chain_n(n)
     if not -1.0 < k < 1.0:
         raise InvalidArgumentError(f"k must lie in (-1, 1), got {k}")
     best = 0.0
@@ -315,8 +316,7 @@ def chain_md_per_config(n: int, k: float) -> float:
     with the boundary parity carries weight (1+K)^(n-3) or (1+K)^(n-4)(1-K)
     over 2^(n-2).
     """
-    if n < 5:
-        raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
+    _check_chain_n(n)
     if not -1.0 < k < 1.0:
         raise InvalidArgumentError(f"k must lie in (-1, 1), got {k}")
     scale = 2.0 ** (n - 2)
@@ -350,10 +350,7 @@ def chain_md_profile(n_values: Iterable[int], k: float) -> list[ChainMdRow]:
 
 
 def profile_csv(rows: Iterable[ChainMdRow], precision: int | None = None) -> str:
-    lines = ["n,md_summed,md_per_config"]
-    for r in rows:
-        lines.append(f"{r.n},{fmt(r.md_summed, precision)},{fmt(r.md_per_config, precision)}")
-    return "\n".join(lines)
+    return csv_table(("n", "md_summed", "md_per_config"), map(astuple, rows), precision)
 
 
 # -- closed forms against enumeration ------------------------------------------
@@ -388,10 +385,8 @@ class SeriesCheckReport:
         return self.overall() <= tol
 
     def csv(self, precision: int | None = None) -> str:
-        lines = ["name,k,max_rel_dev"]
-        for r in self.rows:
-            lines.append(f"{r.name},{fmt(r.k, 3)},{fmt(r.max_rel_dev, precision)}")
-        return "\n".join(lines)
+        rows = [(r.name, fmt(r.k, 3), r.max_rel_dev) for r in self.rows]
+        return csv_table(("name", "k", "max_rel_dev"), rows, precision)
 
     def to_text(self, precision: int | None = 3) -> str:
         lines = [f"closed forms vs enumeration (chain n = {self.chain_n})"]
@@ -452,6 +447,7 @@ def series_check(
     """
     from .presets import canonical_ladder, chain_lattice
 
+    _check_chain_n(chain_n)
     rows: list[SeriesCheckRow] = []
     for k in k_values:
         if not 0.0 <= k < 1.0:

@@ -9,7 +9,6 @@ import pytest
 
 from spinbell.bell import (
     QUANTUM_MAX_ANGLES,
-    ChshReport,
     ConditionalTable,
     chsh,
     conditional_table,
@@ -118,8 +117,8 @@ def test_chsh_max_abs_over_sign_choices(rng):
 
 def test_chsh_csv_and_text(ladder_model):
     r = chsh(conditional_table(ladder_model))
-    assert ChshReport.csv_header() == "m_ab,m_apb,m_abp,m_apbp,x_bi"
-    row = r.csv_row(precision=None)
+    header, row = r.csv(precision=None).split("\n")
+    assert header == "m_ab,m_apb,m_abp,m_apbp,x_bi"
     assert len(row.split(",")) == 5
     assert repr(r.x_bi) in row
     assert "x_bi" in r.to_text()

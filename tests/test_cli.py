@@ -61,6 +61,24 @@ def test_eval_csv_rejects_all(capsys):
     assert "csv output needs a single --report" in capsys.readouterr().err
 
 
+def test_eval_independence_csv_layout(capsys):
+    argv = ["eval", "--builtin", "ladder", "--report", "independence", "--format", "csv"]
+    assert main(argv) == EXIT_OK
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header == "md,od,pd,mi_holds,oi_holds,pi_holds,factorizable"
+    # the ladder violates measurement independence and keeps the other three
+    assert row.split(",")[3:] == ["false", "true", "true", "true"]
+
+
+def test_eval_table_csv_layout(capsys):
+    argv = ["eval", "--builtin", "ladder", "--report", "table", "--format", "csv"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "s1,s2,sa,sb,p"
+    assert len(lines) == 17
+    assert lines[1].startswith("1,1,1,1,")
+
+
 def test_eval_lattice_file(tuned_file, capsys):
     assert main(["eval", "--lattice", tuned_file, "--report", "chsh",
                  "--precision", "full"]) == EXIT_OK
@@ -202,6 +220,12 @@ def test_series_csv(capsys):
 
 def test_series_bad_k(capsys):
     assert main(["series", "--k", "1.5"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_series_short_chain_one_message(n, capsys):
+    assert main(["series", "--k", "0.3", "--chain-n", str(n)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: chain forms need n >= 5, got {n}\n"
 
 
 _SERIES_ROWS = (

@@ -148,7 +148,7 @@ def test_chain_lattice_parameters():
 
 
 def _result(value, expected, tol, kind="abs", contingent=False):
-    return QuantityResult("q", value, expected, tol, kind, contingent)
+    return QuantityResult(Quantity("q", expected, tol, kind, contingent), value)
 
 
 def test_abs_quantity_verdicts():
