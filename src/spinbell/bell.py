@@ -55,13 +55,7 @@ class ConditionalTable:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (2, 2, 2, 2):
             raise InvalidArgumentError(f"conditional table has shape {v.shape}, want (2,2,2,2)")
-        if np.any(v < -_COLUMN_TOL) or np.any(v > 1.0 + _COLUMN_TOL):
-            raise InvalidArgumentError("conditional table entries leave [0, 1]")
-        sums = v.sum(axis=(0, 1))
-        if np.max(np.abs(sums - 1.0)) > _COLUMN_TOL:
-            raise InvalidArgumentError(
-                f"conditional table columns deviate from 1 by {np.max(np.abs(sums - 1.0)):.3e}"
-            )
+        _check_columns(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -94,14 +88,21 @@ class ConditionalTable:
         return "\n".join(lines)
 
 
+def _check_columns(v: np.ndarray) -> None:
+    """Raise unless every setting column of P over (s1, s2, sa, sb, ...) is
+    a distribution to within 1e-10; trailing axes stack tables, and an
+    empty stack passes."""
+    if np.any(v < -_COLUMN_TOL) or np.any(v > 1.0 + _COLUMN_TOL):
+        raise InvalidArgumentError("conditional table entries leave [0, 1]")
+    deviation = np.max(np.abs(v.sum(axis=(0, 1)) - 1.0), initial=0.0)
+    if deviation > _COLUMN_TOL:
+        raise InvalidArgumentError(f"conditional table columns deviate from 1 by {deviation:.3e}")
+
+
 def conditional_table(model: BoltzmannModel) -> ConditionalTable:
     """Exact P(s1, s2 | sa, sb) for a model whose lattice carries Bell roles."""
     id1, id2, ida, idb = model.lattice.bell_ids()
-    return _conditional_from_weights(model.weight_table([id1, id2, ida, idb]))
-
-
-def _conditional_from_weights(w: np.ndarray) -> ConditionalTable:
-    """P(s1, s2 | sa, sb) from stabilized weights over (s1, s2, sa, sb)."""
+    w = model.weight_table([id1, id2, ida, idb])
     mass = w.sum(axis=(0, 1))
     for ia in (0, 1):
         for ib in (0, 1):
@@ -113,10 +114,28 @@ def _conditional_from_weights(w: np.ndarray) -> ConditionalTable:
     return ConditionalTable(w / mass)
 
 
+def _correlators(v: np.ndarray) -> np.ndarray:
+    """M(sa, sb) from P over (s1, s2, sa, sb, ...); trailing axes stack
+    tables."""
+    return v[1, 1] + v[0, 0] - v[1, 0] - v[0, 1]
+
+
+def _bell_terms(m) -> tuple[tuple, object, object]:
+    """((m_ab, m_apb, m_abp, m_apbp), their sum, x_bi) from correlators
+    indexed [sa][sb]: nested lists of floats, or an array whose trailing
+    axes stack tables.
+
+    The sum is added left to right: builtin sum() compensates on
+    Python >= 3.12, so its last bit would depend on the interpreter.
+    """
+    (m_apbp, m_apb), (m_abp, m_ab) = m  # index 0 is spin -1
+    total = ((m_ab + m_apb) + m_abp) + m_apbp
+    return (m_ab, m_apb, m_abp, m_apbp), total, total - 2.0 * m_apbp
+
+
 def correlator(table: ConditionalTable, sa: int, sb: int) -> float:
     """M(sa, sb) = sum_{s1,s2} s1 s2 P(s1, s2 | sa, sb)."""
-    col = table.column(sa, sb)
-    return float(col[1, 1] + col[0, 0] - col[1, 0] - col[0, 1])
+    return float(_correlators(table.values)[spin_index(sa), spin_index(sb)])
 
 
 @dataclass(frozen=True)
@@ -155,15 +174,9 @@ class ChshReport:
 
 def chsh(table: ConditionalTable) -> ChshReport:
     """Bell combination of the four correlators of a conditional table."""
-    m_ab = correlator(table, 1, 1)
-    m_apb = correlator(table, -1, 1)
-    m_abp = correlator(table, 1, -1)
-    m_apbp = correlator(table, -1, -1)
-    terms = (m_ab, m_apb, m_abp, m_apbp)
-    total = sum(terms)
-    x_bi = total - 2.0 * m_apbp
+    terms, total, x_bi = _bell_terms(_correlators(table.values).tolist())
     x_max_abs = max(abs(total - 2.0 * t) for t in terms)
-    return ChshReport(m_ab, m_apb, m_abp, m_apbp, x_bi, x_max_abs)
+    return ChshReport(*terms, x_bi, x_max_abs)
 
 
 def quantum_reference(a: float, b: float) -> float:

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 bad input, 3 degenerate or out-of-range numerics,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -171,10 +172,11 @@ def _cmd_eval(args) -> int:
     want = ("chsh", "independence", "table") if args.report == "all" else (args.report,)
     if args.format == "csv" and len(want) > 1:
         raise InvalidArgumentError("csv output needs a single --report, not 'all'")
+    table = functools.cache(lambda: conditional_table(model))
     reports = {
-        "chsh": lambda: chsh(conditional_table(model)),
+        "chsh": lambda: chsh(table()),
         "independence": lambda: independence_report(model, lam=lam),
-        "table": lambda: conditional_table(model),
+        "table": table,
     }
     _emit("\n\n".join(_render(reports[name](), args) for name in want), args.out)
     return EXIT_OK

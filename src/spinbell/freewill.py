@@ -194,7 +194,9 @@ def partition_gap(model: BoltzmannModel) -> float:
 
 
 def _partition_gap(model: BoltzmannModel, clamped: _Clamped) -> float:
-    total = sum(cm.z_star for cm in clamped.values())
+    total = 0.0
+    for cm in clamped.values():  # left to right: sum() compensates on Python >= 3.12
+        total += cm.z_star
     return abs(total - model.z_shifted) / model.z_shifted
 
 

@@ -121,19 +121,27 @@ def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], 
 # -- core reductions over a (2, 2, 2, 2, M) weight array ----------------------
 
 
-def _md_core(w5: np.ndarray, lam_ids: Sequence[str]) -> tuple[float, Witness]:
-    mass_ab_lam = w5.sum(axis=(0, 1))  # (2, 2, M)
-    mass_ab = mass_ab_lam.sum(axis=-1)  # (2, 2)
+def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_lambda |P(lambda|a,b) - P(lambda|a',b')| for all 16 ordered
+    setting pairs, from weights over (..., sa, sb, lambda-flat).
+
+    Returns (diff, pair_valid), both (..., 2, 2, 2, 2); diff is -1 where
+    either setting has zero weight. Leading axes stack independent models.
+    """
+    mass_ab = mass_ab_lam.sum(axis=-1)  # (..., 2, 2)
     valid = mass_ab >= ZERO_MEASURE
-    if not valid.any():
+    if not valid.any(axis=(-2, -1)).all():
         raise DegenerateModelError("every analyzer setting carries zero weight")
     safe = np.where(valid, mass_ab, 1.0)
-    p = mass_ab_lam / safe[:, :, None]
-    # all 16 ordered setting pairs at once
-    diff = np.abs(p[:, :, None, None, :] - p[None, None, :, :, :]).sum(axis=-1)
-    pair_valid = valid[:, :, None, None] & valid[None, None, :, :]
+    p = mass_ab_lam / safe[..., None]
+    diff = np.abs(p[..., :, :, None, None, :] - p[..., None, None, :, :, :]).sum(axis=-1)
+    pair_valid = valid[..., :, :, None, None] & valid[..., None, None, :, :]
+    return np.where(pair_valid, diff, -1.0), pair_valid
+
+
+def _md_core(w5: np.ndarray, lam_ids: Sequence[str]) -> tuple[float, Witness]:
+    diff, pair_valid = _md_pairs(w5.sum(axis=(0, 1)))
     skipped = int((~pair_valid).sum())
-    diff = np.where(pair_valid, diff, -1.0)
     ia, ib, ja, jb = np.unravel_index(int(np.argmax(diff)), (2, 2, 2, 2))
     value = float(diff[ia, ib, ja, jb])
     witness = Witness(

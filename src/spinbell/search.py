@@ -27,11 +27,11 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bell import _conditional_from_weights, chsh, conditional_table
+from .bell import _bell_terms, _check_columns, _correlators, chsh, conditional_table
 from .errors import (
     DegenerateModelError,
     InvalidArgumentError,
@@ -39,13 +39,15 @@ from .errors import (
     ZeroMeasureConditionError,
 )
 from .independence import (
+    _bell_lambda_weights,
     _md_core,
+    _md_pairs,
+    _od_core,
+    _pd_core,
     measurement_dependence,
-    outcome_dependence,
-    parameter_dependence,
 )
 from .lattice import Lattice
-from .model import BoltzmannModel, _check_cap, _energies, _stabilize, build_model
+from .model import ZERO_MEASURE, BoltzmannModel, _check_cap, _energies, _stabilize, build_model
 from ._format import csv_table, fmt
 
 __all__ = [
@@ -370,6 +372,8 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
     for p in space.params:
         lo, hi = p.bounds
         axes.append([lo + (hi - lo) * t / (resolution - 1) for t in range(resolution)])
+    lam_ids = space.base.hidden_ids
+    id1, id2, _, _ = space.base.bell_ids()
     rows = []
     for values in itertools.product(*axes):
         try:
@@ -377,13 +381,14 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
             table = conditional_table(model)
         except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
             continue
+        w5 = _bell_lambda_weights(model, lam_ids)
         rows.append(
             GridRow(
                 values=tuple(values),
                 x_bi=chsh(table).x_bi,
-                md=measurement_dependence(model)[0],
-                od=outcome_dependence(model)[0],
-                pd=parameter_dependence(model)[0],
+                md=_md_core(w5, lam_ids)[0],
+                od=_od_core(w5, lam_ids)[0],
+                pd=_pd_core(w5, lam_ids, id1, id2)[0],
             )
         )
     return rows
@@ -405,24 +410,94 @@ class PlacementResult:
         return f"x_bi={self.x_bi:.6f} md={self.md:.6f} [{spots}]"
 
 
-def _canonical_placement(placement: dict, columns: int) -> tuple:
-    """Least representative under the grid's flip symmetries.
+def _placements(columns: int, dedup_symmetry: bool) -> Iterator[tuple[int, ...]]:
+    """Role placements as position indices (outcome1, outcome2, analyzer_a,
+    analyzer_b), in permutation order.
 
-    Position names are row letter + column index ("t3", "u0"); the vertical
-    flip swaps the rows, the horizontal flip reverses the columns.
+    With dedup_symmetry only the first placement of each orbit under the
+    grid's row and column flips is kept. Position index r * columns + c is
+    row r ("t" = 0, "u" = 1), column c, as in grid_positions.
     """
-    variants = []
-    for flip_r, flip_c in itertools.product((False, True), repeat=2):
-        mapped = []
-        for pos, label in placement.items():
-            row, col = pos[0], int(pos[1:])
-            if flip_r:
-                row = "u" if row == "t" else "t"
-            if flip_c:
-                col = columns - 1 - col
-            mapped.append((f"{row}{col}", label))
-        variants.append(tuple(sorted(mapped)))
-    return min(variants)
+    combos = itertools.permutations(range(2 * columns), 4)
+    if not dedup_symmetry:
+        yield from combos
+        return
+    flips = [
+        [(r ^ fr) * columns + (columns - 1 - c if fc else c)
+         for r in (0, 1) for c in range(columns)]
+        for fr, fc in itertools.product((0, 1), repeat=2)
+    ]
+    seen: set = set()
+    for combo in combos:
+        if combo not in seen:
+            seen.update(tuple(f[k] for k in combo) for f in flips)
+            yield combo
+
+
+def _placement_x_bi(
+    tensor: np.ndarray, combos: list[tuple[int, ...]], set_sums: dict
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The placements that give every setting weight, and their CHSH
+    combinations.
+
+    A placement's (o1, o2, a, b) weights are a transpose of its four-node
+    set's sum, kept in set_sums; its setting masses are summed on that
+    view, as conditional_table sums them.
+    """
+    n = tensor.ndim
+    weights = np.empty((len(combos), 2, 2, 2, 2))
+    masses = np.empty((len(combos), 2, 2))
+    for i, combo in enumerate(combos):
+        by_axis = sorted(combo, reverse=True)  # the order of their tensor axes
+        key = tuple(by_axis)
+        if key not in set_sums:
+            set_sums[key] = tensor.sum(axis=tuple(a for a in range(n) if n - 1 - a not in combo))
+        view = set_sums[key].transpose([by_axis.index(k) for k in combo])
+        weights[i] = view
+        masses[i] = view.sum(axis=(0, 1))
+    keep = ~(masses < ZERO_MEASURE).any(axis=(1, 2))
+    tables = weights[keep]
+    tables /= masses[keep][:, None, None]
+    tables = np.moveaxis(tables, 0, -1)  # (s1, s2, sa, sb, placement)
+    _check_columns(tables)
+    x_bi = _bell_terms(_correlators(tables))[2]
+    return [combo for combo, k in zip(combos, keep) if k], x_bi
+
+
+# Upper bound on the md difference array of one batch of placements.
+_MD_BATCH_BYTES = 1 << 18
+
+
+def _placement_md(tensor: np.ndarray, combos: list[tuple[int, ...]]) -> np.ndarray:
+    """md of placements that share their outcome nodes, lambda being the
+    other positions in grid order.
+
+    Every (a, b, lambda) weight table is a transpose of one sum over the
+    two outcome axes.
+    """
+    n = tensor.ndim
+    md = np.empty(len(combos))
+    if not combos:
+        return md
+    o1, o2 = combos[0][:2]
+    rest = [k for k in range(n) if k not in (o1, o2)]
+    order = [n - 1 - k for k in (o1, o2, *rest)]
+    summed = np.ascontiguousarray(tensor.transpose(order)).sum(axis=(0, 1))
+    cells = 16 << (n - 4)  # setting pairs times lambda states, per placement
+    step = max(1, _MD_BATCH_BYTES // (8 * cells))
+    for lo in range(0, len(combos), step):
+        batch = combos[lo : lo + step]
+        stack = np.stack([
+            summed.transpose(
+                [rest.index(a), rest.index(b)] + [x for x, k in enumerate(rest) if k not in (a, b)]
+            )
+            for _, _, a, b in batch
+        ])
+        # C order, as in _md_core: numpy adds a strided lambda axis in
+        # another order than a contiguous one
+        stack = np.ascontiguousarray(stack).reshape(len(batch), 2, 2, -1)
+        md[lo : lo + step] = _md_pairs(stack)[0].reshape(len(batch), -1).max(axis=1)
+    return md
 
 
 def role_permutation_search(
@@ -441,9 +516,15 @@ def role_permutation_search(
     itself flip-symmetric, which the caller must ensure). Returns the top
     placements by the CHSH combination, ties broken by placement order.
 
-    Roles do not enter the energy, so the grid is enumerated once and each
-    placement reads its outcome/analyzer axes (and, for md, the remaining
-    positions as lambda) from the one model.
+    Roles do not enter the energy, so the grid is enumerated once and every
+    placement is a view of its tensor (position k on axis n-1-k). The CHSH
+    tables come from one sum per unordered four-node set, and md from one
+    sum over the two outcomes per ordered outcome pair, with lambda the
+    remaining positions in grid order. Each sum, and each per-placement
+    reduction, adds the same terms in the same order as weight_table and
+    _md_core on that placement, so every x_bi and md is bit-identical to a
+    per-placement build. Placements are evaluated in groups that share
+    their outcome nodes, so each numpy work array holds one group.
     """
     from .presets import grid_lattice, grid_positions
 
@@ -456,28 +537,22 @@ def role_permutation_search(
         )
     except NumericRangeError:
         return []
+    by_outcomes: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for combo in _placements(columns, dedup_symmetry):
+        by_outcomes.setdefault(combo[:2], []).append(combo)
     labels = ("outcome1", "outcome2", "analyzer_a", "analyzer_b")
-    seen: set = set()
-    results: list[PlacementResult] = []
-    for combo in itertools.permutations(positions, 4):
-        placement = dict(zip(combo, labels))
-        if dedup_symmetry:
-            key = _canonical_placement(placement, columns)
-            if key in seen:
-                continue
-            seen.add(key)
-        try:
-            table = _conditional_from_weights(model.weight_table(combo))
-        except ZeroMeasureConditionError:
-            continue
-        lam = tuple(pos for pos in positions if pos not in combo)
-        w5 = model.weight_table(combo + lam).reshape(2, 2, 2, 2, -1)
-        results.append(
+    set_sums: dict[tuple[int, ...], np.ndarray] = {}
+    results = []
+    for group in by_outcomes.values():
+        placed, x_bi = _placement_x_bi(model._tensor, group, set_sums)
+        md = _placement_md(model._tensor, placed)
+        results += [
             PlacementResult(
-                placement=tuple(sorted(placement.items())),
-                x_bi=chsh(table).x_bi,
-                md=_md_core(w5, lam)[0],
+                placement=tuple(sorted(zip((positions[k] for k in combo), labels))),
+                x_bi=x,
+                md=m,
             )
-        )
+            for combo, x, m in zip(placed, x_bi.tolist(), md.tolist())
+        ]
     results.sort(key=lambda r: (-r.x_bi, r.placement))
     return results[: top if top else len(results)]

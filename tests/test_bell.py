@@ -115,6 +115,15 @@ def test_chsh_max_abs_over_sign_choices(rng):
     assert r.x_max_abs == pytest.approx(best, abs=1e-14)
 
 
+def test_chsh_adds_left_to_right(rng):
+    """x_bi is the four correlators added in order, whatever the
+    interpreter's sum() does (it compensates on Python >= 3.12)."""
+    for _ in range(2000):
+        cols = rng.dirichlet(np.full(4, 0.3), size=(2, 2))  # (sa, sb, outcome cell)
+        r = chsh(ConditionalTable(cols.transpose(2, 0, 1).reshape(2, 2, 2, 2)))
+        assert r.x_bi == r.m_ab + r.m_apb + r.m_abp + r.m_apbp - 2.0 * r.m_apbp
+
+
 def test_chsh_csv_and_text(ladder_model):
     r = chsh(conditional_table(ladder_model))
     header, row = r.csv(precision=None).split("\n")

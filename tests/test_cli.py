@@ -12,6 +12,7 @@ import pytest
 
 from spinbell.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, main
 from spinbell.latticefile import save_lattice
+from spinbell.model import BoltzmannModel
 from spinbell.presets import tuned_ladder
 
 
@@ -47,6 +48,20 @@ def test_eval_all_text(capsys):
     assert "x_bi" in out
     assert "md = " in out
     assert "P(s1,s2|sa,sb):" in out
+
+
+def test_eval_all_builds_the_table_once(monkeypatch, capsys):
+    calls = []
+    original = BoltzmannModel.weight_table
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoltzmannModel, "weight_table", counting)
+    assert main(["eval", "--builtin", "ladder"]) == EXIT_OK
+    assert len(calls) == 2  # the conditional table and the independence weights
+    capsys.readouterr()
 
 
 def test_eval_chsh_csv(capsys):

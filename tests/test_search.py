@@ -22,7 +22,7 @@ from spinbell.independence import (
     parameter_dependence,
 )
 from spinbell.lattice import Lattice
-from spinbell.model import ENUM_CAP_ENV, build_model
+from spinbell.model import ENUM_CAP_ENV, BoltzmannModel, build_model
 from spinbell.presets import canonical_ladder, grid_lattice, grid_positions
 from spinbell.search import (
     COUPLING_BOUNDS,
@@ -32,7 +32,6 @@ from spinbell.search import (
     PlacementResult,
     SearchParam,
     SearchSpace,
-    _canonical_placement,
     grid_csv,
     grid_scan,
     maximize_chsh,
@@ -288,6 +287,26 @@ def test_placement_top_truncates(placement_results):
 # -- shared enumerations: placements and energy columns --------------------------------
 
 
+def _canonical_placement(placement: dict, columns: int) -> tuple:
+    """Least representative under the grid's flip symmetries.
+
+    Position names are row letter + column index ("t3", "u0"); the vertical
+    flip swaps the rows, the horizontal flip reverses the columns.
+    """
+    variants = []
+    for flip_r, flip_c in itertools.product((False, True), repeat=2):
+        mapped = []
+        for pos, label in placement.items():
+            row, col = pos[0], int(pos[1:])
+            if flip_r:
+                row = "u" if row == "t" else "t"
+            if flip_c:
+                col = columns - 1 - col
+            mapped.append((f"{row}{col}", label))
+        variants.append(tuple(sorted(mapped)))
+    return min(variants)
+
+
 def _reference_placements(dedup_symmetry, **grid):
     """One grid_lattice + build_model per placement: the definition that the
     shared-model sweep must reproduce exactly."""
@@ -331,6 +350,45 @@ def test_placements_equal_per_placement_builds(dedup):
     got = role_permutation_search(top=0, dedup_symmetry=dedup, **_GRID4)
     assert len(got) == (420 if dedup else 1680)
     assert got == _reference_placements(dedup, **_GRID4)
+
+
+_ZERO_GRID = dict(
+    j=0.7,
+    fields={p: 400.0 if p in ("t0", "u3") else 0.1 * k for k, p in enumerate(grid_positions(5))},
+    columns=5,
+)
+
+
+def test_placements_skip_zero_measure_settings():
+    # an analyzer pinned at t0 or u3 leaves a setting without weight
+    got = role_permutation_search(top=0, dedup_symmetry=False, **_ZERO_GRID)
+    assert len(got) == 8 * 7 * 8 * 7
+    assert got == _reference_placements(False, **_ZERO_GRID)
+
+
+def test_placements_with_every_setting_empty():
+    assert role_permutation_search(j=0.7, fields=400.0, top=0) == []
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 7 << 11], ids=["one", "seven"])
+def test_placement_md_batches_agree(monkeypatch, batch_bytes):
+    whole = role_permutation_search(top=0, dedup_symmetry=False, **_GRID4)
+    monkeypatch.setattr(search_mod, "_MD_BATCH_BYTES", batch_bytes)
+    assert role_permutation_search(top=0, dedup_symmetry=False, **_GRID4) == whole
+
+
+def test_placement_sweep_reads_no_weight_table(monkeypatch):
+    calls = []
+    original = BoltzmannModel.weight_table
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoltzmannModel, "weight_table", counting)
+    for dedup in (True, False):
+        role_permutation_search(top=0, dedup_symmetry=dedup, **_GRID4)
+    assert calls == []
 
 
 def test_placement_sweep_builds_one_model(monkeypatch):
@@ -437,3 +495,8 @@ def test_grid_rows_match_fresh_builds(kind):
     for row, (values, *want) in zip(rows, expected):
         assert row.values == values
         assert np.allclose((row.x_bi, row.md, row.od, row.pd), want, rtol=0, atol=1e-12)
+        # the same point's model through the public measures, bit for bit
+        model = space._model(values)
+        assert row.md == measurement_dependence(model)[0]
+        assert row.od == outcome_dependence(model)[0]
+        assert row.pd == parameter_dependence(model)[0]
