@@ -134,7 +134,8 @@ def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateModelError("every analyzer setting carries zero weight")
     safe = np.where(valid, mass_ab, 1.0)
     p = mass_ab_lam / safe[..., None]
-    diff = np.abs(p[..., :, :, None, None, :] - p[..., None, None, :, :, :]).sum(axis=-1)
+    diff = np.subtract(p[..., :, :, None, None, :], p[..., None, None, :, :, :])
+    diff = np.abs(diff, out=diff).sum(axis=-1)
     pair_valid = valid[..., :, :, None, None] & valid[..., None, None, :, :]
     return np.where(pair_valid, diff, -1.0), pair_valid
 
@@ -156,23 +157,27 @@ def _md_core(w5: np.ndarray, lam_ids: Sequence[str]) -> tuple[float, Witness]:
 
 def _cell_distributions(w5: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p12, valid) with p12 = P(s1, s2 | sa, sb, lambda), zeroed on invalid
-    cells."""
+    cells. The od, pd and factorization cores read p12 and never write it."""
     mass_cell = w5.sum(axis=(0, 1))  # (2, 2, M)
     valid = mass_cell >= ZERO_MEASURE
     safe = np.where(valid, mass_cell, 1.0)
-    p12 = (w5 / safe) * valid
+    p12 = w5 / safe
+    p12 *= valid
     return p12, valid
 
 
 def _od_core(
-    w5: np.ndarray, lam_ids: Sequence[str]
+    cells: tuple[np.ndarray, np.ndarray], lam_ids: Sequence[str]
 ) -> tuple[float, Witness, float]:
-    p12, valid = _cell_distributions(w5)
+    p12, valid = cells
     if not valid.any():
         raise DegenerateModelError("every (setting, lambda) cell carries zero weight")
     p1 = p12.sum(axis=1)  # (2, 2, 2, M)
     p2 = p12.sum(axis=0)
-    defect = np.abs(p12 - p1[:, None, :, :, :] * p2[None, :, :, :, :])
+    defect = np.multiply(p1[:, None, :, :, :], p2[None, :, :, :, :])
+    del p1, p2  # free before the (2, 2, M) reductions below
+    np.subtract(p12, defect, out=defect)
+    np.abs(defect, out=defect)
     summed = np.where(valid, defect.sum(axis=(0, 1)), -1.0)
     cellmax = np.where(valid, defect.max(axis=(0, 1)), -1.0)
     skipped = int((~valid).sum())
@@ -189,9 +194,9 @@ def _od_core(
 
 
 def _pd_core(
-    w5: np.ndarray, lam_ids: Sequence[str], id1: str, id2: str
+    cells: tuple[np.ndarray, np.ndarray], lam_ids: Sequence[str], id1: str, id2: str
 ) -> tuple[float, Witness, dict[str, float]]:
-    p12, valid = _cell_distributions(w5)
+    p12, valid = cells
 
     candidates: list[tuple[float, Witness]] = []
     sides: dict[str, float] = {}
@@ -257,26 +262,30 @@ def _pd_core(
     return best_value, dataclasses.replace(best_witness, skipped_cells=skipped_pairs), sides
 
 
-def _fact_core(w5: np.ndarray, lam_ids: Sequence[str]) -> float:
+def _fact_core(w5: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> float:
     """Max defect of P(s1,s2|lambda,a,b) = P(s1|lambda,a) P(s2|lambda,b);
     the right-hand factors drop the distant analyzer entirely."""
-    p12, valid = _cell_distributions(w5)
+    p12, valid = cells
     if not valid.any():
         raise DegenerateModelError("every (setting, lambda) cell carries zero weight")
 
-    w1a = w5.sum(axis=(1, 3))  # (s1, a, M)
-    mass1a = w1a.sum(axis=0)
+    g1 = w5.sum(axis=(1, 3))  # (s1, a, M) weights, then P(s1 | a, lambda)
+    mass1a = g1.sum(axis=0)
     ok1 = mass1a >= ZERO_MEASURE
-    g1 = (w1a / np.where(ok1, mass1a, 1.0)) * ok1  # P(s1 | a, lambda)
+    g1 /= np.where(ok1, mass1a, 1.0)
+    g1 *= ok1
 
-    w2b = w5.sum(axis=(0, 2))  # (s2, b, M)
-    mass2b = w2b.sum(axis=0)
+    g2 = w5.sum(axis=(0, 2))  # (s2, b, M) weights, then P(s2 | b, lambda)
+    mass2b = g2.sum(axis=0)
     ok2 = mass2b >= ZERO_MEASURE
-    g2 = (w2b / np.where(ok2, mass2b, 1.0)) * ok2  # P(s2 | b, lambda)
+    g2 /= np.where(ok2, mass2b, 1.0)
+    g2 *= ok2
 
-    prod = g1[:, None, :, None, :] * g2[None, :, None, :, :]
     cell_ok = valid & ok1[:, None, :] & ok2[None, :, :]
-    defect = np.where(cell_ok[None, None, :, :, :], np.abs(p12 - prod), -1.0)
+    defect = np.multiply(g1[:, None, :, None, :], g2[None, :, None, :, :])
+    np.subtract(p12, defect, out=defect)
+    np.abs(defect, out=defect)
+    np.copyto(defect, -1.0, where=~cell_ok[None, None, :, :, :])
     max_defect = float(defect.max())
     if max_defect < 0.0:
         raise DegenerateModelError("no factorization cell carries weight")
@@ -299,7 +308,8 @@ def outcome_dependence(
 ) -> tuple[float, Witness]:
     """sup over settings and lambda of the summed outcome-factorization defect."""
     lam_ids = _lambda_ids(model, lam)
-    value, witness, _ = _od_core(_bell_lambda_weights(model, lam_ids), lam_ids)
+    cells = _cell_distributions(_bell_lambda_weights(model, lam_ids))
+    value, witness, _ = _od_core(cells, lam_ids)
     return value, witness
 
 
@@ -310,7 +320,8 @@ def parameter_dependence(
     conditionals, over both sides."""
     lam_ids = _lambda_ids(model, lam)
     id1, id2, _, _ = model.lattice.bell_ids()
-    value, witness, _ = _pd_core(_bell_lambda_weights(model, lam_ids), lam_ids, id1, id2)
+    cells = _cell_distributions(_bell_lambda_weights(model, lam_ids))
+    value, witness, _ = _pd_core(cells, lam_ids, id1, id2)
     return value, witness
 
 
@@ -324,7 +335,8 @@ def factorizability_check(
     Returns (holds within tol, max absolute defect over nonnull cells).
     """
     lam_ids = _lambda_ids(model, lam)
-    defect = _fact_core(_bell_lambda_weights(model, lam_ids), lam_ids)
+    w5 = _bell_lambda_weights(model, lam_ids)
+    defect = _fact_core(w5, _cell_distributions(w5))
     return defect <= tol, defect
 
 
@@ -408,9 +420,10 @@ def report_from_weights(
     if w5.ndim != 5 or w5.shape[:4] != (2, 2, 2, 2) or w5.shape[4] != 1 << len(lam_ids):
         raise InvalidArgumentError(f"weight array has shape {w5.shape}")
     md, w_md = _md_core(w5, lam_ids)
-    od, w_od, od_max_cell = _od_core(w5, lam_ids)
-    pd, w_pd, sides = _pd_core(w5, lam_ids, id1, id2)
-    defect = _fact_core(w5, lam_ids)
+    cells = _cell_distributions(w5)
+    od, w_od, od_max_cell = _od_core(cells, lam_ids)
+    pd, w_pd, sides = _pd_core(cells, lam_ids, id1, id2)
+    defect = _fact_core(w5, cells)
     return IndependenceReport(
         md=md,
         od=od,

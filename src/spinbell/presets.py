@@ -221,6 +221,9 @@ def grid_lattice(
             raise InvalidArgumentError(f"unknown grid position {pos!r}")
         NodeRole.from_label(role)
     if isinstance(fields, Mapping):
+        for pos in fields:
+            if pos not in positions:
+                raise InvalidArgumentError(f"unknown grid position {pos!r} in fields")
         field_of = dict(fields)
     else:
         field_of = {pos: float(fields) for pos in positions}

@@ -47,6 +47,9 @@ DEFAULT_CHECKPOINTS = (100, 1_000, 10_000, 100_000, 1_000_000)
 
 _KINDS = ("exact", "metropolis")
 
+# entries of the exact sampler's one cumulative-weight buffer
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SampleRun:
@@ -67,6 +70,10 @@ class SampleRun:
             raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {self.n}")
+        if self.n > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:
+            raise InvalidArgumentError(
+                f"sample count {self.n} is too large: its int64 word array cannot be addressed"
+            )
         if self.kind not in _KINDS:
             raise InvalidArgumentError(f"unknown sampler kind {self.kind!r}; choose from {_KINDS}")
         if self.burn_in is not None and self.burn_in < 0:
@@ -80,9 +87,45 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _sample_exact(model: BoltzmannModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    cum = np.cumsum(model.weights)
-    u = rng.random(n) * cum[-1]
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    """Inverse transform through the cumulative weights, one chunk at a time.
+
+    np.cumsum adds strictly left to right, so a chunk's cumsum started from
+    its first weight plus the previous chunk's end equals the global cumsum
+    bit for bit. Pass 1 keeps only the chunk ends (the last is the total);
+    pass 2 sorts the targets, searches each chunk for its own (a target equal
+    to a chunk end belongs to the later chunk) and scatters the indices back.
+    Targets at or above the total map to 2^N, as a global searchsorted would.
+    """
+    weights = model.weights
+    size = weights.size
+    starts = range(0, size, _CHUNK)
+    buf = np.empty(min(_CHUNK, size))
+    ends = np.empty(len(starts))
+
+    def cumsum(c: int) -> np.ndarray:
+        lo = starts[c]
+        part = buf[: min(_CHUNK, size - lo)]
+        np.copyto(part, weights[lo : lo + part.size])
+        if c:
+            part[0] += ends[c - 1]
+        return np.cumsum(part, out=part)
+
+    for c in range(len(starts)):
+        ends[c] = cumsum(c)[-1]
+
+    u = rng.random(n)
+    u *= ends[-1]
+    order = np.argsort(u)
+    u = u[order]
+    bounds = np.searchsorted(u, ends)  # targets below each chunk end
+    out = np.full(n, size, dtype=np.int64)
+    lo = 0
+    for c, hi in enumerate(bounds.tolist()):
+        if hi > lo:
+            local = np.searchsorted(cumsum(c), u[lo:hi], side="right")
+            out[order[lo:hi]] = local + starts[c]
+        lo = hi
+    return out
 
 
 def _neighbor_lists(model: BoltzmannModel):

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .independence import (
     _bell_lambda_weights,
+    _cell_distributions,
     _md_core,
     _md_pairs,
     _od_core,
@@ -382,13 +383,14 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
         except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
             continue
         w5 = _bell_lambda_weights(model, lam_ids)
+        cells = _cell_distributions(w5)
         rows.append(
             GridRow(
                 values=tuple(values),
                 x_bi=chsh(table).x_bi,
                 md=_md_core(w5, lam_ids)[0],
-                od=_od_core(w5, lam_ids)[0],
-                pd=_pd_core(w5, lam_ids, id1, id2)[0],
+                od=_od_core(cells, lam_ids)[0],
+                pd=_pd_core(cells, lam_ids, id1, id2)[0],
             )
         )
     return rows
@@ -502,7 +504,7 @@ def _placement_md(tensor: np.ndarray, combos: list[tuple[int, ...]]) -> np.ndarr
 
 def role_permutation_search(
     j: float = 1.0,
-    fields: float | Mapping[tuple[int, int], float] = 0.0,
+    fields: float | Mapping[str, float] = 0.0,
     beta: float = 1.0,
     columns: int = 5,
     diagonal_j: float | None = None,
@@ -515,6 +517,8 @@ def role_permutation_search(
     evaluated once when dedup_symmetry is set (and when the field pattern is
     itself flip-symmetric, which the caller must ensure). Returns the top
     placements by the CHSH combination, ties broken by placement order.
+    fields is one shared h or a position -> h mapping over the names of
+    grid_positions(columns); an unknown position raises InvalidArgumentError.
 
     Roles do not enter the energy, so the grid is enumerated once and every
     placement is a view of its tensor (position k on axis n-1-k). The CHSH

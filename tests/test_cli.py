@@ -345,6 +345,15 @@ def test_sample_overlap(capsys):
     assert "overlap" in capsys.readouterr().err
 
 
+def test_sample_count_beyond_addressable_memory(capsys):
+    # 2^62 int64 words need 2^65 bytes; refused before anything is allocated
+    assert main(["sample", "--builtin", "ladder", "--event", "1:+",
+                 "--n", "4611686018427387904"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "4611686018427387904" in err
+    assert "Traceback" not in err
+
+
 # -- optimize -----------------------------------------------------------------------
 
 

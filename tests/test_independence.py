@@ -1,14 +1,21 @@
 """Measurement, outcome and parameter dependence: frozen reference values,
 witness self-consistency, factorizability and the decoupling sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import spinbell.independence as independence_mod
+from spinbell._format import spin_of
 from spinbell.errors import (
     DegenerateModelError,
     InvalidArgumentError,
 )
+from spinbell.freewill import clamped_independence_report
 from spinbell.independence import (
+    Witness,
+    _decode_lambda,
     decoupling_sweep,
     factorizability_check,
     independence_report,
@@ -20,10 +27,16 @@ from spinbell.independence import (
     report_from_weights,
 )
 from spinbell.lattice import Lattice
-from spinbell.model import build_model
-from spinbell.presets import canonical_ladder, second_neighbor_lattice, tuned_ladder
+from spinbell.model import ZERO_MEASURE, build_model
+from spinbell.presets import (
+    BUILTIN_LATTICES,
+    canonical_ladder,
+    chain_lattice,
+    second_neighbor_lattice,
+    tuned_ladder,
+)
 
-from conftest import random_bell_lattice
+from conftest import RANDOM_STYLES, random_bell_lattice
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +241,108 @@ def test_report_from_weights_matches_direct(ladder_model):
     assert again.md == direct.md
     assert again.od == direct.od
     assert again.pd == direct.pd
+
+
+# -- in-place cores against the out-of-place reference ------------------------------
+# These are the cores' expressions from before they filled their full-size
+# temporaries in place. Each element comes from the same operation either way,
+# so every report field and witness must stay ==.
+
+
+def _reference_md_pairs(mass_ab_lam):
+    mass_ab = mass_ab_lam.sum(axis=-1)
+    valid = mass_ab >= ZERO_MEASURE
+    safe = np.where(valid, mass_ab, 1.0)
+    p = mass_ab_lam / safe[..., None]
+    diff = np.abs(p[..., :, :, None, None, :] - p[..., None, None, :, :, :]).sum(axis=-1)
+    pair_valid = valid[..., :, :, None, None] & valid[..., None, None, :, :]
+    return np.where(pair_valid, diff, -1.0), pair_valid
+
+
+def _reference_cell_distributions(w5):
+    mass_cell = w5.sum(axis=(0, 1))
+    valid = mass_cell >= ZERO_MEASURE
+    safe = np.where(valid, mass_cell, 1.0)
+    return (w5 / safe) * valid, valid
+
+
+def _reference_od_core(cells, lam_ids):
+    p12, valid = cells
+    p1 = p12.sum(axis=1)
+    p2 = p12.sum(axis=0)
+    defect = np.abs(p12 - p1[:, None, :, :, :] * p2[None, :, :, :, :])
+    summed = np.where(valid, defect.sum(axis=(0, 1)), -1.0)
+    cellmax = np.where(valid, defect.max(axis=(0, 1)), -1.0)
+    ia, ib, m = np.unravel_index(int(np.argmax(summed)), summed.shape)
+    witness = Witness(
+        kind="od",
+        settings=(spin_of(int(ia)), spin_of(int(ib))),
+        lam=_decode_lambda(lam_ids, int(m)),
+        value=float(summed[ia, ib, m]),
+        skipped_cells=int((~valid).sum()),
+    )
+    return witness.value, witness, max(float(cellmax.max()), 0.0)
+
+
+def _reference_fact_core(w5, cells):
+    p12, valid = cells
+    w1a = w5.sum(axis=(1, 3))
+    mass1a = w1a.sum(axis=0)
+    ok1 = mass1a >= ZERO_MEASURE
+    g1 = (w1a / np.where(ok1, mass1a, 1.0)) * ok1
+    w2b = w5.sum(axis=(0, 2))
+    mass2b = w2b.sum(axis=0)
+    ok2 = mass2b >= ZERO_MEASURE
+    g2 = (w2b / np.where(ok2, mass2b, 1.0)) * ok2
+    prod = g1[:, None, :, None, :] * g2[None, :, None, :, :]
+    cell_ok = valid & ok1[:, None, :] & ok2[None, :, :]
+    return float(np.where(cell_ok[None, None, :, :, :], np.abs(p12 - prod), -1.0).max())
+
+
+_REFERENCE_CORES = {
+    "_md_pairs": _reference_md_pairs,
+    "_cell_distributions": _reference_cell_distributions,
+    "_od_core": _reference_od_core,
+    "_fact_core": _reference_fact_core,
+}
+
+
+@pytest.mark.parametrize("report", [independence_report, clamped_independence_report])
+def test_in_place_cores_equal_out_of_place_reference(report, monkeypatch):
+    rng = np.random.default_rng(31)
+    lattices = [make() for make in BUILTIN_LATTICES.values()]
+    lattices += [random_bell_lattice(rng, style) for style in RANDOM_STYLES for _ in range(6)]
+    for lat in lattices:
+        model = build_model(lat)
+        got = report(model)
+        with monkeypatch.context() as patch:
+            for name, reference in _REFERENCE_CORES.items():
+                patch.setattr(independence_mod, name, reference)
+            want = report(model)
+        for name in ("md", "od", "od_max_cell", "pd", "pd_sides", "factorization_defect"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.witnesses == want.witnesses
+        assert got == want
+
+
+@pytest.fixture(scope="module")
+def chain18_model():
+    model = build_model(chain_lattice(16))
+    assert model.n == 18
+    return model
+
+
+@pytest.mark.parametrize("report", [independence_report, clamped_independence_report])
+def test_report_peak_memory_is_bounded(report, chain18_model):
+    """The weight array over (s1, s2, sa, sb, lambda), P(s1, s2 | cell) and
+    one full-size work buffer at a time: no stacked out-of-place temporaries."""
+    tracemalloc.start()
+    try:
+        report(chain18_model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * chain18_model.weights.nbytes
 
 
 # -- decoupling sweep ----------------------------------------------------------------

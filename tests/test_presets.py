@@ -5,6 +5,8 @@ coupling/field sets) plus verdict logic for pinned quantities. The registry's
 pass/fail pattern is itself pinned: the homogeneous ladder case carries two
 known misses, documented rather than hidden."""
 
+import re
+
 import pytest
 
 from spinbell.errors import InvalidArgumentError
@@ -20,6 +22,7 @@ from spinbell.presets import (
     diagonal_pairs,
     get_case,
     grid_edge_pairs,
+    grid_lattice,
     grid_positions,
     second_neighbor_lattice,
     tuned_field_grid,
@@ -39,6 +42,19 @@ def test_grid_positions_two_rows():
                                 "u0", "u1", "u2", "u3", "u4")
     assert len(grid_edge_pairs()) == 13
     assert len(diagonal_pairs()) == 8
+
+
+def test_grid_lattice_fields_by_position():
+    lat = grid_lattice({"t0": "outcome1"}, j=1.0, fields={"t0": 0.4, "u4": -0.2})
+    assert lat.node("t0").h == 0.4
+    assert lat.node("u4").h == -0.2
+    assert lat.node("t1").h == 0.0
+
+
+@pytest.mark.parametrize("key", ["t9", (0, 1)])
+def test_grid_lattice_rejects_unknown_field_position(key):
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"unknown grid position {key!r}")):
+        grid_lattice({}, j=1.0, fields={"t0": 0.4, key: 0.1})
 
 
 def test_builtin_registry_builds():

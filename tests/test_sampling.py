@@ -5,13 +5,17 @@ exact sampler against enumerated marginals; Metropolis agreement on
 fast-mixing lattices (weakly coupled, so no sector trapping); checkpoint
 bookkeeping and the zero-postselection warning path."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import spinbell.sampling as sampling_mod
 from spinbell.errors import InsufficientPostselectionWarning, InvalidArgumentError
 from spinbell.lattice import Lattice
 from spinbell.model import build_model
-from spinbell.presets import canonical_ladder, chain_lattice
+from spinbell.presets import BUILTIN_LATTICES, canonical_ladder, chain_lattice
 from spinbell.sampling import (
     DEFAULT_CHECKPOINTS,
     SampleRun,
@@ -52,6 +56,10 @@ def test_run_validation():
         SampleRun(seed=2**64, n=10)
     with pytest.raises(InvalidArgumentError, match="count"):
         SampleRun(seed=0, n=0)
+    with pytest.raises(InvalidArgumentError, match="4611686018427387904 .*cannot be addressed"):
+        SampleRun(seed=0, n=2**62)
+    # the largest addressable count is accepted; nothing is allocated here
+    SampleRun(seed=0, n=np.iinfo(np.intp).max // 8)
     with pytest.raises(InvalidArgumentError, match="kind"):
         SampleRun(seed=0, n=10, kind="gibbs")
     with pytest.raises(InvalidArgumentError, match="burn_in"):
@@ -82,6 +90,87 @@ def test_words_in_range(fast_mixing_model):
     words = sample(fast_mixing_model, SampleRun(seed=5, n=1000))
     assert words.min() >= 0
     assert words.max() < 1 << fast_mixing_model.n
+
+
+# -- exact sampler against the one-array reference -----------------------------------
+
+
+def _reference_exact(model, rng, n):
+    cum = np.cumsum(model.weights)
+    u = rng.random(n) * cum[-1]
+    return np.searchsorted(cum, u, side="right").astype(np.int64)
+
+
+@pytest.fixture(scope="module")
+def reference_models():
+    models = {name: build_model(make()) for name, make in BUILTIN_LATTICES.items()}
+    # strong couplings underflow most weights to exact zeros
+    models["chain-8-j300"] = build_model(chain_lattice(8, j=300.0))
+    assert int((models["chain-8-j300"].weights == 0).sum()) == 1004
+    return models
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 8])
+def test_exact_words_match_reference(chunk, reference_models, monkeypatch):
+    """Chunks of 1, 3 and 8 entries cross chunk ends, all-zero chunks and a
+    partial last chunk; None keeps the module's own chunk size."""
+    if chunk is not None:
+        monkeypatch.setattr(sampling_mod, "_CHUNK", chunk)
+    for name, model in reference_models.items():
+        for n in (1, 17, 5000):
+            for seed in (0, 7, 2**40 + 3):
+                run = SampleRun(seed=seed, n=n)
+                words = sample(model, run)
+                expect = _reference_exact(model, sampling_mod._generator(seed), n)
+                assert words.dtype == expect.dtype, name
+                assert np.array_equal(words, expect), (name, n, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 8])
+def test_exact_targets_on_chunk_ends(chunk, monkeypatch):
+    """Cumulative weights 1, 2, 2, 3: a target equal to a chunk end belongs
+    to the later chunk, and a target at the total maps to 2^N."""
+    monkeypatch.setattr(sampling_mod, "_CHUNK", chunk)
+    model = SimpleNamespace(weights=np.array([1.0, 1.0, 0.0, 1.0]))
+    draws = np.array([0.0, 1.0, 2.0, 3.0, 0.5, 2.5, 2.0]) / 3.0
+
+    def rng():
+        return SimpleNamespace(random=lambda n: draws[:n].copy())
+
+    words = sampling_mod._sample_exact(model, rng(), len(draws))
+    assert words.tolist() == [0, 1, 3, 4, 0, 3, 3]
+    assert np.array_equal(words, _reference_exact(model, rng(), len(draws)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+def test_exact_targets_on_every_cumulative_weight(chunk, monkeypatch):
+    """Targets on and one ulp around every cumulative weight: a chunk cumsum
+    that is off by one ulp from the global one moves some of these words."""
+    monkeypatch.setattr(sampling_mod, "_CHUNK", chunk)
+    weights = np.random.default_rng(3).random(64) * np.logspace(0, -12, 64)
+    marks = np.cumsum(weights) / weights.sum()
+    draws = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0)])
+    draws = draws[draws < 1.0]
+    model = SimpleNamespace(weights=weights)
+
+    def rng():
+        return SimpleNamespace(random=lambda n: draws[:n].copy())
+
+    words = sampling_mod._sample_exact(model, rng(), len(draws))
+    assert np.array_equal(words, _reference_exact(model, rng(), len(draws)))
+
+
+def test_exact_sampler_peak_memory_is_a_fraction_of_the_weights():
+    """One fixed chunk buffer and a few arrays per draw: no 2^N cumsum copy."""
+    model = build_model(chain_lattice(18))
+    assert model.n == 20
+    tracemalloc.start()
+    try:
+        sample(model, SampleRun(seed=1, n=10_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * model.weights.nbytes
 
 
 # -- sampler correctness -------------------------------------------------------------

@@ -269,6 +269,15 @@ def test_placement_no_dedup_superset(placement_results):
     )
 
 
+def test_placement_fields_are_read_by_position():
+    with pytest.raises(InvalidArgumentError, match=r"unknown grid position \(0, 1\)"):
+        role_permutation_search(j=1.0, fields={(0, 1): 0.5}, top=1)
+    # one field on a corner: the symmetric dedup would be wrong, so list all
+    named = role_permutation_search(j=1.0, fields={"t0": 0.5}, top=0, dedup_symmetry=False)
+    flat = role_permutation_search(j=1.0, fields=0.0, top=0, dedup_symmetry=False)
+    assert [r.x_bi for r in named] != [r.x_bi for r in flat]
+
+
 def test_placement_sorted_and_described(placement_results):
     xs = [r.x_bi for r in placement_results]
     assert xs == sorted(xs, reverse=True)
