@@ -383,6 +383,12 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        # an array the request needs could not be allocated: too large an
+        # input for this machine, not a fault of the program
+        detail = str(exc) or "allocation failed"
+        print(f"error: {args.command}: out of memory: {detail}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

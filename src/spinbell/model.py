@@ -63,45 +63,100 @@ def enumeration_cap() -> int:
 
 
 # Spin values of one node, and the products s_i s_j and s_i s_j s_k, indexed
-# by bit (index 1 means spin +1). Each term's factor is one of these patterns
-# times its coefficient, so every entry is exactly +-coefficient.
+# by bit (index 1 means spin +1), listed by term size. Each term's factor is
+# one of these patterns times its coefficient, so every entry is exactly
+# +-coefficient.
 _FIELD = np.array([-1.0, 1.0])
 _PAIR = np.multiply.outer(_FIELD, _FIELD)
 _TRIPLE = np.multiply.outer(_PAIR, _FIELD)
+_PATTERNS = (_FIELD, _PAIR, _TRIPLE)
+
+# Energies are built one block of 2^_BLOCK_BITS consecutive words at a time
+# (512 KiB, which fits in L2), so every term is applied to a block while it
+# stays in cache. A factor on one of the lowest _DENSE_BITS nodes is
+# materialized over the trailing _DENSE_BITS axes: numpy's inner loop then
+# runs over 2^_DENSE_BITS entries instead of 2.
+_BLOCK_BITS = 16
+_DENSE_BITS = 6
+
+
+def _terms(lattice: Lattice) -> list[tuple[float, tuple[int, ...]]]:
+    """(coefficient, bits) of every nonzero term, each to be subtracted, in
+    the order of lattice.energy: fields, edges, triples. A triple's
+    coefficient is negated, and e - (-c)*p equals e + c*p exactly."""
+    index = lattice.index
+    terms = [(node.h, (k,)) for k, node in enumerate(lattice.nodes) if node.h != 0.0]
+    terms += [(e.j, (index[e.a], index[e.b])) for e in lattice.edges if e.j != 0.0]
+    terms += [(-t.c, tuple(index[i] for i in t.nodes)) for t in lattice.cubic if t.c != 0.0]
+    return terms
+
+
+def _factor(coef: float, bits: Sequence[int], width: int) -> np.ndarray:
+    """coef times the spin product of the given bits, spanning only their
+    axes of a (2,)*width tensor (bit k on axis width-1-k). The patterns are
+    symmetric, so axis order within a term does not matter."""
+    shape = [1] * width
+    for k in bits:
+        shape[width - 1 - k] = 2
+    return coef * _PATTERNS[len(bits) - 1].reshape(shape)
 
 
 def _energies(lattice: Lattice) -> np.ndarray:
     """Energy of every configuration, indexed by integer word.
 
-    Each term is added in place onto the (2,)*N tensor (node k on axis
+    Each term is subtracted in place onto the (2,)*N tensor (node k on axis
     N-1-k) as a factor that spans only the term's own axes, in the order of
     lattice.energy: offset, fields, edges, triples. Every factor entry is
     exactly +-coefficient, so the result equals lattice.energy bit for bit.
     A configuration and its global flip receive the same +-j from every
     edge, in the same order, so without fields or triples their energies
     are bit-identical.
+
+    Beyond 2^_BLOCK_BITS words the tensor is filled one block at a time.
+    Within a block the nodes at bit >= _BLOCK_BITS are fixed, so a term's
+    factor spans only its block nodes and its sign is the parity of its
+    fixed nodes at spin -1; a term on fixed nodes alone is a scalar. The
+    terms before the first one that touches a fixed node are the same in
+    every block and are built once. Every word still receives the same
+    +-coefficient operands in the same order.
     """
     n = lattice.n
-    index = lattice.index
-    e = np.full((2,) * n, float(lattice.offset))
+    width = min(n, _BLOCK_BITS)
+    terms = _terms(lattice)
+    split = len(terms)
+    if width < n:
+        split = next((i for i, (_, bits) in enumerate(terms) if max(bits) >= width), split)
+    start = np.full((2,) * width, float(lattice.offset))
+    for coef, bits in terms[:split]:
+        # _factor inlined: up to 16 spins this loop is the whole build, and
+        # searches and the CLI make thousands of those
+        shape = [1] * width
+        for k in bits:
+            shape[width - 1 - k] = 2
+        start -= coef * _PATTERNS[len(bits) - 1].reshape(shape)
+    if width == n:
+        return start.reshape(-1)
 
-    def term_shape(*ids: str) -> list[int]:
-        shape = [1] * n
-        for nid in ids:
-            shape[n - 1 - index[nid]] = 2
-        return shape
-
-    # the patterns are symmetric, so axis order within a term does not matter
-    for node in lattice.nodes:
-        if node.h != 0.0:
-            e -= node.h * _FIELD.reshape(term_shape(node.id))
-    for edge in lattice.edges:
-        if edge.j != 0.0:
-            e -= edge.j * _PAIR.reshape(term_shape(edge.a, edge.b))
-    for term in lattice.cubic:
-        if term.c != 0.0:
-            e += term.c * _TRIPLE.reshape(term_shape(*term.nodes))
-    return e.reshape(-1)
+    dense = min(_DENSE_BITS, width)
+    rest = []
+    for coef, bits in terms[split:]:
+        inner = [k for k in bits if k < width]
+        fixed = sum(1 << (k - width) for k in bits if k >= width)
+        if not inner:
+            f = coef
+        else:
+            f = _factor(coef, inner, width)
+            if min(inner) < dense:
+                shape = f.shape[: width - dense] + (2,) * dense
+                f = np.ascontiguousarray(np.broadcast_to(f, shape))
+        rest.append((f, -f, fixed))
+    e = np.empty(1 << n)
+    for q, block in enumerate(e.reshape((-1,) + start.shape)):
+        np.copyto(block, start)
+        for f, neg, fixed in rest:
+            # an odd count of fixed nodes at spin -1 (bit 0) flips the sign
+            block -= neg if (fixed & ~q).bit_count() & 1 else f
+    return e
 
 
 def _weights(lattice: Lattice, shift: float | None = None) -> tuple[np.ndarray, float]:

@@ -354,6 +354,16 @@ def test_sample_count_beyond_addressable_memory(capsys):
     assert "Traceback" not in err
 
 
+def test_sample_count_beyond_allocatable_memory(capsys):
+    # 2^60 - 1 words can be addressed, but numpy refuses the 8 EiB request
+    # at once, so nothing is allocated
+    assert main(["sample", "--builtin", "ladder", "--event", "1:+",
+                 "--n", "1152921504606846975"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample: out of memory")
+    assert "Traceback" not in err
+
+
 # -- optimize -----------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinbell.errors import (
     NumericRangeError,
     ZeroMeasureConditionError,
 )
+from spinbell import model
 from spinbell.lattice import Lattice, energy
 from spinbell.model import (
     ENUM_CAP_ENV,
@@ -235,6 +237,68 @@ def test_energies_match_lattice_energy_on_generated(h, j, c, offset):
     _assert_energies_exact(lat)
 
 
+# Block and dense widths small enough that 5- to 14-spin lattices span many
+# blocks: fields on fixed nodes, edges on fixed nodes only, mixed edges,
+# triples and offsets all cross block boundaries, and the dense width is
+# 0 (never materialized), trivial, or below the block width.
+_SMALL_BLOCKS = [(1, 0), (2, 1), (3, 2)]
+
+
+def _spins(word, n):
+    return [1 if (word >> k) & 1 else -1 for k in range(n)]
+
+
+def _small_blocks(block, dense):
+    return mock.patch.multiple(model, _BLOCK_BITS=block, _DENSE_BITS=dense)
+
+
+def _assert_energies_exact_in_blocks(lat):
+    expect = [energy(lat, dict(zip(lat.node_ids, _spins(w, lat.n)))) for w in range(1 << lat.n)]
+    for block, dense in _SMALL_BLOCKS:
+        with _small_blocks(block, dense):
+            got = _energies(lat)
+        assert np.array_equal(got, expect), (block, dense)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_LATTICES))
+def test_energies_in_blocks_match_lattice_energy_on_builtins(name):
+    _assert_energies_exact_in_blocks(BUILTIN_LATTICES[name]())
+
+
+@pytest.mark.parametrize("style", RANDOM_STYLES)
+def test_energies_in_blocks_match_lattice_energy_on_random_styles(style, rng):
+    for _ in range(4):
+        _assert_energies_exact_in_blocks(random_bell_lattice(rng, style))
+
+
+@given(
+    h=st.lists(_coef, min_size=5, max_size=5),
+    j=st.dictionaries(st.sampled_from(list(itertools.combinations(range(5), 2))), _coef),
+    c=st.dictionaries(st.sampled_from(list(itertools.combinations(range(5), 3))), _coef),
+    offset=_coef,
+)
+def test_energies_in_blocks_match_lattice_energy_on_generated(h, j, c, offset):
+    lat = Lattice.from_parts(
+        nodes=[(f"n{i}", "hidden", h[i]) for i in range(5)],
+        edges=[(f"n{a}", f"n{b}", v) for (a, b), v in j.items()],
+        cubic=[(tuple(f"n{i}" for i in t), v) for t, v in c.items()],
+        offset=offset,
+    )
+    _assert_energies_exact_in_blocks(lat)
+
+
+def test_energies_in_default_blocks_match_lattice_energy(rng):
+    """N = 18 spans four blocks of 2^16 words: the fields of nodes 0-15
+    form the shared prefix, the fields on nodes 16 and 17 are scalars per
+    block, and the edges reaching them take their sign from the block."""
+    lat = chain_lattice(16, h=0.3)
+    assert lat.n == 18
+    e = _energies(lat)
+    words = rng.integers(0, 1 << lat.n, size=4096)
+    expect = [energy(lat, dict(zip(lat.node_ids, _spins(int(w), lat.n)))) for w in words]
+    assert np.array_equal(e[words], expect)
+
+
 def test_build_peak_memory_is_one_weight_array():
     """Energies and weights share one 2^N array: no word array, no per-term
     temporaries of full size."""
@@ -252,6 +316,18 @@ def test_build_peak_memory_is_one_weight_array():
 def test_overflowing_energies_raise_numeric_range_error():
     lat = pair(j=1e308, h=(1e308, 1e308))
     with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRangeError, match="double range"):
+            build_model(lat)
+
+
+def test_overflowing_energies_across_blocks_raise_numeric_range_error():
+    # y sits at bit 1, a fixed node once blocks hold one word pair: its
+    # field is a scalar per block and its edge takes its sign from the block
+    lat = Lattice.from_parts(
+        nodes=[("x",), ("y", "hidden", 1e308)], edges=[("x", "y", 1e308)], offset=-1e308
+    )
+    with _small_blocks(1, 0), warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericRangeError, match="double range"):
             build_model(lat)
