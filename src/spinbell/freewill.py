@@ -34,7 +34,7 @@ from .errors import (
 )
 from .lattice import CubicTerm, Edge, Lattice, Node, Spin, _check_config
 from .model import ZERO_MEASURE, BoltzmannModel, _weights
-from .independence import IndependenceReport, _lambda_ids, report_from_weights
+from .independence import IndependenceReport, _lambda_ids, _report
 from ._format import SPINS, csv_table, fmt
 
 __all__ = [
@@ -217,18 +217,6 @@ def assert_equivalence(model: BoltzmannModel, tol: float = 1e-12) -> float:
     return disc
 
 
-def _clamped_weight_array(model: BoltzmannModel, lam_ids: Sequence[str]) -> np.ndarray:
-    """(s1, s2, sa, sb, lambda-flat) weights assembled from the four clamped
-    ensembles instead of the direct enumeration."""
-    id1, id2, _, _ = model.lattice.bell_ids()
-    m = 1 << len(lam_ids)
-    w5 = np.empty((2, 2, 2, 2, m))
-    for (sa, sb), cm in clamped_models(model).items():
-        w = cm.inner.weight_table([id1, id2, *lam_ids]).reshape(2, 2, m)
-        w5[:, :, (sa + 1) // 2, (sb + 1) // 2, :] = w
-    return w5
-
-
 def clamped_independence_report(
     model: BoltzmannModel,
     lam: Sequence[str] | None = None,
@@ -236,12 +224,18 @@ def clamped_independence_report(
 ) -> IndependenceReport:
     """Independence measures derived through the clamped ensembles.
 
-    Must agree with independence_report to the equivalence tolerance;
-    exercised as a dual-route check in the test suite.
+    The report reads each ensemble's (s1, s2, lambda) weight table in place
+    of the direct route's setting slices. Must agree with
+    independence_report to the equivalence tolerance; exercised as a
+    dual-route check in the test suite.
     """
     lam_ids = _lambda_ids(model, lam)
     id1, id2, _, _ = model.lattice.bell_ids()
-    return report_from_weights(_clamped_weight_array(model, lam_ids), lam_ids, id1, id2, tol)
+    clamped = clamped_models(model)
+    views = [
+        clamped[sa, sb].inner.weight_table([id1, id2, *lam_ids]) for sa in SPINS for sb in SPINS
+    ]
+    return _report(views, lam_ids, id1, id2, tol)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,17 @@ witness that reproduces the value when re-evaluated with plain conditional
 calls (see reevaluate). All suprema scan their grids in a fixed lexicographic
 order and keep the first maximizer, so witnesses are deterministic.
 
-The reductions are pure functions of a stabilized weight array over
-(s1, s2, sa, sb, lambda); report_from_weights accepts such an array directly
-so that alternative ensemble constructions (for example clamped-analyzer
-ensembles) can be pushed through identical arithmetic.
+The reductions are pure functions of the stabilized weights over
+(s1, s2, sa, sb, lambda). One reader walks them a block of lambda values at
+a time and computes every measure from each block while it is in cache; the
+model's own tensor, the four clamped-analyzer ensembles (freewill) and an
+array given to report_from_weights all go through that reader, so they
+share identical arithmetic.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -103,12 +105,15 @@ def _lambda_ids(model: BoltzmannModel, lam: Sequence[str] | None) -> tuple[str, 
     return ids
 
 
-def _bell_lambda_weights(model: BoltzmannModel, lam_ids: Sequence[str]) -> np.ndarray:
-    """Stabilized weights over (s1, s2, sa, sb, lambda-flat); the lambda axes
-    are flattened in C order so lam_ids[0] is the most significant bit."""
-    ids = list(model.lattice.bell_ids()) + list(lam_ids)
-    w = model.weight_table(ids)
-    return w.reshape(2, 2, 2, 2, -1)
+def _model_views(model: BoltzmannModel, lam_ids: Sequence[str]) -> list[np.ndarray]:
+    """The model's weights over (s1, s2, sa, sb, lambda...), lambda axes in
+    lam_ids order, as the one view the reader takes. With lambda every
+    hidden node it is a transpose of the model's own tensor."""
+    ids = [*model.lattice.bell_ids(), *lam_ids]
+    if len(ids) < model.n:
+        return [model.weight_table(ids)]
+    index = model.lattice.index
+    return [model._tensor.transpose([model.n - 1 - index[nid] for nid in ids])]
 
 
 def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], ...]:
@@ -118,178 +123,305 @@ def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], 
     return tuple((nid, spin_of(int(b))) for nid, b in zip(lam_ids, bits))
 
 
-# -- core reductions over a (2, 2, 2, 2, M) weight array ----------------------
+# -- measurement dependence over the (..., sa, sb, lambda-flat) setting masses --
+
+# The 6 unordered setting pairs in the order _md_pairs sums them, and for each
+# of the 16 ordered pairs (setting index sa * 2 + sb) its slot in that list;
+# slot 6 holds the diagonal's 0.
+_PAIRS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
+_PAIR_SLOT = np.array(
+    [[_PAIRS.index((min(i, j), max(i, j))) if i != j else 6 for j in range(4)] for i in range(4)]
+).reshape(-1)
 
 
 def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_lambda |P(lambda|a,b) - P(lambda|a',b')| for all 16 ordered
-    setting pairs, from weights over (..., sa, sb, lambda-flat).
+    setting pairs, from weights over (..., sa, sb, lambda-flat), which are
+    overwritten with P(lambda | a, b).
 
     Returns (diff, pair_valid), both (..., 2, 2, 2, 2); diff is -1 where
     either setting has zero weight. Leading axes stack independent models.
+    Only the 6 unordered pairs are summed, each over its own contiguous
+    lambda row: |p - q| equals |q - p| exactly, and the diagonal is 0.
     """
     mass_ab = mass_ab_lam.sum(axis=-1)  # (..., 2, 2)
     valid = mass_ab >= ZERO_MEASURE
     if not valid.any(axis=(-2, -1)).all():
         raise DegenerateModelError("every analyzer setting carries zero weight")
-    safe = np.where(valid, mass_ab, 1.0)
-    p = mass_ab_lam / safe[..., None]
-    diff = np.subtract(p[..., :, :, None, None, :], p[..., None, None, :, :, :])
-    diff = np.abs(diff, out=diff).sum(axis=-1)
+    lead = mass_ab.shape[:-2]
+    p = np.divide(mass_ab_lam, np.where(valid, mass_ab, 1.0)[..., None], out=mass_ab_lam)
+    p = p.reshape(lead + (4, -1))
+    rows = np.empty(lead + (6, p.shape[-1]))
+    np.subtract(p[..., :3, :], p[..., 1:, :], out=rows[..., :3, :])
+    np.subtract(p[..., :2, :], p[..., 2:, :], out=rows[..., 3:5, :])
+    np.subtract(p[..., :1, :], p[..., 3:, :], out=rows[..., 5:, :])
+    sums = np.zeros(lead + (7,))
+    np.abs(rows, out=rows).sum(axis=-1, out=sums[..., :6])
+    diff = sums[..., _PAIR_SLOT].reshape(lead + (2, 2, 2, 2))
     pair_valid = valid[..., :, :, None, None] & valid[..., None, None, :, :]
     return np.where(pair_valid, diff, -1.0), pair_valid
 
 
-def _md_core(w5: np.ndarray, lam_ids: Sequence[str]) -> tuple[float, Witness]:
-    diff, pair_valid = _md_pairs(w5.sum(axis=(0, 1)))
-    skipped = int((~pair_valid).sum())
-    ia, ib, ja, jb = np.unravel_index(int(np.argmax(diff)), (2, 2, 2, 2))
-    value = float(diff[ia, ib, ja, jb])
+def _md_result(mass: np.ndarray) -> tuple[float, Witness]:
+    diff, pair_valid = _md_pairs(mass)
+    k = int(np.argmax(diff))  # bits of k: sa, sb, sa', sb'
+    value = float(diff.flat[k])
     witness = Witness(
         kind="md",
-        settings=(spin_of(int(ia)), spin_of(int(ib))),
-        alt_settings=(spin_of(int(ja)), spin_of(int(jb))),
+        settings=(spin_of(k >> 3), spin_of(k >> 2 & 1)),
+        alt_settings=(spin_of(k >> 1 & 1), spin_of(k & 1)),
         value=value,
-        skipped_cells=skipped,
+        skipped_cells=16 - int(np.count_nonzero(pair_valid)),
     )
     return value, witness
 
 
-def _cell_distributions(w5: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p12, valid) with p12 = P(s1, s2 | sa, sb, lambda), zeroed on invalid
-    cells. The od, pd and factorization cores read p12 and never write it."""
-    mass_cell = w5.sum(axis=(0, 1))  # (2, 2, M)
-    valid = mass_cell >= ZERO_MEASURE
-    safe = np.where(valid, mass_cell, 1.0)
-    p12 = w5 / safe
-    p12 *= valid
-    return p12, valid
+# -- the block reader ------------------------------------------------------------
+
+# lambda values per block: the reader's (2, 2, 2, 2, C) buffer then holds 2^16
+# words (512 KiB), so every pass over a block runs in L2. A lambda set of at
+# most this many bits is read in one block, with nothing to merge.
+_LAM_BLOCK_BITS = 12
 
 
-def _od_core(
-    cells: tuple[np.ndarray, np.ndarray], lam_ids: Sequence[str]
-) -> tuple[float, Witness, float]:
-    p12, valid = cells
-    if not valid.any():
+@dataclass
+class _Scan:
+    """What one read of a weight table leaves.
+
+    mass is the setting mass over (sa, sb, lambda-flat). best and at hold,
+    per quantity and cell, the largest value and the smallest lambda index
+    that reaches it: od over (sa, sb), pd against analyzer a over (s2, b)
+    and pd against analyzer b over (s1, a); a cell without weight reads -1.
+    """
+
+    mass: np.ndarray
+    best: np.ndarray | None = None
+    at: np.ndarray | None = None
+    od_skipped: int = 0
+    pd_skipped: int = 0
+    od_max_cell: float = -np.inf
+    defect: float = -np.inf
+
+
+def _reduce_block(
+    w: np.ndarray, mass: np.ndarray, work: np.ndarray, single: bool, defect: bool
+) -> tuple[np.ndarray, int, int, float, float]:
+    """od, pd and factorization reductions of one block w over (s1, s2, sa,
+    sb, c) with setting masses mass; work is a buffer of w's shape.
+
+    Every sum adds its terms in the order of numpy's sum over a C-ordered
+    (s1, s2, sa, sb, lambda-flat) array. A sum over the two leading axes
+    adds their four slices one after another at any block width; the sums
+    onto (s1, a) and (s2, b) are spelled out, because numpy pairs their
+    terms when the trailing axis has length 1 (single is set when lambda
+    takes a single value). w is overwritten with P(s1, s2 | sa, sb, lambda),
+    zeroed on cells without weight. Returns the per-cell values (quantity,
+    2, 2, c) described on _Scan, the skipped od cells and pd pairs, the
+    largest single-cell od term, and the factorization defect (-inf unless
+    defect is set).
+    """
+    valid = mass >= ZERO_MEASURE
+    invalid = ~valid
+    # weights over (s1, a, c) and (s2, b, c), before w is normalized
+    g1 = w[:, 0, :, 0] + w[:, 0, :, 1]
+    if single:
+        g1 += w[:, 1, :, 0] + w[:, 1, :, 1]
+    else:
+        g1 += w[:, 1, :, 0]
+        g1 += w[:, 1, :, 1]
+    g2 = w[0, :, 0] + w[0, :, 1]
+    g2 += w[1, :, 0]
+    g2 += w[1, :, 1]
+
+    np.divide(w, np.where(valid, mass, 1.0), out=w)
+    w *= valid
+    p1 = w[:, 0] + w[:, 1]  # P(s1 | sa, sb, lambda)
+    p2 = w[0] + w[1]  # P(s2 | sa, sb, lambda)
+
+    values = np.empty((3,) + mass.shape)
+    od, pd_a, pd_b = values
+    np.multiply(p1[:, None], p2[None], out=work)
+    np.subtract(w, work, out=work)
+    np.abs(work, out=work)
+    # a cell without weight has all-zero terms, so the largest term is the
+    # largest over cells with weight, or 0
+    od_max_cell = float(work.max())
+    work.sum(axis=(0, 1), out=od)
+    np.copyto(od, -1.0, where=invalid)
+
+    # outcome 2 against a flip of analyzer a at fixed (b, lambda), and
+    # outcome 1 against a flip of analyzer b at fixed (a, lambda)
+    np.subtract(p2[:, 1], p2[:, 0], out=pd_a)
+    np.abs(pd_a, out=pd_a)
+    ok_a = valid[1] & valid[0]
+    np.copyto(pd_a, -1.0, where=~ok_a)
+    np.subtract(p1[:, :, 1], p1[:, :, 0], out=pd_b)
+    np.abs(pd_b, out=pd_b)
+    ok_b = valid[:, 1] & valid[:, 0]
+    np.copyto(pd_b, -1.0, where=~ok_b)
+    pd_skipped = ok_a.size + ok_b.size - int(np.count_nonzero(ok_a) + np.count_nonzero(ok_b))
+    od_skipped = int(np.count_nonzero(invalid))
+    if not defect:
+        return values, od_skipped, pd_skipped, od_max_cell, -np.inf
+
+    # P(s1 | a, lambda) P(s2 | b, lambda) against P(s1, s2 | a, b, lambda).
+    # A cell with weight has weight on both marginals (sums of nonnegative
+    # terms are no smaller than each term), so only the cells without
+    # weight are masked.
+    for g in (g1, g2):
+        marginal = g[0] + g[1]
+        ok = marginal >= ZERO_MEASURE
+        g /= np.where(ok, marginal, 1.0)
+        g *= ok
+    np.multiply(g1[:, None, :, None], g2[None, :, None], out=work)
+    np.subtract(w, work, out=work)
+    np.abs(work, out=work)
+    np.copyto(work, -1.0, where=invalid)
+    return values, od_skipped, pd_skipped, od_max_cell, float(work.max())
+
+
+def _read(
+    views: Sequence[np.ndarray], lam_bits: int, masses_only: bool = False, defect: bool = True
+) -> _Scan:
+    """Read a weight table one block of lambda values at a time.
+
+    views is the whole table over (s1, s2, sa, sb, lambda...), or its four
+    (s1, s2, lambda...) setting parts in (sa, sb) index order; the lambda
+    axes are in lam_ids order. With at most _LAM_BLOCK_BITS lambda bits the
+    table is one block. Otherwise the lambda axes with the largest strides
+    are fixed per block, so a block is a few contiguous runs of memory.
+    Each block is copied into one (s1, s2, sa, sb, c) buffer with its inner
+    lambda axes in lam_ids order, so c runs in the order of the flat lambda
+    index m, and m = m_inner[c] + m_outer. A cell's running best is
+    replaced by a larger value, or by an equal one at a smaller m. With
+    masses_only the scan holds the masses alone; without defect it skips
+    the factorization check.
+    """
+    width = min(lam_bits, _LAM_BLOCK_BITS)
+    w = np.empty((2, 2, 2, 2, 1 << width))
+    parts = [w] if len(views) == 1 else [w[:, :, ia, ib] for ia in (0, 1) for ib in (0, 1)]
+    targets = [t.reshape(t.shape[:-1] + (2,) * width) for t in parts]
+
+    if width == lam_bits:
+        for target, view in zip(targets, views):
+            np.copyto(target, view)
+        scan = _Scan(w.sum(axis=(0, 1)))
+        if not masses_only:
+            values, scan.od_skipped, scan.pd_skipped, scan.od_max_cell, scan.defect = (
+                _reduce_block(w, scan.mass, np.empty_like(w), lam_bits == 0, defect)
+            )
+            scan.best, scan.at = values.max(axis=-1), values.argmax(axis=-1)
+        return scan
+
+    lead = views[0].ndim - lam_bits
+    strides = views[0].strides[lead:]
+    by_stride = sorted(range(lam_bits), key=lambda i: (-strides[i], i))
+    outer = by_stride[: lam_bits - width]
+    inner = sorted(by_stride[lam_bits - width :])
+
+    def outer_first(a: np.ndarray) -> np.ndarray:
+        k = a.ndim - lam_bits
+        return a.transpose([k + i for i in outer] + list(range(k)) + [k + i for i in inner])
+
+    sources = [outer_first(v) for v in views]
+    scan = _Scan(np.empty((2, 2, 1 << lam_bits)))
+    mass_targets = outer_first(scan.mass.reshape((2, 2) + (2,) * lam_bits))
+    work = np.empty_like(w)
+    scan.best = np.full((3, 2, 2), -np.inf)
+    scan.at = np.zeros((3, 2, 2), dtype=np.int64)
+    m_inner = np.zeros(1, dtype=np.int64)
+    for pos in inner:
+        m_inner = (m_inner[:, None] + [0, 1 << (lam_bits - 1 - pos)]).reshape(-1)
+    for idx in itertools.product((0, 1), repeat=len(outer)):
+        for target, source in zip(targets, sources):
+            np.copyto(target, source[idx])
+        mass = w.sum(axis=(0, 1))
+        np.copyto(mass_targets[idx], mass.reshape((2, 2) + (2,) * width))
+        if masses_only:
+            continue
+        values, od_skipped, pd_skipped, od_max_cell, block_defect = _reduce_block(
+            w, mass, work, False, defect
+        )
+        scan.od_skipped += od_skipped
+        scan.pd_skipped += pd_skipped
+        scan.od_max_cell = max(scan.od_max_cell, od_max_cell)
+        scan.defect = max(scan.defect, block_defect)
+        best = values.max(axis=-1)
+        at = m_inner[values.argmax(axis=-1)]
+        at += sum(bit << (lam_bits - 1 - pos) for bit, pos in zip(idx, outer))
+        better = (best > scan.best) | ((best == scan.best) & (at < scan.at))
+        np.copyto(scan.best, best, where=better)
+        np.copyto(scan.at, at, where=better)
+    return scan
+
+
+def _first_max(scan: _Scan, k: int) -> tuple[float, int, int, int]:
+    """(value, row, column, lambda index) of quantity k's first maximum in
+    (cell, lambda) order."""
+    flat = int(np.argmax(scan.best[k]))
+    return float(scan.best[k].flat[flat]), flat >> 1, flat & 1, int(scan.at[k].flat[flat])
+
+
+def _check_cells(scan: _Scan) -> None:
+    if scan.od_skipped == scan.mass.size:
         raise DegenerateModelError("every (setting, lambda) cell carries zero weight")
-    p1 = p12.sum(axis=1)  # (2, 2, 2, M)
-    p2 = p12.sum(axis=0)
-    defect = np.multiply(p1[:, None, :, :, :], p2[None, :, :, :, :])
-    del p1, p2  # free before the (2, 2, M) reductions below
-    np.subtract(p12, defect, out=defect)
-    np.abs(defect, out=defect)
-    summed = np.where(valid, defect.sum(axis=(0, 1)), -1.0)
-    cellmax = np.where(valid, defect.max(axis=(0, 1)), -1.0)
-    skipped = int((~valid).sum())
-    ia, ib, m = np.unravel_index(int(np.argmax(summed)), summed.shape)
-    value = float(summed[ia, ib, m])
+
+
+def _od_result(scan: _Scan, lam_ids: Sequence[str]) -> tuple[float, Witness, float]:
+    _check_cells(scan)
+    value, ia, ib, m = _first_max(scan, 0)
     witness = Witness(
         kind="od",
-        settings=(spin_of(int(ia)), spin_of(int(ib))),
-        lam=_decode_lambda(lam_ids, int(m)),
+        settings=(spin_of(ia), spin_of(ib)),
+        lam=_decode_lambda(lam_ids, m),
         value=value,
-        skipped_cells=skipped,
+        skipped_cells=scan.od_skipped,
     )
-    return value, witness, max(float(cellmax.max()), 0.0)
+    return value, witness, max(scan.od_max_cell, 0.0)
 
 
-def _pd_core(
-    cells: tuple[np.ndarray, np.ndarray], lam_ids: Sequence[str], id1: str, id2: str
+def _pd_result(
+    scan: _Scan, lam_ids: Sequence[str], id1: str, id2: str
 ) -> tuple[float, Witness, dict[str, float]]:
-    p12, valid = cells
-
-    candidates: list[tuple[float, Witness]] = []
-    sides: dict[str, float] = {}
-    skipped_pairs = 0
-
-    # outcome 2 against a flip of analyzer a, at fixed (b, lambda)
-    f2 = p12.sum(axis=0)  # (s2, a, b, M)
-    ok_a = valid[1, :, :] & valid[0, :, :]  # (b, M)
-    diff_a = np.abs(f2[:, 1, :, :] - f2[:, 0, :, :])  # (s2, b, M)
-    skipped_pairs += int((~ok_a).sum())
-    diff_a = np.where(ok_a[None, :, :], diff_a, -1.0)
-    best_a = float(diff_a.max())
-    sides["outcome2_vs_analyzer_a"] = max(best_a, 0.0)
-    if best_a >= 0.0:
-        s2i, ibi, mi = np.unravel_index(int(np.argmax(diff_a)), diff_a.shape)
-        candidates.append(
-            (
-                best_a,
-                Witness(
-                    kind="pd",
-                    settings=(1, spin_of(int(ibi))),
-                    alt_settings=(-1, spin_of(int(ibi))),
-                    lam=_decode_lambda(lam_ids, int(mi)),
-                    outcome=(id2, spin_of(int(s2i))),
-                    value=best_a,
-                ),
-            )
-        )
-
-    # outcome 1 against a flip of analyzer b, at fixed (a, lambda)
-    f1 = p12.sum(axis=1)  # (s1, a, b, M)
-    ok_b = valid[:, 1, :] & valid[:, 0, :]  # (a, M)
-    diff_b = np.abs(f1[:, :, 1, :] - f1[:, :, 0, :])  # (s1, a, M)
-    skipped_pairs += int((~ok_b).sum())
-    diff_b = np.where(ok_b[None, :, :], diff_b, -1.0)
-    best_b = float(diff_b.max())
-    sides["outcome1_vs_analyzer_b"] = max(best_b, 0.0)
-    if best_b >= 0.0:
-        s1i, iai, mi = np.unravel_index(int(np.argmax(diff_b)), diff_b.shape)
-        candidates.append(
-            (
-                best_b,
-                Witness(
-                    kind="pd",
-                    settings=(spin_of(int(iai)), 1),
-                    alt_settings=(spin_of(int(iai)), -1),
-                    lam=_decode_lambda(lam_ids, int(mi)),
-                    outcome=(id1, spin_of(int(s1i))),
-                    value=best_b,
-                ),
-            )
-        )
-
-    if not candidates:
+    best_a, s2i, ibi, ma = _first_max(scan, 1)
+    best_b, s1i, iai, mb = _first_max(scan, 2)
+    sides = {
+        "outcome2_vs_analyzer_a": max(best_a, 0.0),
+        "outcome1_vs_analyzer_b": max(best_b, 0.0),
+    }
+    if best_a < 0.0 and best_b < 0.0:
         raise DegenerateModelError(
             "no analyzer flip leaves both (setting, lambda) cells with weight"
         )
     # strict max; ties go to the side listed first (outcome 2 vs analyzer a)
-    best_value, best_witness = candidates[0]
-    for value, witness in candidates[1:]:
-        if value > best_value:
-            best_value, best_witness = value, witness
-    return best_value, dataclasses.replace(best_witness, skipped_cells=skipped_pairs), sides
+    if best_a >= best_b:
+        witness = Witness(
+            kind="pd",
+            settings=(1, spin_of(ibi)),
+            alt_settings=(-1, spin_of(ibi)),
+            lam=_decode_lambda(lam_ids, ma),
+            outcome=(id2, spin_of(s2i)),
+            value=best_a,
+            skipped_cells=scan.pd_skipped,
+        )
+    else:
+        witness = Witness(
+            kind="pd",
+            settings=(spin_of(iai), 1),
+            alt_settings=(spin_of(iai), -1),
+            lam=_decode_lambda(lam_ids, mb),
+            outcome=(id1, spin_of(s1i)),
+            value=best_b,
+            skipped_cells=scan.pd_skipped,
+        )
+    return witness.value, witness, sides
 
 
-def _fact_core(w5: np.ndarray, cells: tuple[np.ndarray, np.ndarray]) -> float:
+def _fact_result(scan: _Scan) -> float:
     """Max defect of P(s1,s2|lambda,a,b) = P(s1|lambda,a) P(s2|lambda,b);
     the right-hand factors drop the distant analyzer entirely."""
-    p12, valid = cells
-    if not valid.any():
-        raise DegenerateModelError("every (setting, lambda) cell carries zero weight")
-
-    g1 = w5.sum(axis=(1, 3))  # (s1, a, M) weights, then P(s1 | a, lambda)
-    mass1a = g1.sum(axis=0)
-    ok1 = mass1a >= ZERO_MEASURE
-    g1 /= np.where(ok1, mass1a, 1.0)
-    g1 *= ok1
-
-    g2 = w5.sum(axis=(0, 2))  # (s2, b, M) weights, then P(s2 | b, lambda)
-    mass2b = g2.sum(axis=0)
-    ok2 = mass2b >= ZERO_MEASURE
-    g2 /= np.where(ok2, mass2b, 1.0)
-    g2 *= ok2
-
-    cell_ok = valid & ok1[:, None, :] & ok2[None, :, :]
-    defect = np.multiply(g1[:, None, :, None, :], g2[None, :, None, :, :])
-    np.subtract(p12, defect, out=defect)
-    np.abs(defect, out=defect)
-    np.copyto(defect, -1.0, where=~cell_ok[None, None, :, :, :])
-    max_defect = float(defect.max())
-    if max_defect < 0.0:
-        raise DegenerateModelError("no factorization cell carries weight")
-    return max_defect
+    _check_cells(scan)
+    return scan.defect
 
 
 # -- public measures -----------------------------------------------------------
@@ -300,7 +432,7 @@ def measurement_dependence(
 ) -> tuple[float, Witness]:
     """sup over setting pairs of sum_lambda |P(lambda|a,b) - P(lambda|a',b')|."""
     lam_ids = _lambda_ids(model, lam)
-    return _md_core(_bell_lambda_weights(model, lam_ids), lam_ids)
+    return _md_result(_read(_model_views(model, lam_ids), len(lam_ids), masses_only=True).mass)
 
 
 def outcome_dependence(
@@ -308,8 +440,7 @@ def outcome_dependence(
 ) -> tuple[float, Witness]:
     """sup over settings and lambda of the summed outcome-factorization defect."""
     lam_ids = _lambda_ids(model, lam)
-    cells = _cell_distributions(_bell_lambda_weights(model, lam_ids))
-    value, witness, _ = _od_core(cells, lam_ids)
+    value, witness, _ = _od_result(_read(_model_views(model, lam_ids), len(lam_ids)), lam_ids)
     return value, witness
 
 
@@ -320,8 +451,8 @@ def parameter_dependence(
     conditionals, over both sides."""
     lam_ids = _lambda_ids(model, lam)
     id1, id2, _, _ = model.lattice.bell_ids()
-    cells = _cell_distributions(_bell_lambda_weights(model, lam_ids))
-    value, witness, _ = _pd_core(cells, lam_ids, id1, id2)
+    scan = _read(_model_views(model, lam_ids), len(lam_ids))
+    value, witness, _ = _pd_result(scan, lam_ids, id1, id2)
     return value, witness
 
 
@@ -335,8 +466,7 @@ def factorizability_check(
     Returns (holds within tol, max absolute defect over nonnull cells).
     """
     lam_ids = _lambda_ids(model, lam)
-    w5 = _bell_lambda_weights(model, lam_ids)
-    defect = _fact_core(w5, _cell_distributions(w5))
+    defect = _fact_result(_read(_model_views(model, lam_ids), len(lam_ids)))
     return defect <= tol, defect
 
 
@@ -415,15 +545,23 @@ def report_from_weights(
     tol: float = 1e-9,
 ) -> IndependenceReport:
     """Full report from a stabilized weight array over (s1, s2, sa, sb,
-    lambda-flat). Entry point for alternative ensemble constructions."""
+    lambda-flat). Entry point for alternative ensemble constructions: the
+    array goes through the same block reader as the model's own weights."""
     w5 = np.asarray(w5, dtype=float)
     if w5.ndim != 5 or w5.shape[:4] != (2, 2, 2, 2) or w5.shape[4] != 1 << len(lam_ids):
         raise InvalidArgumentError(f"weight array has shape {w5.shape}")
-    md, w_md = _md_core(w5, lam_ids)
-    cells = _cell_distributions(w5)
-    od, w_od, od_max_cell = _od_core(cells, lam_ids)
-    pd, w_pd, sides = _pd_core(cells, lam_ids, id1, id2)
-    defect = _fact_core(w5, cells)
+    return _report([w5.reshape((2,) * (4 + len(lam_ids)))], lam_ids, id1, id2, tol)
+
+
+def _report(
+    views: Sequence[np.ndarray], lam_ids: Sequence[str], id1: str, id2: str, tol: float
+) -> IndependenceReport:
+    """The full report from the reader's views (see _read)."""
+    scan = _read(views, len(lam_ids))
+    md, w_md = _md_result(scan.mass)
+    od, w_od, od_max_cell = _od_result(scan, lam_ids)
+    pd, w_pd, sides = _pd_result(scan, lam_ids, id1, id2)
+    defect = _fact_result(scan)
     return IndependenceReport(
         md=md,
         od=od,
@@ -449,7 +587,7 @@ def independence_report(
     """All three measures with premise verdicts at one tolerance."""
     lam_ids = _lambda_ids(model, lam)
     id1, id2, _, _ = model.lattice.bell_ids()
-    return report_from_weights(_bell_lambda_weights(model, lam_ids), lam_ids, id1, id2, tol)
+    return _report(_model_views(model, lam_ids), lam_ids, id1, id2, tol)
 
 
 def reevaluate(model: BoltzmannModel, witness: Witness, lam: Sequence[str] | None = None) -> float:

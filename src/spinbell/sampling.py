@@ -11,9 +11,9 @@ Two samplers:
 - metropolis: single-spin-flip Metropolis with uniformly chosen sites and
   acceptance min(1, exp(-beta dH)). Defaults: burn-in of 10 * 1024 * N flips
   (ten times 2^10 sweeps), thinning of N flips (one sweep) between kept
-  samples; both can be overridden. All site choices and uniforms are drawn
-  from the stream up front, so the flip schedule is a pure function of the
-  seed.
+  samples; both can be overridden. The stream holds every site choice,
+  then every uniform, so the flip schedule is a pure function of the seed;
+  it is drawn in fixed blocks, so its memory does not grow with the run.
 
 Samples are configuration words (see model: node i at bit i, bit 1 = +1).
 frequency_report tracks a conditional event frequency along checkpoints,
@@ -22,6 +22,7 @@ against the exact value, with binomial standard errors.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from collections.abc import Mapping, Sequence
@@ -49,6 +50,8 @@ _KINDS = ("exact", "metropolis")
 
 # entries of the exact sampler's one cumulative-weight buffer
 _CHUNK = 1 << 16
+# Metropolis flips whose site indices and uniforms are drawn at a time
+_FLIP_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def _neighbor_lists(model: BoltzmannModel):
         triple[ii].append((ij, ik, t.c))
         triple[ij].append((ii, ik, t.c))
         triple[ik].append((ii, ij, t.c))
-    return fields, pair, triple
+    return fields.tolist(), pair, triple
 
 
 def _sample_metropolis(
@@ -161,28 +164,38 @@ def _sample_metropolis(
     spins = np.where(rng.integers(0, 2, size=n_nodes) == 1, 1, -1).astype(np.int64)
     word = int(sum(1 << k for k in range(n_nodes) if spins[k] == 1))
 
-    sites = rng.integers(0, n_nodes, size=total)
-    accept_u = rng.random(total)
+    # The stream holds every site index, then every uniform. Draws made in
+    # blocks continue the stream as one draw of the whole would, so the
+    # sites come from a copy of the generator and the uniforms from the
+    # generator once a pass has discarded the site draws.
+    blocks = range(0, total, _FLIP_BLOCK)
+    site_rng = copy.deepcopy(rng)
+    for lo in blocks:
+        rng.integers(0, n_nodes, size=min(_FLIP_BLOCK, total - lo))
 
     out = np.empty(run.n, dtype=np.int64)
     kept = 0
     next_keep = burn + thin
     s = spins.tolist()
-    for step in range(total):
-        i = int(sites[step])
-        local = fields[i]
-        for nb, j in pair[i]:
-            local += j * s[nb]
-        dh = 2.0 * s[i] * local
-        for nj, nk, c in triple[i]:
-            dh -= 2.0 * c * s[i] * s[nj] * s[nk]
-        if dh <= 0.0 or accept_u[step] < math.exp(-beta * dh):
-            s[i] = -s[i]
-            word ^= 1 << i
-        if step + 1 == next_keep:
-            out[kept] = word
-            kept += 1
-            next_keep += thin
+    step = 0
+    for lo in blocks:
+        size = min(_FLIP_BLOCK, total - lo)
+        sites = site_rng.integers(0, n_nodes, size=size).tolist()
+        for i, u in zip(sites, rng.random(size).tolist()):
+            local = fields[i]
+            for nb, j in pair[i]:
+                local += j * s[nb]
+            dh = 2.0 * s[i] * local
+            for nj, nk, c in triple[i]:
+                dh -= 2.0 * c * s[i] * s[nj] * s[nk]
+            if dh <= 0.0 or u < math.exp(-beta * dh):
+                s[i] = -s[i]
+                word ^= 1 << i
+            step += 1
+            if step == next_keep:
+                out[kept] = word
+                kept += 1
+                next_keep += thin
     return out
 
 

@@ -39,12 +39,12 @@ from .errors import (
     ZeroMeasureConditionError,
 )
 from .independence import (
-    _bell_lambda_weights,
-    _cell_distributions,
-    _md_core,
     _md_pairs,
-    _od_core,
-    _pd_core,
+    _md_result,
+    _model_views,
+    _od_result,
+    _pd_result,
+    _read,
     measurement_dependence,
 )
 from .lattice import Lattice
@@ -382,15 +382,14 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
             table = conditional_table(model)
         except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
             continue
-        w5 = _bell_lambda_weights(model, lam_ids)
-        cells = _cell_distributions(w5)
+        scan = _read(_model_views(model, lam_ids), len(lam_ids), defect=False)
         rows.append(
             GridRow(
                 values=tuple(values),
                 x_bi=chsh(table).x_bi,
-                md=_md_core(w5, lam_ids)[0],
-                od=_od_core(cells, lam_ids)[0],
-                pd=_pd_core(cells, lam_ids, id1, id2)[0],
+                md=_md_result(scan.mass)[0],
+                od=_od_result(scan, lam_ids)[0],
+                pd=_pd_result(scan, lam_ids, id1, id2)[0],
             )
         )
     return rows
@@ -495,8 +494,8 @@ def _placement_md(tensor: np.ndarray, combos: list[tuple[int, ...]]) -> np.ndarr
             )
             for _, _, a, b in batch
         ])
-        # C order, as in _md_core: numpy adds a strided lambda axis in
-        # another order than a contiguous one
+        # C order, as in the report's setting masses: numpy adds a strided
+        # lambda axis in another order than a contiguous one
         stack = np.ascontiguousarray(stack).reshape(len(batch), 2, 2, -1)
         md[lo : lo + step] = _md_pairs(stack)[0].reshape(len(batch), -1).max(axis=1)
     return md
@@ -526,9 +525,10 @@ def role_permutation_search(
     sum over the two outcomes per ordered outcome pair, with lambda the
     remaining positions in grid order. Each sum, and each per-placement
     reduction, adds the same terms in the same order as weight_table and
-    _md_core on that placement, so every x_bi and md is bit-identical to a
-    per-placement build. Placements are evaluated in groups that share
-    their outcome nodes, so each numpy work array holds one group.
+    measurement_dependence on that placement, so every x_bi and md is
+    bit-identical to a per-placement build. Placements are evaluated in
+    groups that share their outcome nodes, so each numpy work array holds
+    one group.
     """
     from .presets import grid_lattice, grid_positions
 

@@ -215,6 +215,88 @@ def test_metropolis_burn_in_thinning_override(fast_mixing_model):
     assert len(words) == 50
 
 
+# -- Metropolis schedule in blocks against the one-shot reference -------------------
+
+
+def _reference_metropolis(model, run):
+    """The sampler as it drew every site index, then every uniform, up front."""
+    rng = sampling_mod._generator(run.seed)
+    n_nodes = model.n
+    burn = run.burn_in if run.burn_in is not None else 10 * 1024 * n_nodes
+    thin = run.thinning if run.thinning is not None else n_nodes
+    total = burn + run.n * thin
+    fields, pair, triple = sampling_mod._neighbor_lists(model)
+    beta = model.lattice.beta
+    spins = np.where(rng.integers(0, 2, size=n_nodes) == 1, 1, -1).astype(np.int64)
+    word = int(sum(1 << k for k in range(n_nodes) if spins[k] == 1))
+    sites = rng.integers(0, n_nodes, size=total)
+    accept_u = rng.random(total)
+    out = np.empty(run.n, dtype=np.int64)
+    kept = 0
+    next_keep = burn + thin
+    s = spins.tolist()
+    for step in range(total):
+        i = int(sites[step])
+        local = fields[i]
+        for nb, j in pair[i]:
+            local += j * s[nb]
+        dh = 2.0 * s[i] * local
+        for nj, nk, c in triple[i]:
+            dh -= 2.0 * c * s[i] * s[nj] * s[nk]
+        if dh <= 0.0 or accept_u[step] < np.exp(-beta * dh):
+            s[i] = -s[i]
+            word ^= 1 << i
+        if step + 1 == next_keep:
+            out[kept] = word
+            kept += 1
+            next_keep += thin
+    return out
+
+
+def _unbuilt(lattice):
+    """What the Metropolis sampler reads of a model, without the 2^N build."""
+    return SimpleNamespace(n=lattice.n, lattice=lattice)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 333])
+def test_metropolis_words_match_one_shot_schedule(block, cubic_model, monkeypatch):
+    """Blocks of 1, 7 and 333 flips cross block ends at every phase of the
+    burn-in and thinning; None keeps the module's own block size."""
+    if block is not None:
+        monkeypatch.setattr(sampling_mod, "_FLIP_BLOCK", block)
+    models = [cubic_model, build_model(canonical_ladder(j=0.6))]
+    models += [_unbuilt(chain_lattice(n - 2, j=0.8, h=0.1)) for n in (8, 10, 14, 24)]
+    for model in models:
+        for seed in (0, 5, 2**40 + 3):
+            run = SampleRun(seed=seed, n=301, kind="metropolis", burn_in=37, thinning=3)
+            words = sample(model, run)
+            assert words.dtype == np.int64
+            assert np.array_equal(words, _reference_metropolis(model, run)), (model.n, seed)
+
+
+def test_metropolis_default_schedule_matches_one_shot(fast_mixing_model):
+    """The default burn-in of 10 * 1024 * N flips spans many blocks."""
+    run = SampleRun(seed=21, n=2_000, kind="metropolis")
+    expect = _reference_metropolis(fast_mixing_model, run)
+    assert np.array_equal(sample(fast_mixing_model, run), expect)
+
+
+def test_metropolis_peak_memory_is_bounded():
+    """The schedule is drawn one block at a time: drawn whole, this
+    20,000-flip run would hold 320 kB of it. (Tracing slows the flip loop
+    about 30-fold, so the run is kept short.)"""
+    model = build_model(chain_lattice(8))
+    run = SampleRun(seed=1, n=1_000, kind="metropolis", burn_in=19_000, thinning=1)
+    sample(model, SampleRun(seed=1, n=1, kind="metropolis", burn_in=0))  # first-call caches
+    tracemalloc.start()
+    try:
+        sample(model, run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
 # -- frequency report ----------------------------------------------------------------
 
 
