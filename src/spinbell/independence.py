@@ -108,12 +108,9 @@ def _lambda_ids(model: BoltzmannModel, lam: Sequence[str] | None) -> tuple[str, 
 def _model_views(model: BoltzmannModel, lam_ids: Sequence[str]) -> list[np.ndarray]:
     """The model's weights over (s1, s2, sa, sb, lambda...), lambda axes in
     lam_ids order, as the one view the reader takes. With lambda every
-    hidden node it is a transpose of the model's own tensor."""
-    ids = [*model.lattice.bell_ids(), *lam_ids]
-    if len(ids) < model.n:
-        return [model.weight_table(ids)]
-    index = model.lattice.index
-    return [model._tensor.transpose([model.n - 1 - index[nid] for nid in ids])]
+    hidden node weight_table sums nothing and returns a transposed view of
+    the model's own tensor."""
+    return [model.weight_table([*model.lattice.bell_ids(), *lam_ids])]
 
 
 def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], ...]:
@@ -188,10 +185,13 @@ _LAM_BLOCK_BITS = 12
 class _Scan:
     """What one read of a weight table leaves.
 
-    mass is the setting mass over (sa, sb, lambda-flat). best and at hold,
-    per quantity and cell, the largest value and the smallest lambda index
-    that reaches it: od over (sa, sb), pd against analyzer a over (s2, b)
-    and pd against analyzer b over (s1, a); a cell without weight reads -1.
+    mass is the setting mass over (sa, sb, lambda-flat) until _md_result
+    consumes it: md overwrites it with P(lambda | a, b), so md runs after
+    anything that reads the mass values (its size stays the cell count).
+    best and at hold, per quantity and cell, the largest value and the
+    smallest lambda index that reaches it: od over (sa, sb), pd against
+    analyzer a over (s2, b) and pd against analyzer b over (s1, a); a cell
+    without weight reads -1.
     """
 
     mass: np.ndarray
@@ -558,7 +558,7 @@ def _report(
 ) -> IndependenceReport:
     """The full report from the reader's views (see _read)."""
     scan = _read(views, len(lam_ids))
-    md, w_md = _md_result(scan.mass)
+    md, w_md = _md_result(scan.mass)  # consumes scan.mass (see _Scan)
     od, w_od, od_max_cell = _od_result(scan, lam_ids)
     pd, w_pd, sides = _pd_result(scan, lam_ids, id1, id2)
     defect = _fact_result(scan)

@@ -387,7 +387,7 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
             GridRow(
                 values=tuple(values),
                 x_bi=chsh(table).x_bi,
-                md=_md_result(scan.mass)[0],
+                md=_md_result(scan.mass)[0],  # consumes scan.mass
                 od=_od_result(scan, lam_ids)[0],
                 pd=_pd_result(scan, lam_ids, id1, id2)[0],
             )

