@@ -31,7 +31,6 @@ from .errors import (
     ZeroMeasureConditionError,
 )
 from .freewill import (
-    ClampedModel,
     FreewillReport,
     assert_equivalence,
     clamp_reduce,
@@ -156,7 +155,6 @@ __all__ = [
     "chain_md_per_config",
     "chain_md_profile",
     # freewill
-    "ClampedModel",
     "clamp_reduce",
     "clamped_models",
     "ex1_table",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateModelError,
     EnumerationLimitError,
     EquivalenceViolationError,
+    InsufficientPostselectionWarning,
     InvalidArgumentError,
     InvalidConfigurationError,
     LatticeDefinitionError,
@@ -226,7 +228,13 @@ def _cmd_sample(args) -> int:
     )
     event = _parse_assignment(args.event)
     given = _parse_assignment(args.given) if args.given else None
-    report = frequency_report(model, run, event, given)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", InsufficientPostselectionWarning)
+        report = frequency_report(model, run, event, given)
+    # the report shows those checkpoints as NaN rows; say why, without a
+    # Python warning and its source line
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     _emit(_render(report, args), args.out)
     return EXIT_OK
 

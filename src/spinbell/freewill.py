@@ -7,39 +7,38 @@ and triples involving them collapse into fields and constants on the free
 nodes, and the 2^(N-2) remaining configurations are enumerated afresh with
 their own restricted partition sum Z*.
 
+The four clamped ensembles are stacked into one model (clamped_models): the
+parent lattice with the analyzers moved to the top two bits, so each setting
+owns one contiguous quarter of the weights. Every clamped quantity is then
+the ordinary API read on that model: the outcome table is its
+conditional_table and the clamped independence report its
+independence_report. A setting without weight is skipped or refused exactly
+as on the direct route.
+
 Both routes share one stabilization shift (the parent model's energy
 minimum), so their ratios agree to machine precision rather than merely to
 rounding; the summation orders and index spaces are otherwise independent.
 The restricted sums also satisfy sum over settings of Z* = Z, a partition of
 unity that is checked alongside the table comparison.
-
-The same clamped ensembles yield hidden-variable conditionals, so every
-independence measure can be re-derived through the clamped route and compared
-against the direct one (clamped_independence_report).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bell import ConditionalTable, conditional_table
-from .errors import (
-    EquivalenceViolationError,
-    InvalidArgumentError,
-    ZeroMeasureConditionError,
-)
+from .errors import EquivalenceViolationError, InvalidArgumentError
 from .lattice import CubicTerm, Edge, Lattice, Node, Spin, _check_config
-from .model import ZERO_MEASURE, BoltzmannModel, _weights
-from .independence import IndependenceReport, _lambda_ids, _report
+from .model import BoltzmannModel, _weights
+from .independence import IndependenceReport, independence_report
 from ._format import SPINS, csv_table, fmt
 
 __all__ = [
     "clamp_reduce",
-    "ClampedModel",
     "clamped_models",
     "ex1_table",
     "ex2_table",
@@ -114,41 +113,24 @@ def clamp_reduce(lattice: Lattice, clamp: Mapping[str, Spin]) -> Lattice:
     return Lattice(nodes=nodes, edges=edges, beta=lattice.beta, cubic=tuple(cubic), offset=offset)
 
 
-@dataclass(frozen=True)
-class ClampedModel:
-    """Restricted ensemble with the analyzers frozen at one setting.
+def clamped_models(model: BoltzmannModel) -> BoltzmannModel:
+    """The four analyzer-clamped ensembles, stacked into one model.
 
-    inner enumerates the free nodes only; its weights use the parent model's
-    stabilization shift, so z_star / (parent z_shifted) is an exact
-    probability ratio.
+    Its lattice is the parent's with the free nodes first, in declaration
+    order, then analyzer b, then analyzer a at the top bit, so setting
+    (sa, sb) owns quarter 2 * (sa index) + (sb index) of the weights. Each
+    quarter is that setting's clamp_reduce lattice enumerated with the
+    parent's stabilization shift, so a quarter's sum Z* over the parent's
+    z_shifted is an exact probability ratio.
     """
-
-    clamp: tuple[tuple[str, Spin], ...]
-    inner: BoltzmannModel = field(repr=False)
-
-    @property
-    def z_star(self) -> float:
-        return self.inner.z_shifted
-
-
-def _clamped_model(model: BoltzmannModel, clamp: Mapping[str, Spin]) -> ClampedModel:
-    reduced = clamp_reduce(model.lattice, clamp)
-    weights, _ = _weights(reduced, model.shift)
-    inner = BoltzmannModel(reduced, weights, model.shift)
-    return ClampedModel(clamp=tuple(sorted(clamp.items())), inner=inner)
-
-
-_Clamped = dict[tuple[Spin, Spin], ClampedModel]
-
-
-def clamped_models(model: BoltzmannModel) -> _Clamped:
-    """The four analyzer-clamped ensembles, keyed by (sa, sb)."""
-    _, _, ida, idb = model.lattice.bell_ids()
-    return {
-        (sa, sb): _clamped_model(model, {ida: sa, idb: sb})
-        for sa in SPINS
-        for sb in SPINS
-    }
+    lattice = model.lattice
+    _, _, ida, idb = lattice.bell_ids()
+    free = [n for n in lattice.nodes if n.id not in (ida, idb)]
+    stacked = replace(lattice, nodes=(*free, lattice.node(idb), lattice.node(ida)))
+    weights = np.empty(1 << lattice.n)
+    for quarter, (sa, sb) in zip(weights.reshape(4, -1), itertools.product(SPINS, repeat=2)):
+        quarter[:] = _weights(clamp_reduce(lattice, {ida: sa, idb: sb}), model.shift)[0]
+    return BoltzmannModel(stacked, weights, model.shift)
 
 
 def ex1_table(model: BoltzmannModel) -> ConditionalTable:
@@ -160,44 +142,17 @@ def ex1_table(model: BoltzmannModel) -> ConditionalTable:
 def ex2_table(model: BoltzmannModel) -> ConditionalTable:
     """Outcome table from the four clamped ensembles: restricted weight sums
     over Z*."""
-    return _ex2_table(model, clamped_models(model))
-
-
-def _ex2_table(model: BoltzmannModel, clamped: _Clamped) -> ConditionalTable:
-    id1, id2, _, _ = model.lattice.bell_ids()
-    values = np.empty((2, 2, 2, 2))
-    for (sa, sb), cm in clamped.items():
-        w = cm.inner.weight_table([id1, id2])
-        z_star = float(w.sum())
-        if z_star < ZERO_MEASURE:
-            raise ZeroMeasureConditionError(
-                f"clamped setting (sa={sa:+d}, sb={sb:+d}) has zero weight"
-            )
-        values[:, :, (sa + 1) // 2, (sb + 1) // 2] = w / z_star
-    return ConditionalTable(values)
+    return conditional_table(clamped_models(model))
 
 
 def equivalence_discrepancy(model: BoltzmannModel) -> float:
     """max over the 16 cells of |ex1 - ex2|."""
-    return _discrepancy(model, clamped_models(model))
-
-
-def _discrepancy(model: BoltzmannModel, clamped: _Clamped) -> float:
-    one = ex1_table(model).values
-    two = _ex2_table(model, clamped).values
-    return float(np.max(np.abs(one - two)))
+    return freewill_report(model).max_discrepancy
 
 
 def partition_gap(model: BoltzmannModel) -> float:
     """Relative gap |sum of Z* - Z| / Z over the four settings."""
-    return _partition_gap(model, clamped_models(model))
-
-
-def _partition_gap(model: BoltzmannModel, clamped: _Clamped) -> float:
-    total = 0.0
-    for cm in clamped.values():  # left to right: sum() compensates on Python >= 3.12
-        total += cm.z_star
-    return abs(total - model.z_shifted) / model.z_shifted
+    return freewill_report(model).partition_gap
 
 
 def assert_equivalence(model: BoltzmannModel, tol: float = 1e-12) -> float:
@@ -206,9 +161,8 @@ def assert_equivalence(model: BoltzmannModel, tol: float = 1e-12) -> float:
     Returns the max cell discrepancy; raises EquivalenceViolationError if
     either it or the partition gap exceeds tol.
     """
-    clamped = clamped_models(model)
-    disc = _discrepancy(model, clamped)
-    gap = _partition_gap(model, clamped)
+    report = freewill_report(model)
+    disc, gap = report.max_discrepancy, report.partition_gap
     if disc > tol or gap > tol:
         raise EquivalenceViolationError(
             f"postselection and clamped routes disagree: cell discrepancy "
@@ -222,20 +176,12 @@ def clamped_independence_report(
     lam: Sequence[str] | None = None,
     tol: float = 1e-9,
 ) -> IndependenceReport:
-    """Independence measures derived through the clamped ensembles.
-
-    The report reads each ensemble's (s1, s2, lambda) weight table in place
-    of the direct route's setting slices. Must agree with
+    """Independence measures derived through the clamped ensembles: the
+    direct report read on the stacked clamped model. Must agree with
     independence_report to the equivalence tolerance; exercised as a
     dual-route check in the test suite.
     """
-    lam_ids = _lambda_ids(model, lam)
-    id1, id2, _, _ = model.lattice.bell_ids()
-    clamped = clamped_models(model)
-    views = [
-        clamped[sa, sb].inner.weight_table([id1, id2, *lam_ids]) for sa in SPINS for sb in SPINS
-    ]
-    return _report(views, lam_ids, id1, id2, tol)
+    return independence_report(clamped_models(model), lam, tol)
 
 
 @dataclass(frozen=True)
@@ -268,16 +214,19 @@ class FreewillReport:
 
 
 def freewill_report(model: BoltzmannModel) -> FreewillReport:
-    clamped = clamped_models(model)
     one = ex1_table(model)
-    two = _ex2_table(model, clamped)
+    clamped = clamped_models(model)
+    two = conditional_table(clamped)
     cells = [
         (s1, s2, sa, sb, one.entry(s1, s2, sa, sb), two.entry(s1, s2, sa, sb))
         for sa, sb, s1, s2 in itertools.product(SPINS, repeat=4)
     ]
-    disc = max(abs(c[4] - c[5]) for c in cells)
+    total = 0.0
+    # the quarters' Z* left to right: sum() compensates on Python >= 3.12
+    for z_star in clamped.weights.reshape(4, -1).sum(axis=1):
+        total += float(z_star)
     return FreewillReport(
         cells=tuple(cells),
-        max_discrepancy=disc,
-        partition_gap=_partition_gap(model, clamped),
+        max_discrepancy=max(abs(c[4] - c[5]) for c in cells),
+        partition_gap=abs(total - model.z_shifted) / model.z_shifted,
     )

@@ -20,9 +20,9 @@ order and keep the first maximizer, so witnesses are deterministic.
 The reductions are pure functions of the stabilized weights over
 (s1, s2, sa, sb, lambda). One reader walks them a block of lambda values at
 a time and computes every measure from each block while it is in cache; the
-model's own tensor, the four clamped-analyzer ensembles (freewill) and an
-array given to report_from_weights all go through that reader, so they
-share identical arithmetic.
+model's own tensor (the stacked clamped model of freewill too) and an array
+given to report_from_weights both go through that reader, so they share
+identical arithmetic.
 """
 
 from __future__ import annotations
@@ -105,12 +105,12 @@ def _lambda_ids(model: BoltzmannModel, lam: Sequence[str] | None) -> tuple[str, 
     return ids
 
 
-def _model_views(model: BoltzmannModel, lam_ids: Sequence[str]) -> list[np.ndarray]:
+def _model_table(model: BoltzmannModel, lam_ids: Sequence[str]) -> np.ndarray:
     """The model's weights over (s1, s2, sa, sb, lambda...), lambda axes in
-    lam_ids order, as the one view the reader takes. With lambda every
-    hidden node weight_table sums nothing and returns a transposed view of
-    the model's own tensor."""
-    return [model.weight_table([*model.lattice.bell_ids(), *lam_ids])]
+    lam_ids order, as the reader takes them. With lambda every hidden node
+    weight_table sums nothing and returns a transposed view of the model's
+    own tensor."""
+    return model.weight_table([*model.lattice.bell_ids(), *lam_ids])
 
 
 def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], ...]:
@@ -281,15 +281,14 @@ def _reduce_block(
 
 
 def _read(
-    views: Sequence[np.ndarray], lam_bits: int, masses_only: bool = False, defect: bool = True
+    table: np.ndarray, lam_bits: int, masses_only: bool = False, defect: bool = True
 ) -> _Scan:
     """Read a weight table one block of lambda values at a time.
 
-    views is the whole table over (s1, s2, sa, sb, lambda...), or its four
-    (s1, s2, lambda...) setting parts in (sa, sb) index order; the lambda
-    axes are in lam_ids order. With at most _LAM_BLOCK_BITS lambda bits the
-    table is one block. Otherwise the lambda axes with the largest strides
-    are fixed per block, so a block is a few contiguous runs of memory.
+    table is over (s1, s2, sa, sb, lambda...), its lambda axes in lam_ids
+    order. With at most _LAM_BLOCK_BITS lambda bits the table is one block.
+    Otherwise the lambda axes with the largest strides are fixed per block,
+    so a block is a few contiguous runs of memory.
     Each block is copied into one (s1, s2, sa, sb, c) buffer with its inner
     lambda axes in lam_ids order, so c runs in the order of the flat lambda
     index m, and m = m_inner[c] + m_outer. A cell's running best is
@@ -299,12 +298,10 @@ def _read(
     """
     width = min(lam_bits, _LAM_BLOCK_BITS)
     w = np.empty((2, 2, 2, 2, 1 << width))
-    parts = [w] if len(views) == 1 else [w[:, :, ia, ib] for ia in (0, 1) for ib in (0, 1)]
-    targets = [t.reshape(t.shape[:-1] + (2,) * width) for t in parts]
+    target = w.reshape((2, 2, 2, 2) + (2,) * width)
 
     if width == lam_bits:
-        for target, view in zip(targets, views):
-            np.copyto(target, view)
+        np.copyto(target, table)
         scan = _Scan(w.sum(axis=(0, 1)))
         if not masses_only:
             values, scan.od_skipped, scan.pd_skipped, scan.od_max_cell, scan.defect = (
@@ -313,8 +310,7 @@ def _read(
             scan.best, scan.at = values.max(axis=-1), values.argmax(axis=-1)
         return scan
 
-    lead = views[0].ndim - lam_bits
-    strides = views[0].strides[lead:]
+    strides = table.strides[4:]
     by_stride = sorted(range(lam_bits), key=lambda i: (-strides[i], i))
     outer = by_stride[: lam_bits - width]
     inner = sorted(by_stride[lam_bits - width :])
@@ -323,7 +319,7 @@ def _read(
         k = a.ndim - lam_bits
         return a.transpose([k + i for i in outer] + list(range(k)) + [k + i for i in inner])
 
-    sources = [outer_first(v) for v in views]
+    source = outer_first(table)
     scan = _Scan(np.empty((2, 2, 1 << lam_bits)))
     mass_targets = outer_first(scan.mass.reshape((2, 2) + (2,) * lam_bits))
     work = np.empty_like(w)
@@ -333,8 +329,7 @@ def _read(
     for pos in inner:
         m_inner = (m_inner[:, None] + [0, 1 << (lam_bits - 1 - pos)]).reshape(-1)
     for idx in itertools.product((0, 1), repeat=len(outer)):
-        for target, source in zip(targets, sources):
-            np.copyto(target, source[idx])
+        np.copyto(target, source[idx])
         mass = w.sum(axis=(0, 1))
         np.copyto(mass_targets[idx], mass.reshape((2, 2) + (2,) * width))
         if masses_only:
@@ -432,7 +427,7 @@ def measurement_dependence(
 ) -> tuple[float, Witness]:
     """sup over setting pairs of sum_lambda |P(lambda|a,b) - P(lambda|a',b')|."""
     lam_ids = _lambda_ids(model, lam)
-    return _md_result(_read(_model_views(model, lam_ids), len(lam_ids), masses_only=True).mass)
+    return _md_result(_read(_model_table(model, lam_ids), len(lam_ids), masses_only=True).mass)
 
 
 def outcome_dependence(
@@ -440,7 +435,7 @@ def outcome_dependence(
 ) -> tuple[float, Witness]:
     """sup over settings and lambda of the summed outcome-factorization defect."""
     lam_ids = _lambda_ids(model, lam)
-    value, witness, _ = _od_result(_read(_model_views(model, lam_ids), len(lam_ids)), lam_ids)
+    value, witness, _ = _od_result(_read(_model_table(model, lam_ids), len(lam_ids)), lam_ids)
     return value, witness
 
 
@@ -451,7 +446,7 @@ def parameter_dependence(
     conditionals, over both sides."""
     lam_ids = _lambda_ids(model, lam)
     id1, id2, _, _ = model.lattice.bell_ids()
-    scan = _read(_model_views(model, lam_ids), len(lam_ids))
+    scan = _read(_model_table(model, lam_ids), len(lam_ids))
     value, witness, _ = _pd_result(scan, lam_ids, id1, id2)
     return value, witness
 
@@ -466,7 +461,7 @@ def factorizability_check(
     Returns (holds within tol, max absolute defect over nonnull cells).
     """
     lam_ids = _lambda_ids(model, lam)
-    defect = _fact_result(_read(_model_views(model, lam_ids), len(lam_ids)))
+    defect = _fact_result(_read(_model_table(model, lam_ids), len(lam_ids)))
     return defect <= tol, defect
 
 
@@ -550,14 +545,14 @@ def report_from_weights(
     w5 = np.asarray(w5, dtype=float)
     if w5.ndim != 5 or w5.shape[:4] != (2, 2, 2, 2) or w5.shape[4] != 1 << len(lam_ids):
         raise InvalidArgumentError(f"weight array has shape {w5.shape}")
-    return _report([w5.reshape((2,) * (4 + len(lam_ids)))], lam_ids, id1, id2, tol)
+    return _report(w5.reshape((2,) * (4 + len(lam_ids))), lam_ids, id1, id2, tol)
 
 
 def _report(
-    views: Sequence[np.ndarray], lam_ids: Sequence[str], id1: str, id2: str, tol: float
+    table: np.ndarray, lam_ids: Sequence[str], id1: str, id2: str, tol: float
 ) -> IndependenceReport:
-    """The full report from the reader's views (see _read)."""
-    scan = _read(views, len(lam_ids))
+    """The full report from a weight table as _read takes it."""
+    scan = _read(table, len(lam_ids))
     md, w_md = _md_result(scan.mass)  # consumes scan.mass (see _Scan)
     od, w_od, od_max_cell = _od_result(scan, lam_ids)
     pd, w_pd, sides = _pd_result(scan, lam_ids, id1, id2)
@@ -587,7 +582,7 @@ def independence_report(
     """All three measures with premise verdicts at one tolerance."""
     lam_ids = _lambda_ids(model, lam)
     id1, id2, _, _ = model.lattice.bell_ids()
-    return _report(_model_views(model, lam_ids), lam_ids, id1, id2, tol)
+    return _report(_model_table(model, lam_ids), lam_ids, id1, id2, tol)
 
 
 def reevaluate(model: BoltzmannModel, witness: Witness, lam: Sequence[str] | None = None) -> float:

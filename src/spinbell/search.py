@@ -41,7 +41,7 @@ from .errors import (
 from .independence import (
     _md_pairs,
     _md_result,
-    _model_views,
+    _model_table,
     _od_result,
     _pd_result,
     _read,
@@ -380,18 +380,17 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
         try:
             model = space._model(values)
             table = conditional_table(model)
-        except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
-            continue
-        scan = _read(_model_views(model, lam_ids), len(lam_ids), defect=False)
-        rows.append(
-            GridRow(
+            scan = _read(_model_table(model, lam_ids), len(lam_ids), defect=False)
+            row = GridRow(
                 values=tuple(values),
                 x_bi=chsh(table).x_bi,
                 md=_md_result(scan.mass)[0],  # consumes scan.mass
                 od=_od_result(scan, lam_ids)[0],
                 pd=_pd_result(scan, lam_ids, id1, id2)[0],
             )
-        )
+        except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
+            continue
+        rows.append(row)
     return rows
 
 

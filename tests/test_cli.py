@@ -4,11 +4,16 @@ Covers every subcommand, both output formats, file output, precision
 handling, and each exit code: 0 success, 2 bad input, 3 degenerate
 numerics, 4 reference-case mismatch."""
 
+import contextlib
+import io
+import itertools
 import json
 import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbell.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, main
 from spinbell.latticefile import save_lattice
@@ -306,6 +311,30 @@ def test_freewill_csv(capsys):
     assert len(lines) == 17
 
 
+def test_freewill_zero_weight_setting(tmp_path, capsys):
+    # a field of 800 pins analyzer a at +1: both settings with sa = -1 carry
+    # zero weight, and the clamped route refuses them as the direct one does
+    doc = {
+        "nodes": [
+            {"id": "1", "role": "outcome1"},
+            {"id": "2", "role": "outcome2"},
+            {"id": "a", "role": "analyzer_a", "h": 800.0},
+            {"id": "b", "role": "analyzer_b"},
+            {"id": "3"},
+        ],
+        "edges": [
+            {"a": "1", "b": "a", "j": 0.5},
+            {"a": "a", "b": "3", "j": 0.4},
+            {"a": "3", "b": "b", "j": 0.6},
+            {"a": "b", "b": "2", "j": 0.7},
+        ],
+    }
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(doc))
+    assert main(["freewill", "--lattice", str(path)]) == EXIT_NUMERIC
+    assert "setting (sa=-, sb=-) has zero weight" in capsys.readouterr().err
+
+
 # -- sample -------------------------------------------------------------------------
 
 
@@ -343,6 +372,29 @@ def test_sample_overlap(capsys):
     assert main(["sample", "--builtin", "ladder", "--event", "1:+",
                  "--given", "1:-", "--n", "100"]) == EXIT_INPUT
     assert "overlap" in capsys.readouterr().err
+
+
+def test_sample_without_postselected_draws(tmp_path, capsys):
+    # a field of -40 keeps analyzer a at -1 in every draw: the checkpoint
+    # keeps no sample and reads NaN, and stderr says why without a warning
+    doc = {
+        "nodes": [
+            {"id": "1", "role": "outcome1"},
+            {"id": "2", "role": "outcome2"},
+            {"id": "a", "role": "analyzer_a", "h": -40.0},
+            {"id": "b", "role": "analyzer_b"},
+        ],
+        "edges": [{"a": "1", "b": "a", "j": 0.5}, {"a": "b", "b": "2", "j": 0.5}],
+    }
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sample", "--lattice", str(path), "--event", "1:+", "--given", "a:+", "--n", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "nan" in captured.out
+    assert captured.err == "warning: no samples pass the condition in the first 100 draws\n"
 
 
 def test_sample_count_beyond_addressable_memory(capsys):
@@ -394,6 +446,39 @@ def test_optimize_start_not_numeric(config_file, capsys):
     assert "--start" in capsys.readouterr().err
 
 
+def test_optimize_grid_skips_points_without_pd(tmp_path, capsys):
+    # b follows node 4 at j = 800, and a follows node 3 once the a-3
+    # coupling is large: from the middle point on no analyzer flip leaves
+    # both cells with weight, so only the first point has a row
+    lattice = {
+        "nodes": [
+            {"id": "1", "role": "outcome1"},
+            {"id": "2", "role": "outcome2"},
+            {"id": "a", "role": "analyzer_a"},
+            {"id": "b", "role": "analyzer_b"},
+            {"id": "3"},
+            {"id": "4"},
+            {"id": "5"},
+        ],
+        "edges": [
+            {"a": "1", "b": "a", "j": 0.7},
+            {"a": "a", "b": "3", "j": 1.0},
+            {"a": "3", "b": "5", "j": 0.6},
+            {"a": "5", "b": "4", "j": 0.8},
+            {"a": "4", "b": "b", "j": 800.0},
+            {"a": "b", "b": "2", "j": 0.9},
+        ],
+    }
+    params = [{"name": "j_pin", "kind": "j", "targets": [["a", "3"]], "lo": 0.5, "hi": 800}]
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps({"lattice": lattice, "params": params}))
+    assert main(["optimize", "--config", str(path), "--grid", "3"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "j_pin,x_bi,md,od,pd"
+    assert len(lines) == 2
+    assert lines[1].startswith("0.5,")
+
+
 def test_optimize_missing_config(tmp_path, capsys):
     assert main(["optimize", "--config", str(tmp_path / "no.json")]) == EXIT_INPUT
     assert "cannot read" in capsys.readouterr().err
@@ -443,3 +528,67 @@ def test_exclusive_lattice_options():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--builtin", "ladder", "--lattice", "x.json"])
     assert exc.value.code == 2
+
+
+# -- fuzz: generated lattice files -----------------------------------------------------
+
+_IDS = ("1", "2", "a", "b", "3", "4", "5")
+_ROLES = {"1": "outcome1", "2": "outcome2", "a": "analyzer_a", "b": "analyzer_b"}
+# ordinary values and couplings that pin spins; a few documents also draw
+# values past the double range and a beta that is not positive
+_VALUES = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 40.0, -40.0, 800.0, -800.0]))
+_WILD = st.one_of(_VALUES, st.sampled_from([1e308, -1e308, 5e-324, float("inf"), float("nan")]))
+
+
+@st.composite
+def _lattice_docs(draw):
+    """Lattice JSON documents: mostly valid, some with a role missing, a
+    self loop, a repeated edge, an unknown node or a value out of range."""
+    wild = draw(st.integers(0, 7)) == 0
+    values = _WILD if wild else _VALUES
+    n_hidden = draw(st.integers(0, 3))
+    ids = [i for i in _IDS[:4] if draw(st.integers(0, 19))] + list(_IDS[4 : 4 + n_hidden])
+    nodes = [{"id": i, "role": _ROLES.get(i, "hidden"), "h": draw(values)} for i in ids]
+    pairs = list(itertools.combinations(ids, 2))
+    if wild:
+        # a self loop, an unknown node or a repeated edge
+        pairs += [(ids[0], ids[0]), (ids[0], "zz"), *pairs[:1]] if ids else [("zz", "zz")]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=not wild)) if pairs else []
+    edges = [{"a": a, "b": b, "j": draw(values)} for a, b in chosen]
+    beta = draw(st.one_of(st.floats(0.1, 3.0), st.sampled_from([0.0, -1.0]) if wild else st.nothing()))
+    doc = {"beta": beta, "nodes": nodes, "edges": edges}
+    if len(ids) >= 3 and draw(st.booleans()):
+        trio = draw(st.permutations(ids))[:3]
+        doc["cubic"] = [{"nodes": trio, "c": draw(values)}]
+    if draw(st.booleans()):
+        doc["offset"] = draw(values)
+    return doc
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=150)
+@given(doc=_lattice_docs(), lam=st.lists(st.sampled_from([*_IDS, "zz"]), max_size=3))
+def test_cli_fuzz_generated_lattices(tmp_path_factory, doc, lam):
+    """eval (with and without --lambda), freewill and sample on generated
+    lattice files: every run ends with a documented exit code, and with no
+    traceback and no warning."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    commands = [
+        ["eval", "--lattice", str(path)],
+        ["eval", "--lattice", str(path), "--lambda", ",".join(lam), "--report", "independence"],
+        ["freewill", "--lattice", str(path)],
+        ["sample", "--lattice", str(path), "--event", "1:+", "--given", "a:+", "--n", "200"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in commands:
+            rc, err = _run_quietly(argv)
+            assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_MISMATCH), (argv, err)
+            assert "Traceback" not in err

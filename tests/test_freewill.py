@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spinbell import freewill
-from spinbell.errors import EquivalenceViolationError, InvalidArgumentError
+from spinbell.errors import EquivalenceViolationError, InvalidArgumentError, SpinbellError
 from spinbell.freewill import (
     assert_equivalence,
     clamp_reduce,
@@ -128,7 +128,8 @@ def test_partition_of_unity_is_exact(rng):
     routes share one stabilization shift so the identity is near-bitwise."""
     for _ in range(8):
         model = build_model(random_bell_lattice(rng))
-        total = sum(cm.z_star for cm in clamped_models(model).values())
+        quarters = clamped_models(model).weights.reshape(4, -1)
+        total = sum(float(q.sum()) for q in quarters)
         assert total == pytest.approx(model.z_shifted, rel=1e-14)
 
 
@@ -170,16 +171,60 @@ def test_clamped_independence_random(rng):
             )
 
 
+_PINS = (-800.0, -40.0, 40.0, 800.0)
+
+
+def _pinned_lattice(rng):
+    """A random Bell lattice with about a third of its couplings and fields
+    pinned at +-40 or +-800, so that analyzer settings and (setting, lambda)
+    cells lose all their weight."""
+    lat = random_bell_lattice(rng)
+
+    def pin(x):
+        return float(rng.choice(_PINS)) if rng.random() < 0.3 else x
+
+    return Lattice.from_parts(
+        [(n.id, n.role, pin(n.h)) for n in lat.nodes],
+        [(e.a, e.b, pin(e.j)) for e in lat.edges],
+        beta=lat.beta,
+        cubic=[(t.nodes, t.c) for t in lat.cubic],
+    )
+
+
+def _report_or_error(report, model):
+    try:
+        return report(model)
+    except SpinbellError as exc:
+        return type(exc)
+
+
+def test_routes_agree_on_pinned_lattices():
+    """Both routes give the same report, or raise the same error, where
+    settings or cells carry zero weight: the clamped route skips them as
+    the direct route does."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        model = build_model(_pinned_lattice(rng))
+        direct = _report_or_error(independence_report, model)
+        clamped = _report_or_error(clamped_independence_report, model)
+        if isinstance(direct, type) or isinstance(clamped, type):
+            assert clamped is direct
+            continue
+        assert clamped.skipped_cells == direct.skipped_cells
+        for name in ("md", "od", "pd", "factorization_defect"):
+            assert getattr(clamped, name) == pytest.approx(getattr(direct, name), abs=1e-12)
+
+
 def test_freewill_report_enumerates_each_clamped_ensemble_once(monkeypatch):
     model = build_model(canonical_ladder())
     calls = []
-    original = freewill._clamped_model
+    original = freewill._weights
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(freewill, "_clamped_model", counting)
+    monkeypatch.setattr(freewill, "_weights", counting)
     freewill_report(model)
     assert len(calls) == 4
     calls.clear()

@@ -14,7 +14,7 @@ from spinbell.errors import (
     InvalidArgumentError,
     NumericRangeError,
 )
-from spinbell.freewill import clamped_independence_report, clamped_models
+from spinbell.freewill import clamped_independence_report, clamped_models, freewill_report
 from spinbell.independence import (
     IndependenceReport,
     Witness,
@@ -258,15 +258,6 @@ def _reference_weights(model, lam_ids):
     return np.ascontiguousarray(model.weight_table(ids)).reshape(2, 2, 2, 2, -1)
 
 
-def _reference_clamped_weights(model, lam_ids):
-    id1, id2, _, _ = model.lattice.bell_ids()
-    w5 = np.empty((2, 2, 2, 2, 1 << len(lam_ids)))
-    for (sa, sb), cm in clamped_models(model).items():
-        w = cm.inner.weight_table([id1, id2, *lam_ids]).reshape(2, 2, -1)
-        w5[:, :, (sa + 1) // 2, (sb + 1) // 2, :] = w
-    return w5
-
-
 def _reference_md(w5):
     mass_ab_lam = w5.sum(axis=(0, 1))
     mass_ab = mass_ab_lam.sum(axis=-1)
@@ -427,7 +418,7 @@ def _routes(model, lam=None):
         "clamped_independence_report": (
             lambda: clamped_independence_report(model, lam),
             lambda: _reference_report(
-                _reference_clamped_weights(model, lam_ids), lam_ids, id1, id2
+                _reference_weights(clamped_models(model), lam_ids), lam_ids, id1, id2
             ),
         ),
         "report_from_weights": (
@@ -626,10 +617,18 @@ _PEAK_BOUNDS = {independence_report: (2.0, 1.0), clamped_independence_report: (3
 def test_report_peak_memory_is_bounded(report, chain18_model, chain22_model):
     """No full-size copy of the weights: the setting masses (1/4 of the
     weight bytes), the md work rows and one block's buffers. The clamped
-    route also holds its four clamped ensembles (1.0x). The block buffers
+    route also holds its stacked clamped model (1.0x). The block buffers
     (about 1.5 MiB) weigh more against the 2 MiB of weights at 18 spins."""
     for model, bound in zip((chain18_model, chain22_model), _PEAK_BOUNDS[report]):
         assert _traced_peak(lambda: report(model)) <= bound * model.weights.nbytes
+
+
+def test_freewill_report_peak_memory_is_bounded(chain22_model):
+    """The stacked clamped model (1.0x the weight bytes) and one clamped
+    sector (0.25x) while it is copied into its quarter: no sector is kept
+    beside the stack."""
+    peak = _traced_peak(lambda: freewill_report(chain22_model))
+    assert peak <= 1.5 * chain22_model.weights.nbytes
 
 
 # -- decoupling sweep ----------------------------------------------------------------

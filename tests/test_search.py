@@ -234,6 +234,26 @@ def test_grid_scan_covers_lattice_points():
         assert 0.0 <= r.md <= 2.0
 
 
+def test_grid_scan_skips_points_without_pd():
+    # b follows node 4 at j = 800; from the middle of the a-3 range on, a
+    # follows node 3 too, and no analyzer flip leaves both cells with weight
+    base = Lattice.from_parts(
+        nodes=[("1", "outcome1"), ("2", "outcome2"), ("a", "analyzer_a"),
+               ("b", "analyzer_b"), ("3",), ("4",), ("5",)],
+        edges=[("1", "a", 0.7), ("a", "3", 1.0), ("3", "5", 0.6), ("5", "4", 0.8),
+               ("4", "b", 800.0), ("b", "2", 0.9)],
+    )
+    param = SearchParam("j_pin", "j", targets=(("a", "3"),), lo=0.5, hi=800.0)
+    space = SearchSpace(base, params=(param,))
+    with pytest.raises(DegenerateModelError, match="analyzer flip"):
+        parameter_dependence(build_model(space.build((800.0,))))
+    rows = grid_scan(space, resolution=3)
+    assert [r.values for r in rows] == [(0.5,)]
+    model = build_model(space.build((0.5,)))
+    assert rows[0].pd == parameter_dependence(model)[0]
+    assert rows[0].md == measurement_dependence(model)[0]
+
+
 def test_grid_scan_resolution_validation():
     with pytest.raises(InvalidArgumentError, match="resolution"):
         grid_scan(_two_param_space(), resolution=1)
