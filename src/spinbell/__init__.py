@@ -53,7 +53,6 @@ from .independence import (
     pairwise_correlation_check,
     parameter_dependence,
     reevaluate,
-    report_from_weights,
 )
 from .lattice import CubicTerm, Edge, Lattice, Node, NodeRole, Spin, energy
 from .latticefile import (
@@ -143,7 +142,6 @@ __all__ = [
     "factorizability_check",
     "pairwise_correlation_check",
     "independence_report",
-    "report_from_weights",
     "reevaluate",
     "decoupling_sweep",
     # series

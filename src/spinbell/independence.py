@@ -19,10 +19,11 @@ order and keep the first maximizer, so witnesses are deterministic.
 
 The reductions are pure functions of the stabilized weights over
 (s1, s2, sa, sb, lambda). One reader walks them a block of lambda values at
-a time and computes every measure from each block while it is in cache; the
-model's own tensor (the stacked clamped model of freewill too) and an array
-given to report_from_weights both go through that reader, so they share
-identical arithmetic.
+a time and computes every measure from each block while it is in cache. It
+is reached only through a model: every public measure takes the model's
+weight_table over those axes, so the direct route, the stacked clamped model
+of freewill and the grid scan of search share identical arithmetic. An
+ensemble built some other way is read as a BoltzmannModel over its weights.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "factorizability_check",
     "pairwise_correlation_check",
     "independence_report",
-    "report_from_weights",
     "decoupling_sweep",
     "reevaluate",
 ]
@@ -103,14 +103,6 @@ def _lambda_ids(model: BoltzmannModel, lam: Sequence[str] | None) -> tuple[str, 
         if nid in bell:
             raise InvalidArgumentError(f"lambda set may not contain role node {nid!r}")
     return ids
-
-
-def _model_table(model: BoltzmannModel, lam_ids: Sequence[str]) -> np.ndarray:
-    """The model's weights over (s1, s2, sa, sb, lambda...), lambda axes in
-    lam_ids order, as the reader takes them. With lambda every hidden node
-    weight_table sums nothing and returns a transposed view of the model's
-    own tensor."""
-    return model.weight_table([*model.lattice.bell_ids(), *lam_ids])
 
 
 def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], ...]:
@@ -191,7 +183,7 @@ class _Scan:
     best and at hold, per quantity and cell, the largest value and the
     smallest lambda index that reaches it: od over (sa, sb), pd against
     analyzer a over (s2, b) and pd against analyzer b over (s1, a); a cell
-    without weight reads -1.
+    without weight reads -1. A masses-only read leaves the rest unset.
     """
 
     mass: np.ndarray
@@ -204,7 +196,7 @@ class _Scan:
 
 
 def _reduce_block(
-    w: np.ndarray, mass: np.ndarray, work: np.ndarray, single: bool, defect: bool
+    w: np.ndarray, mass: np.ndarray, work: np.ndarray, single: bool
 ) -> tuple[np.ndarray, int, int, float, float]:
     """od, pd and factorization reductions of one block w over (s1, s2, sa,
     sb, c) with setting masses mass; work is a buffer of w's shape.
@@ -217,8 +209,7 @@ def _reduce_block(
     takes a single value). w is overwritten with P(s1, s2 | sa, sb, lambda),
     zeroed on cells without weight. Returns the per-cell values (quantity,
     2, 2, c) described on _Scan, the skipped od cells and pd pairs, the
-    largest single-cell od term, and the factorization defect (-inf unless
-    defect is set).
+    largest single-cell od term, and the factorization defect.
     """
     valid = mass >= ZERO_MEASURE
     invalid = ~valid
@@ -261,8 +252,6 @@ def _reduce_block(
     np.copyto(pd_b, -1.0, where=~ok_b)
     pd_skipped = ok_a.size + ok_b.size - int(np.count_nonzero(ok_a) + np.count_nonzero(ok_b))
     od_skipped = int(np.count_nonzero(invalid))
-    if not defect:
-        return values, od_skipped, pd_skipped, od_max_cell, -np.inf
 
     # P(s1 | a, lambda) P(s2 | b, lambda) against P(s1, s2 | a, b, lambda).
     # A cell with weight has weight on both marginals (sums of nonnegative
@@ -280,9 +269,7 @@ def _reduce_block(
     return values, od_skipped, pd_skipped, od_max_cell, float(work.max())
 
 
-def _read(
-    table: np.ndarray, lam_bits: int, masses_only: bool = False, defect: bool = True
-) -> _Scan:
+def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     """Read a weight table one block of lambda values at a time.
 
     table is over (s1, s2, sa, sb, lambda...), its lambda axes in lam_ids
@@ -293,8 +280,7 @@ def _read(
     lambda axes in lam_ids order, so c runs in the order of the flat lambda
     index m, and m = m_inner[c] + m_outer. A cell's running best is
     replaced by a larger value, or by an equal one at a smaller m. With
-    masses_only the scan holds the masses alone; without defect it skips
-    the factorization check.
+    masses_only the scan holds the masses alone.
     """
     width = min(lam_bits, _LAM_BLOCK_BITS)
     w = np.empty((2, 2, 2, 2, 1 << width))
@@ -305,7 +291,7 @@ def _read(
         scan = _Scan(w.sum(axis=(0, 1)))
         if not masses_only:
             values, scan.od_skipped, scan.pd_skipped, scan.od_max_cell, scan.defect = (
-                _reduce_block(w, scan.mass, np.empty_like(w), lam_bits == 0, defect)
+                _reduce_block(w, scan.mass, np.empty_like(w), lam_bits == 0)
             )
             scan.best, scan.at = values.max(axis=-1), values.argmax(axis=-1)
         return scan
@@ -335,7 +321,7 @@ def _read(
         if masses_only:
             continue
         values, od_skipped, pd_skipped, od_max_cell, block_defect = _reduce_block(
-            w, mass, work, False, defect
+            w, mass, work, False
         )
         scan.od_skipped += od_skipped
         scan.pd_skipped += pd_skipped
@@ -348,6 +334,17 @@ def _read(
         np.copyto(scan.best, best, where=better)
         np.copyto(scan.at, at, where=better)
     return scan
+
+
+def _read_model(
+    model: BoltzmannModel, lam: Sequence[str] | None, masses_only: bool = False
+) -> tuple[_Scan, tuple[str, ...]]:
+    """Resolve lambda and read the model's weights over (s1, s2, sa, sb,
+    lambda...). With lambda every hidden node weight_table sums nothing and
+    returns a transposed view of the model's own tensor."""
+    lam_ids = _lambda_ids(model, lam)
+    table = model.weight_table([*model.lattice.bell_ids(), *lam_ids])
+    return _read(table, len(lam_ids), masses_only), lam_ids
 
 
 def _first_max(scan: _Scan, k: int) -> tuple[float, int, int, int]:
@@ -426,16 +423,14 @@ def measurement_dependence(
     model: BoltzmannModel, lam: Sequence[str] | None = None
 ) -> tuple[float, Witness]:
     """sup over setting pairs of sum_lambda |P(lambda|a,b) - P(lambda|a',b')|."""
-    lam_ids = _lambda_ids(model, lam)
-    return _md_result(_read(_model_table(model, lam_ids), len(lam_ids), masses_only=True).mass)
+    return _md_result(_read_model(model, lam, masses_only=True)[0].mass)
 
 
 def outcome_dependence(
     model: BoltzmannModel, lam: Sequence[str] | None = None
 ) -> tuple[float, Witness]:
     """sup over settings and lambda of the summed outcome-factorization defect."""
-    lam_ids = _lambda_ids(model, lam)
-    value, witness, _ = _od_result(_read(_model_table(model, lam_ids), len(lam_ids)), lam_ids)
+    value, witness, _ = _od_result(*_read_model(model, lam))
     return value, witness
 
 
@@ -444,10 +439,8 @@ def parameter_dependence(
 ) -> tuple[float, Witness]:
     """sup of the remote-setting sensitivity of one-sided outcome
     conditionals, over both sides."""
-    lam_ids = _lambda_ids(model, lam)
     id1, id2, _, _ = model.lattice.bell_ids()
-    scan = _read(_model_table(model, lam_ids), len(lam_ids))
-    value, witness, _ = _pd_result(scan, lam_ids, id1, id2)
+    value, witness, _ = _pd_result(*_read_model(model, lam), id1, id2)
     return value, witness
 
 
@@ -460,8 +453,7 @@ def factorizability_check(
 
     Returns (holds within tol, max absolute defect over nonnull cells).
     """
-    lam_ids = _lambda_ids(model, lam)
-    defect = _fact_result(_read(_model_table(model, lam_ids), len(lam_ids)))
+    defect = _fact_result(_read_model(model, lam)[0])
     return defect <= tol, defect
 
 
@@ -532,27 +524,14 @@ class IndependenceReport:
         return "\n".join(lines)
 
 
-def report_from_weights(
-    w5: np.ndarray,
-    lam_ids: Sequence[str],
-    id1: str,
-    id2: str,
+def independence_report(
+    model: BoltzmannModel,
+    lam: Sequence[str] | None = None,
     tol: float = 1e-9,
 ) -> IndependenceReport:
-    """Full report from a stabilized weight array over (s1, s2, sa, sb,
-    lambda-flat). Entry point for alternative ensemble constructions: the
-    array goes through the same block reader as the model's own weights."""
-    w5 = np.asarray(w5, dtype=float)
-    if w5.ndim != 5 or w5.shape[:4] != (2, 2, 2, 2) or w5.shape[4] != 1 << len(lam_ids):
-        raise InvalidArgumentError(f"weight array has shape {w5.shape}")
-    return _report(w5.reshape((2,) * (4 + len(lam_ids))), lam_ids, id1, id2, tol)
-
-
-def _report(
-    table: np.ndarray, lam_ids: Sequence[str], id1: str, id2: str, tol: float
-) -> IndependenceReport:
-    """The full report from a weight table as _read takes it."""
-    scan = _read(table, len(lam_ids))
+    """All three measures with premise verdicts at one tolerance."""
+    scan, lam_ids = _read_model(model, lam)
+    id1, id2, _, _ = model.lattice.bell_ids()
     md, w_md = _md_result(scan.mass)  # consumes scan.mass (see _Scan)
     od, w_od, od_max_cell = _od_result(scan, lam_ids)
     pd, w_pd, sides = _pd_result(scan, lam_ids, id1, id2)
@@ -572,17 +551,6 @@ def _report(
         factorization_defect=defect,
         skipped_cells=w_md.skipped_cells + w_od.skipped_cells + w_pd.skipped_cells,
     )
-
-
-def independence_report(
-    model: BoltzmannModel,
-    lam: Sequence[str] | None = None,
-    tol: float = 1e-9,
-) -> IndependenceReport:
-    """All three measures with premise verdicts at one tolerance."""
-    lam_ids = _lambda_ids(model, lam)
-    id1, id2, _, _ = model.lattice.bell_ids()
-    return _report(_model_table(model, lam_ids), lam_ids, id1, id2, tol)
 
 
 def reevaluate(model: BoltzmannModel, witness: Witness, lam: Sequence[str] | None = None) -> float:

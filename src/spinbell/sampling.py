@@ -69,8 +69,7 @@ class SampleRun:
     thinning: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
-            raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if self.n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {self.n}")
         if self.n > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:
@@ -85,7 +84,14 @@ class SampleRun:
             raise InvalidArgumentError(f"thinning must be >= 1, got {self.thinning}")
 
 
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def _generator(seed: int) -> np.random.Generator:
+    """The Philox stream of a seed; every seeded draw in the package starts here."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -38,17 +38,10 @@ from .errors import (
     NumericRangeError,
     ZeroMeasureConditionError,
 )
-from .independence import (
-    _md_pairs,
-    _md_result,
-    _model_table,
-    _od_result,
-    _pd_result,
-    _read,
-    measurement_dependence,
-)
+from .independence import _md_pairs, independence_report, measurement_dependence
 from .lattice import Lattice
 from .model import ZERO_MEASURE, BoltzmannModel, _check_cap, _energies, _stabilize, build_model
+from .sampling import _generator
 from ._format import csv_table, fmt
 
 __all__ = [
@@ -109,6 +102,12 @@ class SearchParam:
             )
         if not lo < hi:
             raise InvalidArgumentError(f"parameter {self.name!r} has empty range [{lo}, {hi}]")
+        # grid points, restarts and the center are read from these
+        if not (math.isfinite(hi - lo) and math.isfinite(lo + hi)):
+            raise InvalidArgumentError(
+                f"parameter {self.name!r} has range [{lo}, {hi}], whose width or midpoint "
+                "overflows a double"
+            )
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -302,9 +301,10 @@ def maximize_chsh(
     """Maximize the space's objective by seeded multistart pattern search.
 
     Restart 0 begins at start (default: the box center); later restarts are
-    drawn uniformly from the box with a Philox stream, so the whole search is
-    a pure function of (space, budget, seed, start). The returned incumbent
-    is certified by one fresh evaluation outside the search loop.
+    drawn uniformly from the box with the seed's Philox stream (a seed outside
+    [0, 2^64) raises InvalidArgumentError), so the whole search is a pure
+    function of (space, budget, seed, start). The returned incumbent is
+    certified by one fresh evaluation outside the search loop.
     """
     if budget < 1:
         raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
@@ -315,7 +315,7 @@ def maximize_chsh(
             f"need 0 < min_step <= initial_step, got {min_step}, {initial_step}"
         )
     first = space.center() if start is None else space._check(start)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _generator(seed)
 
     counter = [0]
     trajectory: list = []
@@ -336,10 +336,10 @@ def maximize_chsh(
             space, origin, budget, initial_step, min_step, counter, trajectory
         )
         done += 1
-        if score > best_score:
+        # a search where every point is degenerate keeps restart 0 at -inf
+        if best is None or score > best_score:
             best, best_score = values, score
 
-    assert best is not None
     recheck = space.evaluate(best)
     certified = math.isfinite(best_score) and abs(recheck - best_score) <= 1e-12
     return SearchResult(
@@ -361,6 +361,23 @@ class GridRow:
     pd: float
 
 
+def _grid_axis(p: SearchParam, resolution: int) -> list[float]:
+    """resolution points from lo to hi inclusive. On a range wider than the
+    double range over (resolution - 1), (hi - lo) * t overflows, so those
+    points take the fraction t / (resolution - 1) first. Rounding can carry
+    a point past hi (-0.1 + 0.4 > 0.3); it is clipped back."""
+    lo, hi = p.bounds
+    axis = []
+    for t in range(resolution):
+        offset = (hi - lo) * t
+        if math.isfinite(offset):
+            offset /= resolution - 1
+        else:
+            offset = (hi - lo) * (t / (resolution - 1))
+        axis.append(p.clip(lo + offset))
+    return axis
+
+
 def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
     """Dense scan: resolution points per axis, inclusive of both bounds.
 
@@ -369,28 +386,16 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
     """
     if resolution < 2:
         raise InvalidArgumentError(f"resolution must be >= 2, got {resolution}")
-    axes = []
-    for p in space.params:
-        lo, hi = p.bounds
-        axes.append([lo + (hi - lo) * t / (resolution - 1) for t in range(resolution)])
-    lam_ids = space.base.hidden_ids
-    id1, id2, _, _ = space.base.bell_ids()
+    axes = [_grid_axis(p, resolution) for p in space.params]
     rows = []
     for values in itertools.product(*axes):
         try:
             model = space._model(values)
-            table = conditional_table(model)
-            scan = _read(_model_table(model, lam_ids), len(lam_ids), defect=False)
-            row = GridRow(
-                values=tuple(values),
-                x_bi=chsh(table).x_bi,
-                md=_md_result(scan.mass)[0],  # consumes scan.mass
-                od=_od_result(scan, lam_ids)[0],
-                pd=_pd_result(scan, lam_ids, id1, id2)[0],
-            )
+            x_bi = chsh(conditional_table(model)).x_bi
+            report = independence_report(model)
         except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
             continue
-        rows.append(row)
+        rows.append(GridRow(tuple(values), x_bi, report.md, report.od, report.pd))
     return rows
 
 

@@ -12,7 +12,7 @@ import re
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbell.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, main
@@ -42,6 +42,11 @@ def config_file(tmp_path):
         )
     )
     return str(path)
+
+
+def _one_param_doc(**bounds):
+    """A search config over the ladder with one field group on node 1."""
+    return {"builtin": "ladder", "params": [{"name": "x", "kind": "h", "targets": ["1"], **bounds}]}
 
 
 # -- eval ---------------------------------------------------------------------------
@@ -484,6 +489,26 @@ def test_optimize_missing_config(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_optimize_seed_outside_64_bits(config_file, capsys, seed):
+    argv = ["optimize", "--config", config_file, "--budget", "5", f"--seed={seed}"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"seed must be a 64-bit unsigned integer, got {seed}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (1e308, 1.5e308)])
+def test_optimize_refuses_ranges_that_overflow(tmp_path, capsys, lo, hi):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_one_param_doc(lo=lo, hi=hi)))
+    for mode in (["--grid", "2"], ["--budget", "50"]):
+        assert main(["optimize", "--config", str(path), *mode]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"params[0]: parameter 'x' has range [{lo}, {hi}]" in err
+        assert "overflows a double" in err
+
+
 # -- chain --------------------------------------------------------------------------
 
 
@@ -592,3 +617,97 @@ def test_cli_fuzz_generated_lattices(tmp_path_factory, doc, lam):
             rc, err = _run_quietly(argv)
             assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_MISMATCH), (argv, err)
             assert "Traceback" not in err
+
+
+# -- fuzz: generated search configs -----------------------------------------------------
+
+# bounds inside and at the edge of the double range: two of the largest make a
+# range whose width or midpoint overflows
+_BOUNDS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-800.0, 1e308, -1e308, 1.5e308]))
+_SEARCH_BUILTINS = {"ladder": [["1", "a"], ["3", "6"], ["2", "b"]], "second-neighbor": [["a", "b"]]}
+
+
+def _mostly(valid, *invalid):
+    """valid values drawn six times as often as each invalid one"""
+    return st.sampled_from([*valid * 6, *invalid])
+
+
+@st.composite
+def _search_docs(draw):
+    """Search config documents over a built-in (or an unknown name) or a
+    generated lattice, with tied groups whose kinds, targets, bounds and
+    objective are mostly valid."""
+    builtin = draw(_mostly([*_SEARCH_BUILTINS, None], "nope"))
+    if builtin is None:
+        lattice = draw(_lattice_docs())
+        doc = {"lattice": lattice}
+        ids = [n["id"] for n in lattice["nodes"]]
+        pairs = [[e["a"], e["b"]] for e in lattice["edges"]]
+    else:
+        doc = {"builtin": builtin}
+        ids = list(_IDS[:6])
+        pairs = _SEARCH_BUILTINS.get(builtin, [])
+    params = []
+    for k in range(draw(_mostly([1, 2], 0))):
+        kind = draw(_mostly(["h", "j"], "x"))
+        target = _mostly(pairs, ["1", "zz"]) if kind == "j" else _mostly(ids, "zz")
+        targets = draw(st.lists(target, min_size=1, max_size=2))
+        param = {"name": f"p{k}", "kind": kind, "targets": targets}
+        bounds = [draw(_BOUNDS) for _ in range(draw(st.sampled_from([0, 1, 2, 2, 2])))]
+        if draw(_mostly([True], False)):
+            bounds.sort()
+        param.update(zip(("lo", "hi"), bounds))
+        params.append(param)
+    doc["params"] = params
+    if draw(st.booleans()):
+        doc["objective"] = draw(_mostly(["x_bi", "md"], "nope"))
+    return doc
+
+
+_SEARCH_OPTIONS = {
+    "--restarts": _mostly(["1", "3"], "0"),
+    "--step": _mostly(["0.5", "2"], "1e400", "nan", "-1"),
+    "--min-step": _mostly(["1e-3", "0.4"], "0", "nan"),
+}
+_SEEDS = st.sampled_from(["0", "7", str(2**64 - 1), "-1", str(2**64)])
+_START_VALUES = _mostly(["0", "0.5", "-2"], "1e308", "nan", "1e400")
+
+
+@settings(max_examples=150)
+@example(doc=_one_param_doc(), seed="-1", budget="25", options={}, start=None, grid="2")
+@example(
+    doc=_one_param_doc(lo=-1e308, hi=1e308), seed="0", budget="25", options={}, start=None, grid="2"
+)
+@given(
+    doc=_search_docs(),
+    seed=_SEEDS,
+    budget=_mostly(["1", "25"], "0"),
+    options=st.fixed_dictionaries({}, optional=_SEARCH_OPTIONS),
+    start=st.none() | st.lists(_START_VALUES, min_size=1, max_size=2),
+    grid=_mostly(["2", "3"], "1"),
+)
+def test_cli_fuzz_generated_search_configs(
+    tmp_path_factory, doc, seed, budget, options, start, grid
+):
+    """optimize, by pattern search and by grid scan, on generated configs:
+    every run ends with a documented exit code, with no traceback and no
+    warning, and a value refused as outside its range is one the user gave
+    with --start."""
+    path = tmp_path_factory.getbasetemp() / "search-fuzz.json"
+    path.write_text(json.dumps(doc))
+    search = ["optimize", "--config", str(path), f"--seed={seed}", f"--budget={budget}"]
+    search += [f"{key}={value}" for key, value in options.items()]
+    if start is not None:
+        search.append("--start=" + ",".join(start))
+    given_values = {str(float(v)) for v in start or ()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, user_values in (
+            (search, given_values),
+            (["optimize", "--config", str(path), "--grid", grid], set()),
+        ):
+            rc, err = _run_quietly(argv)
+            assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_MISMATCH), (argv, err)
+            assert "Traceback" not in err
+            outside = re.search(r"value (\S+) for parameter", err)
+            assert outside is None or outside.group(1) in user_values, (argv, err)

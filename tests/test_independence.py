@@ -27,10 +27,9 @@ from spinbell.independence import (
     pairwise_correlation_check,
     parameter_dependence,
     reevaluate,
-    report_from_weights,
 )
 from spinbell.lattice import Lattice
-from spinbell.model import ZERO_MEASURE, build_model
+from spinbell.model import ZERO_MEASURE, BoltzmannModel, build_model
 from spinbell.presets import (
     BUILTIN_LATTICES,
     canonical_ladder,
@@ -227,22 +226,6 @@ def test_pd_degenerate_when_no_flip_possible(pinned_analyzers):
         parameter_dependence(pinned_analyzers)
 
 
-# -- report_from_weights ------------------------------------------------------------
-
-
-def test_report_from_weights_shape_check():
-    with pytest.raises(InvalidArgumentError, match="shape"):
-        report_from_weights(np.ones((2, 2, 2, 2, 3)), ["x", "y"], "1", "2")
-
-
-def test_report_from_weights_matches_direct(ladder_model):
-    lam_ids = ladder_model.lattice.hidden_ids
-    direct = independence_report(ladder_model)
-    again = report_from_weights(_reference_weights(ladder_model, lam_ids), lam_ids, "1", "2")
-    assert again == direct
-    assert again.witnesses == direct.witnesses
-
-
 # -- the block reader against the whole-array reference ----------------------------
 # These are the whole-array cores that the block reader replaced: one
 # (s1, s2, sa, sb, lambda-flat) weight array, 16 ordered md setting pairs, and
@@ -401,12 +384,11 @@ def _outcome(fn, *args):
         return ("raised", type(exc), str(exc))
 
 
-ROUTES = ("independence_report", "clamped_independence_report", "report_from_weights")
+ROUTES = ("independence_report", "clamped_independence_report")
 
 
 def _routes(model, lam=None):
-    """(report, reference) per route: the direct and clamped routes and
-    report_from_weights."""
+    """(report, reference) per route: the direct and clamped routes."""
     lam_ids = model.lattice.hidden_ids if lam is None else tuple(lam)
     id1, id2, _, _ = model.lattice.bell_ids()
     w5 = _reference_weights(model, lam_ids)
@@ -420,10 +402,6 @@ def _routes(model, lam=None):
             lambda: _reference_report(
                 _reference_weights(clamped_models(model), lam_ids), lam_ids, id1, id2
             ),
-        ),
-        "report_from_weights": (
-            lambda: report_from_weights(w5, lam_ids, id1, id2),
-            lambda: _reference_report(w5, lam_ids, id1, id2),
         ),
     }
 
@@ -531,7 +509,8 @@ def test_block_boundaries_keep_every_field(
 def test_block_boundaries_after_an_exactly_factorizable_block(bits, monkeypatch):
     """A first block of uniform weights has a factorization defect of
     exactly 0; the next block, which holds the largest defect, and every
-    later one must still be checked."""
+    later one must still be checked. The nodes are declared last to first,
+    so the model's tensor is w5 over (s1, s2, sa, sb, lambda)."""
     monkeypatch.setattr(independence_mod, "_LAM_BLOCK_BITS", bits)
     lam_ids = ("3", "4", "5")
     c = 1 << bits
@@ -539,7 +518,10 @@ def test_block_boundaries_after_an_exactly_factorizable_block(bits, monkeypatch)
     w5[..., :c] = 0.5
     w5[..., c : 2 * c] = 1e-3
     w5[0, 0, ..., c : 2 * c] = w5[1, 1, ..., c : 2 * c] = 1.0  # outcomes aligned
-    got = report_from_weights(w5, lam_ids, "1", "2")
+    roles = {"1": "outcome1", "2": "outcome2", "a": "analyzer_a", "b": "analyzer_b"}
+    order = ["1", "2", "a", "b", *lam_ids][::-1]
+    lattice = Lattice.from_parts([(nid, roles.get(nid, "hidden")) for nid in order], [])
+    got = independence_report(BoltzmannModel(lattice, w5.reshape(-1).copy(), 0.0), lam_ids)
     _assert_reports_equal(got, _reference_report(w5, lam_ids, "1", "2"))
     assert got.factorization_defect > 0.0
 

@@ -54,6 +54,8 @@ def test_run_validation():
         SampleRun(seed=-1, n=10)
     with pytest.raises(InvalidArgumentError, match="seed"):
         SampleRun(seed=2**64, n=10)
+    with pytest.raises(InvalidArgumentError, match="seed must be a 64-bit unsigned integer, got 1.5"):
+        SampleRun(seed=1.5, n=10)
     with pytest.raises(InvalidArgumentError, match="count"):
         SampleRun(seed=0, n=0)
     with pytest.raises(InvalidArgumentError, match="4611686018427387904 .*cannot be addressed"):

@@ -72,6 +72,14 @@ def test_param_rejects_non_finite_bounds(lo, hi):
         SearchParam("p", "h", targets=("1",), lo=lo, hi=hi)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (1e308, 1.5e308), (-1.5e308, -1e308)])
+def test_param_rejects_ranges_that_overflow(lo, hi):
+    """hi - lo or lo + hi leaves the double range, so grid points, restart
+    origins or the center would not be finite."""
+    with pytest.raises(InvalidArgumentError, match=r"'p' has range \[.*\], whose width or mid"):
+        SearchParam("p", "h", targets=("1",), lo=lo, hi=hi)
+
+
 def test_param_default_bounds():
     assert SearchParam("p", "h", targets=("1",)).bounds == FIELD_BOUNDS
     assert SearchParam("p", "j", targets=(("1", "a"),)).bounds == COUPLING_BOUNDS
@@ -202,6 +210,47 @@ def test_search_validation():
         maximize_chsh(space, min_step=0.9, initial_step=0.5)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_search_rejects_seeds_outside_64_bits(seed):
+    message = f"seed must be a 64-bit unsigned integer, got {seed}"
+    with pytest.raises(InvalidArgumentError, match=message):
+        maximize_chsh(_two_param_space(), budget=5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+def test_search_restarts_draw_from_the_seeds_philox_stream(seed, monkeypatch):
+    origins = []
+
+    def descent(space, start, budget, initial_step, min_step, counter, trajectory):
+        origins.append(start)
+        counter[0] += 1
+        return start, 0.0
+
+    monkeypatch.setattr(search_mod, "_pattern_descent", descent)
+    space = _two_param_space()
+    maximize_chsh(space, budget=10, seed=seed, restarts=3)
+    rng = np.random.Generator(np.random.Philox(seed))
+    drawn = [
+        tuple(p.bounds[0] + (p.bounds[1] - p.bounds[0]) * rng.random() for p in space.params)
+        for _ in range(2)
+    ]
+    assert origins == [space.center(), *drawn]
+
+
+def test_search_where_every_point_is_degenerate():
+    # the analyzer row is tied at a huge coupling everywhere in the box, so
+    # every evaluation scores -inf and the first restart is kept
+    param = SearchParam(
+        "j_row", "j", targets=(("a", "6"), ("6", "7"), ("7", "8"), ("8", "b")), lo=450.0, hi=500.0
+    )
+    space = SearchSpace(base=canonical_ladder(), params=(param,))
+    res = maximize_chsh(space, budget=30, seed=2)
+    assert res.best_score == -math.inf
+    assert res.best_values == space.center()
+    assert not res.certified
+    assert res.restarts >= 2
+
+
 def test_search_md_objective():
     space = _two_param_space(objective="md")
     res = maximize_chsh(space, budget=200, seed=0)
@@ -257,6 +306,29 @@ def test_grid_scan_skips_points_without_pd():
 def test_grid_scan_resolution_validation():
     with pytest.raises(InvalidArgumentError, match="resolution"):
         grid_scan(_two_param_space(), resolution=1)
+
+
+def test_grid_axis_stays_inside_the_range():
+    # -0.1 + (0.3 - -0.1) rounds to 0.30000000000000004, past hi
+    narrow = SearchParam("p", "h", targets=("1",), lo=-0.1, hi=0.3)
+    assert search_mod._grid_axis(narrow, 2) == [-0.1, 0.3]
+    space = SearchSpace(base=canonical_ladder(), params=(narrow,))
+    assert [r.values for r in grid_scan(space, resolution=3)] == [(-0.1,), (0.1,), (0.3,)]
+    # (hi - lo) * t overflows from t = 2 on; the points stay finite and
+    # ordered, and lo + (hi - lo) ends within rounding of hi
+    wide = SearchParam("p", "h", targets=("1",), lo=-1e308, hi=1e307)
+    axis = search_mod._grid_axis(wide, 5)
+    assert axis[0] == -1e308 and axis[-1] == pytest.approx(1e307, rel=1e-14)
+    assert all(math.isfinite(x) for x in axis) and axis == sorted(axis)
+    assert axis[2] == -1e308 + 1.1e308 * 0.5
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 3.0), (0.0, 4.0), (-0.7, 1.3), (0.5, 800.0)])
+def test_grid_axis_points_inside_the_range_are_unchanged(lo, hi):
+    param = SearchParam("p", "h", targets=("1",), lo=lo, hi=hi)
+    for resolution in (2, 3, 5, 7):
+        plain = [lo + (hi - lo) * t / (resolution - 1) for t in range(resolution)]
+        assert search_mod._grid_axis(param, resolution) == [min(x, hi) for x in plain]
 
 
 def test_grid_csv_header_and_rows():
