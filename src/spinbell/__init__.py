@@ -36,11 +36,7 @@ from .freewill import (
     clamp_reduce,
     clamped_independence_report,
     clamped_models,
-    equivalence_discrepancy,
-    ex1_table,
-    ex2_table,
     freewill_report,
-    partition_gap,
 )
 from .independence import (
     IndependenceReport,
@@ -155,10 +151,6 @@ __all__ = [
     # freewill
     "clamp_reduce",
     "clamped_models",
-    "ex1_table",
-    "ex2_table",
-    "equivalence_discrepancy",
-    "partition_gap",
     "assert_equivalence",
     "clamped_independence_report",
     "FreewillReport",

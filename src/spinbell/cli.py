@@ -38,10 +38,10 @@ from .errors import (
     ZeroMeasureConditionError,
 )
 from .freewill import freewill_report
-from .independence import independence_report
+from .independence import independence_report, measurement_dependence
 from .latticefile import load_lattice, load_search_config
 from .model import build_model
-from .presets import BUILTIN_LATTICES, all_cases, builtin_lattice, get_case
+from .presets import BUILTIN_LATTICES, all_cases, builtin_lattice, chain_lattice, get_case
 from .sampling import SampleRun, frequency_report
 from .search import grid_csv, grid_scan, maximize_chsh
 from .series import (
@@ -275,9 +275,6 @@ def _cmd_chain(args) -> int:
         f"  md (per-configuration)  = {fmt(per_config, args.precision)}",
     ]
     if args.check:
-        from .independence import measurement_dependence
-        from .presets import chain_lattice
-
         j = float(np.arctanh(args.k))
         model = build_model(chain_lattice(args.n, j=j))
         md, _ = measurement_dependence(model)

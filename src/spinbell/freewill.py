@@ -1,19 +1,20 @@
 """Two derivations of the outcome table that must agree exactly.
 
-Route one (ex1) postselects: P(s1, s2 | sa, sb) as a ratio of ensemble weight
-sums over the full enumeration. Route two (ex2) clamps: for each of the four
-analyzer settings, the analyzer spins are frozen at those values, couplings
-and triples involving them collapse into fields and constants on the free
-nodes, and the 2^(N-2) remaining configurations are enumerated afresh with
-their own restricted partition sum Z*.
+Route one postselects: P(s1, s2 | sa, sb) as a ratio of ensemble weight sums
+over the full enumeration, conditional_table(model). Route two clamps: for
+each of the four analyzer settings, the analyzer spins are frozen at those
+values, couplings and triples involving them collapse into fields and
+constants on the free nodes, and the 2^(N-2) remaining configurations are
+enumerated afresh with their own restricted partition sum Z*.
 
 The four clamped ensembles are stacked into one model (clamped_models): the
 parent lattice with the analyzers moved to the top two bits, so each setting
 owns one contiguous quarter of the weights. Every clamped quantity is then
-the ordinary API read on that model: the outcome table is its
-conditional_table and the clamped independence report its
-independence_report. A setting without weight is skipped or refused exactly
-as on the direct route.
+the ordinary API read on that model: the outcome table is
+conditional_table(clamped_models(model)), the four Z* its weight_table over
+the analyzers, and the clamped independence report its independence_report.
+A setting without weight is skipped or refused exactly as on the direct
+route. freewill_report compares the two tables cell by cell.
 
 Both routes share one stabilization shift (the parent model's energy
 minimum), so their ratios agree to machine precision rather than merely to
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bell import ConditionalTable, conditional_table
+from .bell import conditional_table
 from .errors import EquivalenceViolationError, InvalidArgumentError
 from .lattice import CubicTerm, Edge, Lattice, Node, Spin, _check_config
 from .model import BoltzmannModel, _weights
@@ -40,10 +41,6 @@ from ._format import SPINS, csv_table, fmt
 __all__ = [
     "clamp_reduce",
     "clamped_models",
-    "ex1_table",
-    "ex2_table",
-    "equivalence_discrepancy",
-    "partition_gap",
     "assert_equivalence",
     "clamped_independence_report",
     "FreewillReport",
@@ -133,28 +130,6 @@ def clamped_models(model: BoltzmannModel) -> BoltzmannModel:
     return BoltzmannModel(stacked, weights, model.shift)
 
 
-def ex1_table(model: BoltzmannModel) -> ConditionalTable:
-    """Outcome table by postselection: conditional weight ratios over the
-    full enumeration."""
-    return conditional_table(model)
-
-
-def ex2_table(model: BoltzmannModel) -> ConditionalTable:
-    """Outcome table from the four clamped ensembles: restricted weight sums
-    over Z*."""
-    return conditional_table(clamped_models(model))
-
-
-def equivalence_discrepancy(model: BoltzmannModel) -> float:
-    """max over the 16 cells of |ex1 - ex2|."""
-    return freewill_report(model).max_discrepancy
-
-
-def partition_gap(model: BoltzmannModel) -> float:
-    """Relative gap |sum of Z* - Z| / Z over the four settings."""
-    return freewill_report(model).partition_gap
-
-
 def assert_equivalence(model: BoltzmannModel, tol: float = 1e-12) -> float:
     """Check both the 16-cell table identity and the partition of unity.
 
@@ -214,16 +189,17 @@ class FreewillReport:
 
 
 def freewill_report(model: BoltzmannModel) -> FreewillReport:
-    one = ex1_table(model)
+    one = conditional_table(model)
     clamped = clamped_models(model)
     two = conditional_table(clamped)
     cells = [
         (s1, s2, sa, sb, one.entry(s1, s2, sa, sb), two.entry(s1, s2, sa, sb))
         for sa, sb, s1, s2 in itertools.product(SPINS, repeat=4)
     ]
+    _, _, ida, idb = model.lattice.bell_ids()
     total = 0.0
-    # the quarters' Z* left to right: sum() compensates on Python >= 3.12
-    for z_star in clamped.weights.reshape(4, -1).sum(axis=1):
+    # the four Z* in (sa, sb) order, left to right: sum() compensates on Python >= 3.12
+    for z_star in clamped.weight_table([ida, idb]).ravel():
         total += float(z_star)
     return FreewillReport(
         cells=tuple(cells),

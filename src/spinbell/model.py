@@ -350,22 +350,21 @@ class BoltzmannModel:
         return w / total
 
 
-def _check_cap(n: int, cap: int | None = None) -> None:
+def _check_cap(n: int) -> None:
     """Refuse to enumerate n spins beyond the cap (see build_model)."""
-    limit = enumeration_cap() if cap is None else int(cap)
+    limit = enumeration_cap()
     if n > limit:
         raise EnumerationLimitError(
-            f"lattice has {n} spins; enumeration cap is {limit} "
-            f"(override with {ENUM_CAP_ENV} or the cap argument)"
+            f"lattice has {n} spins; enumeration cap is {limit} (override with {ENUM_CAP_ENV})"
         )
 
 
-def build_model(lattice: Lattice, cap: int | None = None) -> BoltzmannModel:
+def build_model(lattice: Lattice) -> BoltzmannModel:
     """Enumerate the full ensemble for a lattice.
 
-    cap limits the number of spins (default from SPINBELL_ENUM_CAP or 24);
-    beyond it the 2^N table would not fit and EnumerationLimitError is raised.
+    The number of spins is capped (SPINBELL_ENUM_CAP, default 24); beyond the
+    cap the 2^N table would not fit and EnumerationLimitError is raised.
     """
-    _check_cap(lattice.n, cap)
+    _check_cap(lattice.n)
     weights, shift = _weights(lattice)
     return BoltzmannModel(lattice, weights, shift)

@@ -34,7 +34,7 @@ from .lattice import Lattice, NodeRole
 from .model import build_model
 from .independence import independence_report, measurement_dependence
 from .series import chain_md_closed
-from .freewill import equivalence_discrepancy
+from .freewill import freewill_report
 
 __all__ = [
     "canonical_ladder",
@@ -385,7 +385,7 @@ def _run_quantum_cosine() -> dict[str, float]:
 
 
 def _run_free_will() -> dict[str, float]:
-    return {"route discrepancy": equivalence_discrepancy(build_model(tuned_ladder()))}
+    return {"route discrepancy": freewill_report(build_model(tuned_ladder())).max_discrepancy}
 
 
 def _run_weak_coupling() -> dict[str, float]:

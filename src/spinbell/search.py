@@ -415,13 +415,18 @@ class PlacementResult:
         return f"x_bi={self.x_bi:.6f} md={self.md:.6f} [{spots}]"
 
 
-def _placements(columns: int, dedup_symmetry: bool) -> Iterator[tuple[int, ...]]:
+def _placements(
+    columns: int, fields: Sequence[float], dedup_symmetry: bool
+) -> Iterator[tuple[int, ...]]:
     """Role placements as position indices (outcome1, outcome2, analyzer_a,
     analyzer_b), in permutation order.
 
-    With dedup_symmetry only the first placement of each orbit under the
-    grid's row and column flips is kept. Position index r * columns + c is
-    row r ("t" = 0, "u" = 1), column c, as in grid_positions.
+    With dedup_symmetry only the first placement of each orbit is kept,
+    under those of the grid's row and column flips that map every position
+    onto one with the same field (fields[k] is position k's). The couplings
+    are the same under every flip, so the fields alone decide. Position
+    index r * columns + c is row r ("t" = 0, "u" = 1), column c, as in
+    grid_positions.
     """
     combos = itertools.permutations(range(2 * columns), 4)
     if not dedup_symmetry:
@@ -432,6 +437,7 @@ def _placements(columns: int, dedup_symmetry: bool) -> Iterator[tuple[int, ...]]
          for r in (0, 1) for c in range(columns)]
         for fr, fc in itertools.product((0, 1), repeat=2)
     ]
+    flips = [f for f in flips if all(fields[f[k]] == h for k, h in enumerate(fields))]
     seen: set = set()
     for combo in combos:
         if combo not in seen:
@@ -516,9 +522,9 @@ def role_permutation_search(
 ) -> list[PlacementResult]:
     """Try the four measurement roles on every slot of the two-row grid.
 
-    Placements equivalent under the grid's horizontal/vertical flips are
-    evaluated once when dedup_symmetry is set (and when the field pattern is
-    itself flip-symmetric, which the caller must ensure). Returns the top
+    With dedup_symmetry, placements equivalent under a horizontal/vertical
+    flip of the grid that keeps every position's field are evaluated once;
+    fields without such a flip get the full sweep. Returns the top
     placements by the CHSH combination, ties broken by placement order.
     fields is one shared h or a position -> h mapping over the names of
     grid_positions(columns); an unknown position raises InvalidArgumentError.
@@ -546,7 +552,8 @@ def role_permutation_search(
     except NumericRangeError:
         return []
     by_outcomes: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for combo in _placements(columns, dedup_symmetry):
+    fields_at = [node.h for node in model.lattice.nodes]  # nodes in position order
+    for combo in _placements(columns, fields_at, dedup_symmetry):
         by_outcomes.setdefault(combo[:2], []).append(combo)
     labels = ("outcome1", "outcome2", "analyzer_a", "analyzer_b")
     set_sums: dict[tuple[int, ...], np.ndarray] = {}

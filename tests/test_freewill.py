@@ -12,17 +12,14 @@ import numpy as np
 import pytest
 
 from spinbell import freewill
+from spinbell.bell import conditional_table
 from spinbell.errors import EquivalenceViolationError, InvalidArgumentError, SpinbellError
 from spinbell.freewill import (
     assert_equivalence,
     clamp_reduce,
     clamped_independence_report,
     clamped_models,
-    equivalence_discrepancy,
-    ex1_table,
-    ex2_table,
     freewill_report,
-    partition_gap,
 )
 from spinbell.independence import independence_report
 from spinbell.lattice import Lattice, energy
@@ -112,14 +109,14 @@ def test_equivalence_on_builtins(builder):
     model = build_model(builder())
     disc = assert_equivalence(model, tol=1e-12)
     assert disc <= 1e-12
-    assert partition_gap(model) <= 1e-12
+    assert freewill_report(model).partition_gap <= 1e-12
 
 
 def test_tables_agree_cellwise(rng):
     for _ in range(8):
         model = build_model(random_bell_lattice(rng))
-        one = ex1_table(model).values
-        two = ex2_table(model).values
+        one = conditional_table(model).values
+        two = conditional_table(clamped_models(model)).values
         assert np.max(np.abs(one - two)) <= 1e-12
 
 
@@ -141,7 +138,7 @@ def test_equivalence_violation_raises():
 
 def test_discrepancy_nonzero_but_tiny(rng):
     model = build_model(random_bell_lattice(rng, "dense"))
-    assert 0.0 <= equivalence_discrepancy(model) <= 1e-13
+    assert 0.0 <= freewill_report(model).max_discrepancy <= 1e-13
 
 
 # -- clamped independence route ------------------------------------------------------

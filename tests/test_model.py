@@ -378,11 +378,13 @@ def test_joint_table_normalized(rng):
 # -- enumeration cap ---------------------------------------------------------------
 
 
-def test_cap_blocks_large_lattices():
+def test_cap_blocks_large_lattices(monkeypatch):
     lat = Lattice.from_parts(nodes=[(f"n{i}",) for i in range(6)], edges=[])
+    monkeypatch.setenv(ENUM_CAP_ENV, "5")
     with pytest.raises(EnumerationLimitError, match="cap"):
-        build_model(lat, cap=5)
-    assert build_model(lat, cap=6).n == 6
+        build_model(lat)
+    monkeypatch.setenv(ENUM_CAP_ENV, "6")
+    assert build_model(lat).n == 6
 
 
 def test_cap_env_override(monkeypatch):

@@ -364,7 +364,6 @@ def test_placement_no_dedup_superset(placement_results):
 def test_placement_fields_are_read_by_position():
     with pytest.raises(InvalidArgumentError, match=r"unknown grid position \(0, 1\)"):
         role_permutation_search(j=1.0, fields={(0, 1): 0.5}, top=1)
-    # one field on a corner: the symmetric dedup would be wrong, so list all
     named = role_permutation_search(j=1.0, fields={"t0": 0.5}, top=0, dedup_symmetry=False)
     flat = role_permutation_search(j=1.0, fields=0.0, top=0, dedup_symmetry=False)
     assert [r.x_bi for r in named] != [r.x_bi for r in flat]
@@ -388,36 +387,48 @@ def test_placement_top_truncates(placement_results):
 # -- shared enumerations: placements and energy columns --------------------------------
 
 
-def _canonical_placement(placement: dict, columns: int) -> tuple:
-    """Least representative under the grid's flip symmetries.
+def _flipped(pos: str, flip_r: bool, flip_c: bool, columns: int) -> str:
+    """Position name ("t3", "u0") under the grid flips: the vertical flip
+    swaps the rows, the horizontal flip reverses the columns."""
+    row, col = pos[0], int(pos[1:])
+    if flip_r:
+        row = "u" if row == "t" else "t"
+    if flip_c:
+        col = columns - 1 - col
+    return f"{row}{col}"
 
-    Position names are row letter + column index ("t3", "u0"); the vertical
-    flip swaps the rows, the horizontal flip reverses the columns.
-    """
-    variants = []
-    for flip_r, flip_c in itertools.product((False, True), repeat=2):
-        mapped = []
-        for pos, label in placement.items():
-            row, col = pos[0], int(pos[1:])
-            if flip_r:
-                row = "u" if row == "t" else "t"
-            if flip_c:
-                col = columns - 1 - col
-            mapped.append((f"{row}{col}", label))
-        variants.append(tuple(sorted(mapped)))
-    return min(variants)
+
+def _field_flips(fields, columns: int) -> list:
+    """The flips that map every position onto one with the same field."""
+    positions = grid_positions(columns)
+    field_of = {p: fields.get(p, 0.0) if isinstance(fields, dict) else fields for p in positions}
+    return [
+        flip
+        for flip in itertools.product((False, True), repeat=2)
+        if all(field_of[_flipped(p, *flip, columns)] == field_of[p] for p in positions)
+    ]
+
+
+def _canonical_placement(placement: dict, columns: int, flips: list) -> tuple:
+    """Least representative under the given flips."""
+    return min(
+        tuple(sorted((_flipped(pos, *flip, columns), label) for pos, label in placement.items()))
+        for flip in flips
+    )
 
 
 def _reference_placements(dedup_symmetry, **grid):
     """One grid_lattice + build_model per placement: the definition that the
-    shared-model sweep must reproduce exactly."""
+    shared-model sweep must reproduce exactly. The dedup folds placements
+    under the grid flips that the fields keep."""
     labels = ("outcome1", "outcome2", "analyzer_a", "analyzer_b")
+    flips = _field_flips(grid.get("fields", 0.0), grid["columns"])
     seen = set()
     results = []
     for combo in itertools.permutations(grid_positions(grid["columns"]), 4):
         placement = dict(zip(combo, labels))
         if dedup_symmetry:
-            key = _canonical_placement(placement, grid["columns"])
+            key = _canonical_placement(placement, grid["columns"], flips)
             if key in seen:
                 continue
             seen.add(key)
@@ -448,9 +459,27 @@ _GRID4 = dict(
 
 @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "full"])
 def test_placements_equal_per_placement_builds(dedup):
+    # _GRID4's fields keep no flip, so the dedup sweep is the full one
     got = role_permutation_search(top=0, dedup_symmetry=dedup, **_GRID4)
-    assert len(got) == (420 if dedup else 1680)
+    assert len(got) == 1680
     assert got == _reference_placements(dedup, **_GRID4)
+
+
+_EDGE_FIELDS = (0.3, -0.2, -0.2, 0.3)  # the same under the column flip
+
+
+@pytest.mark.parametrize(
+    ("bottom", "count"),
+    [(_EDGE_FIELDS, 1680 // 4), ((-0.1, 0.25, 0.25, -0.1), 1680 // 2)],
+    ids=["both-flips", "column-flip"],
+)
+def test_placement_dedup_folds_the_flips_the_fields_keep(bottom, count):
+    fields = {f"t{c}": h for c, h in enumerate(_EDGE_FIELDS)}
+    fields.update({f"u{c}": h for c, h in enumerate(bottom)})
+    grid = {**_GRID4, "fields": fields}
+    got = role_permutation_search(top=0, dedup_symmetry=True, **grid)
+    assert len(got) == count
+    assert got == _reference_placements(True, **grid)
 
 
 _ZERO_GRID = dict(

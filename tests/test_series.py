@@ -71,6 +71,13 @@ def test_default_k_grid():
     assert DEFAULT_K_GRID == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
+@pytest.mark.parametrize("k", DEFAULT_K_GRID)
+def test_ladder_partition_sum_matches_enumeration(k):
+    j = math.atanh(k)
+    z = build_model(canonical_ladder(j=j)).z
+    assert series.ladder_partition_sum(SeriesContext.ladder(j=j)) == pytest.approx(z, rel=1e-12)
+
+
 def test_series_check_reduced_grid():
     report = series_check(k_values=(0.0, 0.3, 0.6, 0.9), chain_n=6)
     assert report.ok(1e-9)
