@@ -181,8 +181,13 @@ class Lattice:
         """
         built = []
         defaults = (NodeRole.HIDDEN, 0.0)
-        for item in nodes:
+        for pos, item in enumerate(nodes):
             item = tuple(item)
+            if not 1 <= len(item) <= 3:
+                raise LatticeDefinitionError(
+                    f"node entry {pos} has {len(item)} fields; expected (id,), (id, role) "
+                    "or (id, role, h)"
+                )
             nid, role, h = item + defaults[len(item) - 1 :]
             if isinstance(role, str) and not isinstance(role, NodeRole):
                 role = NodeRole.from_label(role)

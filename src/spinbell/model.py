@@ -32,7 +32,7 @@ from .errors import (
     ZeroMeasureConditionError,
 )
 from .lattice import Lattice, Spin, _check_config
-from ._format import fmt_assignment
+from ._format import fmt_assignment, spin_index, spin_of
 
 __all__ = [
     "ZERO_MEASURE",
@@ -194,7 +194,9 @@ class BoltzmannModel:
     The stabilized weight vector is exposed read-only; its reshape to a
     (2,)*N tensor maps the node at declaration position k to tensor axis
     N-1-k (numpy C order puts the most significant bit on axis 0), with
-    index 1 on an axis meaning spin +1.
+    index 1 on an axis meaning spin +1. Only this class reads that tensor:
+    weight_table is the one reduction onto nodes, and weight_sum the
+    single-event reference.
     """
 
     __slots__ = ("lattice", "weights", "shift", "z_shifted", "log_z", "_tensor", "_index")
@@ -241,7 +243,7 @@ class BoltzmannModel:
         """Full configuration for an integer word."""
         if not 0 <= word < (1 << self.n):
             raise InvalidArgumentError(f"configuration word {word} out of range")
-        return {nid: (1 if (word >> k) & 1 else -1) for nid, k in self._index.items()}
+        return {nid: spin_of((word >> k) & 1) for nid, k in self._index.items()}
 
     def event_mask(self, assignment: Mapping[str, Spin]) -> tuple[int, int]:
         """(mask, pattern) over words: word matches iff word & mask == pattern."""
@@ -266,7 +268,7 @@ class BoltzmannModel:
         n = self.n
         sel: list = [slice(None)] * n
         for nid, s in assignment.items():
-            sel[n - 1 - self._index[nid]] = 1 if s == 1 else 0
+            sel[n - 1 - self._index[nid]] = spin_index(s)
         sub = self._tensor[tuple(sel)]
         return float(sub.sum()) if getattr(sub, "ndim", 0) else float(sub)
 
@@ -292,60 +294,34 @@ class BoltzmannModel:
             )
         return self.weight_sum({**target, **given}) / w_given
 
-    def weight_table(
-        self,
-        node_ids: Sequence[str],
-        given: Mapping[str, Spin] | None = None,
-    ) -> np.ndarray:
+    def weight_table(self, node_ids: Sequence[str]) -> np.ndarray:
         """Stabilized weights summed onto the requested nodes.
 
         Axis j of the result belongs to node_ids[j]; index 1 means spin +1.
         The table is unnormalized (divide by its sum for a distribution).
+        When every node is requested, no axis is summed and the table is a
+        transposed view of the weights.
         """
         if not node_ids:
             raise InvalidArgumentError("weight_table needs at least one node")
         if len(set(node_ids)) != len(node_ids):
             raise InvalidArgumentError(f"repeated nodes in table request: {list(node_ids)}")
-        given = dict(given or {})
-        overlap = set(node_ids) & set(given)
-        if overlap:
-            raise InvalidConfigurationError(
-                f"table nodes and condition overlap on nodes: {sorted(overlap)}"
-            )
         for nid in node_ids:
             if nid not in self._index:
                 raise InvalidConfigurationError(f"unknown node {nid!r} in table request")
-        _check_config(self.lattice, given, require_full=False)
-
         n = self.n
-        sel: list = [slice(None)] * n
-        for nid, s in given.items():
-            sel[n - 1 - self._index[nid]] = 1 if s == 1 else 0
-        sub = self._tensor[tuple(sel)]
-        # axes of sub: surviving nodes in descending declaration order
-        ids = self.lattice.node_ids
-        surviving = [k for k in range(n - 1, -1, -1) if ids[k] not in given]
-        wanted = {self._index[nid] for nid in node_ids}
-        drop = tuple(pos for pos, k in enumerate(surviving) if k not in wanted)
-        summed = sub.sum(axis=drop) if drop else sub
-        kept = [k for k in surviving if k in wanted]
-        perm = tuple(kept.index(self._index[nid]) for nid in node_ids)
-        return summed.transpose(perm)
+        axes = [n - 1 - self._index[nid] for nid in node_ids]
+        drop = tuple(a for a in range(n) if a not in axes)
+        summed = self._tensor.sum(axis=drop) if drop else self._tensor
+        kept = sorted(axes)  # the axes of summed
+        return summed.transpose([kept.index(a) for a in axes])
 
-    def joint_table(
-        self,
-        node_ids: Sequence[str],
-        given: Mapping[str, Spin] | None = None,
-    ) -> np.ndarray:
-        """Exact joint distribution over the requested nodes, optionally
-        conditioned. Same axis convention as weight_table."""
-        w = self.weight_table(node_ids, given)
+    def joint_table(self, node_ids: Sequence[str]) -> np.ndarray:
+        """Exact joint distribution over the requested nodes. Same axis
+        convention as weight_table."""
+        w = self.weight_table(node_ids)
         total = float(w.sum())
         if total < ZERO_MEASURE:
-            if given:
-                raise ZeroMeasureConditionError(
-                    f"conditioning event {fmt_assignment(dict(given))} has weight {total!r}"
-                )
             raise DegenerateModelError("all configurations carry zero weight")
         return w / total
 

@@ -49,6 +49,7 @@ __all__ = [
     "grid_edge_pairs",
     "diagonal_pairs",
     "BUILTIN_LATTICES",
+    "builtin_lattice",
     "Quantity",
     "QuantityResult",
     "ReproductionCase",

@@ -446,24 +446,23 @@ def _placements(
 
 
 def _placement_x_bi(
-    tensor: np.ndarray, combos: list[tuple[int, ...]], set_sums: dict
+    model: BoltzmannModel, combos: list[tuple[int, ...]], set_sums: dict
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The placements that give every setting weight, and their CHSH
     combinations.
 
     A placement's (o1, o2, a, b) weights are a transpose of its four-node
-    set's sum, kept in set_sums; its setting masses are summed on that
-    view, as conditional_table sums them.
+    set's weight table, kept in set_sums; its setting masses are summed on
+    that view, as conditional_table sums them.
     """
-    n = tensor.ndim
+    ids = model.lattice.node_ids
     weights = np.empty((len(combos), 2, 2, 2, 2))
     masses = np.empty((len(combos), 2, 2))
     for i, combo in enumerate(combos):
-        by_axis = sorted(combo, reverse=True)  # the order of their tensor axes
-        key = tuple(by_axis)
+        key = tuple(sorted(combo))
         if key not in set_sums:
-            set_sums[key] = tensor.sum(axis=tuple(a for a in range(n) if n - 1 - a not in combo))
-        view = set_sums[key].transpose([by_axis.index(k) for k in combo])
+            set_sums[key] = model.weight_table([ids[k] for k in key])
+        view = set_sums[key].transpose([key.index(k) for k in combo])
         weights[i] = view
         masses[i] = view.sum(axis=(0, 1))
     keep = ~(masses < ZERO_MEASURE).any(axis=(1, 2))
@@ -479,21 +478,22 @@ def _placement_x_bi(
 _MD_BATCH_BYTES = 1 << 18
 
 
-def _placement_md(tensor: np.ndarray, combos: list[tuple[int, ...]]) -> np.ndarray:
+def _placement_md(model: BoltzmannModel, combos: list[tuple[int, ...]]) -> np.ndarray:
     """md of placements that share their outcome nodes, lambda being the
     other positions in grid order.
 
     Every (a, b, lambda) weight table is a transpose of one sum over the
-    two outcome axes.
+    two outcome axes of the full weight table.
     """
-    n = tensor.ndim
+    n = model.n
     md = np.empty(len(combos))
     if not combos:
         return md
     o1, o2 = combos[0][:2]
     rest = [k for k in range(n) if k not in (o1, o2)]
-    order = [n - 1 - k for k in (o1, o2, *rest)]
-    summed = np.ascontiguousarray(tensor.transpose(order)).sum(axis=(0, 1))
+    ids = model.lattice.node_ids
+    table = model.weight_table([ids[k] for k in (o1, o2, *rest)])
+    summed = np.ascontiguousarray(table).sum(axis=(0, 1))
     cells = 16 << (n - 4)  # setting pairs times lambda states, per placement
     step = max(1, _MD_BATCH_BYTES // (8 * cells))
     for lo in range(0, len(combos), step):
@@ -525,23 +525,27 @@ def role_permutation_search(
     With dedup_symmetry, placements equivalent under a horizontal/vertical
     flip of the grid that keeps every position's field are evaluated once;
     fields without such a flip get the full sweep. Returns the top
-    placements by the CHSH combination, ties broken by placement order.
-    fields is one shared h or a position -> h mapping over the names of
-    grid_positions(columns); an unknown position raises InvalidArgumentError.
+    placements by the CHSH combination, ties broken by placement order;
+    top 0 returns every placement, and a negative top raises
+    InvalidArgumentError. fields is one shared h or a position -> h
+    mapping over the names of grid_positions(columns); an unknown position
+    raises InvalidArgumentError.
 
     Roles do not enter the energy, so the grid is enumerated once and every
-    placement is a view of its tensor (position k on axis n-1-k). The CHSH
-    tables come from one sum per unordered four-node set, and md from one
-    sum over the two outcomes per ordered outcome pair, with lambda the
-    remaining positions in grid order. Each sum, and each per-placement
-    reduction, adds the same terms in the same order as weight_table and
-    measurement_dependence on that placement, so every x_bi and md is
-    bit-identical to a per-placement build. Placements are evaluated in
+    placement is a view of its weight tables. The CHSH tables come from one
+    weight_table per unordered four-node set, and md from one sum over the
+    two outcomes of the full weight table per ordered outcome pair, with
+    lambda the remaining positions in grid order. Each sum, and each
+    per-placement reduction, adds the same terms in the same order as
+    weight_table and measurement_dependence on that placement, so every
+    x_bi and md is bit-identical to a per-placement build. Placements are evaluated in
     groups that share their outcome nodes, so each numpy work array holds
     one group.
     """
     from .presets import grid_lattice, grid_positions
 
+    if top < 0:
+        raise InvalidArgumentError(f"top must be >= 0, got {top}")
     positions = grid_positions(columns)
     if len(positions) < 4:  # no placement fits, and an empty grid would not build
         return []
@@ -559,8 +563,8 @@ def role_permutation_search(
     set_sums: dict[tuple[int, ...], np.ndarray] = {}
     results = []
     for group in by_outcomes.values():
-        placed, x_bi = _placement_x_bi(model._tensor, group, set_sums)
-        md = _placement_md(model._tensor, placed)
+        placed, x_bi = _placement_x_bi(model, group, set_sums)
+        md = _placement_md(model, placed)
         results += [
             PlacementResult(
                 placement=tuple(sorted(zip((positions[k] for k in combo), labels))),
@@ -570,4 +574,4 @@ def role_permutation_search(
             for combo, x, m in zip(placed, x_bi.tolist(), md.tolist())
         ]
     results.sort(key=lambda r: (-r.x_bi, r.placement))
-    return results[: top if top else len(results)]
+    return results[: top or None]

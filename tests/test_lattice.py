@@ -129,6 +129,13 @@ def test_from_parts_padding():
     assert lat.node("3").role is NodeRole.HIDDEN
 
 
+@pytest.mark.parametrize("entry", [(), ("x", "hidden", 0.0, 1.0)], ids=["empty", "four"])
+def test_from_parts_rejects_bad_node_tuple(entry):
+    nodes = [("y",), entry]
+    with pytest.raises(LatticeDefinitionError, match=f"node entry 1 has {len(entry)} fields"):
+        Lattice.from_parts(nodes, [])
+
+
 # -- lookups -------------------------------------------------------------------
 
 

@@ -345,22 +345,12 @@ def test_weight_table_axis_order_and_values(rng):
         assert t[ib, i1] == pytest.approx(expect, rel=1e-12)
 
 
-def test_weight_table_with_condition(rng):
-    lat = random_bell_lattice(rng, "chain")
-    m = build_model(lat)
-    t = m.weight_table(["2"], given={"a": 1, "b": -1})
-    expect = m.weight_sum({"2": 1, "a": 1, "b": -1})
-    assert t[1] == pytest.approx(expect, rel=1e-12)
-
-
 def test_weight_table_input_checks():
     m = build_model(pair())
     with pytest.raises(InvalidArgumentError):
         m.weight_table([])
     with pytest.raises(InvalidArgumentError, match="repeated"):
         m.weight_table(["x", "x"])
-    with pytest.raises(InvalidConfigurationError, match="overlap"):
-        m.weight_table(["x"], given={"x": 1})
     with pytest.raises(InvalidConfigurationError, match="unknown"):
         m.weight_table(["ghost"])
 
@@ -368,11 +358,9 @@ def test_weight_table_input_checks():
 def test_joint_table_normalized(rng):
     lat = random_bell_lattice(rng, "cubic")
     m = build_model(lat)
-    t = m.joint_table(["1", "2"], given={"a": 1})
+    t = m.joint_table(["1", "2"])
     assert t.sum() == pytest.approx(1.0, abs=1e-12)
-    assert t[1, 0] == pytest.approx(
-        m.conditional({"1": 1, "2": -1}, {"a": 1}), abs=1e-13
-    )
+    assert t[1, 0] == pytest.approx(m.marginal({"1": 1, "2": -1}), abs=1e-13)
 
 
 # -- enumeration cap ---------------------------------------------------------------

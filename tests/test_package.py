@@ -1,6 +1,8 @@
 """The public surface: every exported name resolves."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import spinbell
@@ -17,3 +19,14 @@ def test_every_export_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+    # a name the package re-exports is public in the submodule it comes from
+    unlisted = [
+        f"spinbell.{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(inspect.getsource(spinbell)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if (alias.asname or alias.name) in spinbell.__all__
+        and alias.name not in getattr(importlib.import_module(f"spinbell.{node.module}"), "__all__", [alias.name])
+    ]
+    assert unlisted == []

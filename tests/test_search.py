@@ -384,6 +384,11 @@ def test_placement_top_truncates(placement_results):
     assert top3 == placement_results[:3]
 
 
+def test_placement_top_rejects_negative():
+    with pytest.raises(InvalidArgumentError, match="top must be >= 0"):
+        role_permutation_search(top=-1)
+
+
 # -- shared enumerations: placements and energy columns --------------------------------
 
 
@@ -507,7 +512,10 @@ def test_placement_md_batches_agree(monkeypatch, batch_bytes):
     assert role_permutation_search(top=0, dedup_symmetry=False, **_GRID4) == whole
 
 
-def test_placement_sweep_reads_no_weight_table(monkeypatch):
+def test_placement_sweep_weight_table_count(monkeypatch):
+    """One weight_table per unordered four-node set and one per ordered
+    outcome pair, none per placement: 70 + 56 on the 8 positions of
+    _GRID4, whose fields keep no flip and give every setting weight."""
     calls = []
     original = BoltzmannModel.weight_table
 
@@ -517,8 +525,9 @@ def test_placement_sweep_reads_no_weight_table(monkeypatch):
 
     monkeypatch.setattr(BoltzmannModel, "weight_table", counting)
     for dedup in (True, False):
+        calls.clear()
         role_permutation_search(top=0, dedup_symmetry=dedup, **_GRID4)
-    assert calls == []
+        assert len(calls) == math.comb(8, 4) + 8 * 7 == 126
 
 
 def test_placement_sweep_builds_one_model(monkeypatch):
