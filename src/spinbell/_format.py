@@ -6,6 +6,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from numbers import Integral
 
+import numpy as np
+
 from .errors import InvalidArgumentError
 
 __all__ = ["fmt", "csv_table", "SPINS", "spin_of", "spin_index", "check_spins", "pm", "fmt_assignment"]
@@ -54,9 +56,15 @@ def spin_index(s: int) -> int:
     return 1 if s == 1 else 0
 
 
-def check_spins(*spins: int) -> None:
+def check_spins(*spins: int | np.ndarray) -> None:
+    """Refuse any spin value but -1 and +1; an array is checked elementwise."""
     for s in spins:
-        spin_index(s)
+        if isinstance(s, np.ndarray):
+            bad = (s != 1) & (s != -1)
+            if bad.any():
+                spin_index(s[bad][0].item())
+        else:
+            spin_index(s)
 
 
 def pm(s: int) -> str:

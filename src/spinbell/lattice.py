@@ -145,6 +145,8 @@ class Lattice:
                 raise LatticeDefinitionError(f"duplicate edge {e.a}-{e.b}")
             seen_edges.add(e.key())
         for t in self.cubic:
+            if len(t.nodes) != 3:
+                raise LatticeDefinitionError(f"cubic term {t.nodes} needs three distinct nodes")
             if len(set(t.nodes)) != 3:
                 raise LatticeDefinitionError(f"cubic term {t.nodes} repeats a node")
             if not math.isfinite(t.c):
@@ -177,26 +179,31 @@ class Lattice:
         """Build a lattice from plain tuples.
 
         Node tuples are (id,), (id, role) or (id, role, h); the role may be a
-        NodeRole or its label string.
+        NodeRole or its label string. Edges are (a, b, j) and cubic entries
+        (nodes, c). A malformed entry raises LatticeDefinitionError naming it.
         """
         built = []
         defaults = (NodeRole.HIDDEN, 0.0)
         for pos, item in enumerate(nodes):
-            item = tuple(item)
-            if not 1 <= len(item) <= 3:
-                raise LatticeDefinitionError(
-                    f"node entry {pos} has {len(item)} fields; expected (id,), (id, role) "
-                    "or (id, role, h)"
-                )
+            item = _entry(item, f"node entry {pos}", (1, 2, 3), "(id,), (id, role) or (id, role, h)")
             nid, role, h = item + defaults[len(item) - 1 :]
             if isinstance(role, str) and not isinstance(role, NodeRole):
                 role = NodeRole.from_label(role)
-            built.append(Node(str(nid), role, float(h)))
+            built.append(Node(str(nid), role, _number(h, f"node entry {pos} field h")))
+        built_edges = []
+        for pos, item in enumerate(edges):
+            a, b, j = _entry(item, f"edge entry {pos}", (3,), "(a, b, j)")
+            built_edges.append(Edge(str(a), str(b), _number(j, f"edge entry {pos} coupling j")))
+        terms = []
+        for pos, item in enumerate(cubic):
+            ns, c = _entry(item, f"cubic entry {pos}", (2,), "(nodes, c)")
+            ns = _entry(ns, f"cubic entry {pos} nodes", (3,), "three distinct node ids")
+            terms.append(CubicTerm(tuple(map(str, ns)), _number(c, f"cubic entry {pos} coefficient c")))
         return cls(
             nodes=tuple(built),
-            edges=tuple(Edge(str(a), str(b), float(j)) for a, b, j in edges),
+            edges=tuple(built_edges),
             beta=float(beta),
-            cubic=tuple(CubicTerm(tuple(str(n) for n in ns), float(c)) for ns, c in cubic),
+            cubic=tuple(terms),
             offset=float(offset),
         )
 
@@ -275,6 +282,24 @@ class Lattice:
         """New lattice with the selected edges' couplings multiplied by factor."""
         keyset = set(keys)
         return self.with_couplings({e.key(): e.j * factor for e in self.edges if e.key() in keyset})
+
+
+def _entry(item: object, name: str, sizes: tuple[int, ...], expected: str) -> tuple:
+    """A from_parts entry as a tuple of one of the allowed sizes."""
+    try:
+        fields = tuple(item)
+    except TypeError:
+        raise LatticeDefinitionError(f"{name} is {item!r}; expected {expected}") from None
+    if len(fields) not in sizes:
+        raise LatticeDefinitionError(f"{name} has {len(fields)} fields; expected {expected}")
+    return fields
+
+
+def _number(value: object, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise LatticeDefinitionError(f"{name} is {value!r}; expected a finite number") from None
 
 
 def _check_config(lattice: Lattice, config: Mapping[str, Spin], require_full: bool) -> None:

@@ -14,6 +14,12 @@ Two samplers:
   samples; both can be overridden. The stream holds every site choice,
   then every uniform, so the flip schedule is a pure function of the seed;
   it is drawn in fixed blocks, so its memory does not grow with the run.
+  Each site keeps a key of the spins its dH reads, and a flip is decided by
+  one lookup of the acceptance threshold for that key (exp(-beta dH), or
+  infinity where dH <= 0). A site computes a threshold the first time it
+  meets the key, with the same arithmetic as a direct evaluation, and
+  stores at most 2^8 of them, so the words equal those of evaluating dH at
+  every flip and the table's memory is bounded.
 
 Samples are configuration words (see model: node i at bit i, bit 1 = +1).
 frequency_report tracks a conditional event frequency along checkpoints,
@@ -23,6 +29,7 @@ against the exact value, with binomial standard errors.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import warnings
 from collections.abc import Mapping, Sequence
@@ -52,6 +59,8 @@ _KINDS = ("exact", "metropolis")
 _CHUNK = 1 << 16
 # Metropolis flips whose site indices and uniforms are drawn at a time
 _FLIP_BLOCK = 1 << 10
+# Metropolis acceptance thresholds one site keeps, at most
+_THRESHOLD_CAP = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -169,39 +178,64 @@ def _sample_metropolis(
     beta = model.lattice.beta
     spins = np.where(rng.integers(0, 2, size=n_nodes) == 1, 1, -1).astype(np.int64)
     word = int(sum(1 << k for k in range(n_nodes) if spins[k] == 1))
+    s = spins.tolist()
+
+    # A site's key packs the spins its dH reads: bit 0 its own, bit p + 1 the
+    # p-th distinct node of its pair and triple lists (a set bit is +1), so
+    # the key fixes the site's acceptance threshold. A flip of site i toggles
+    # bit 0 of its key and i's bit in each neighbour's (links[i]).
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    keys = []
+    for i in range(n_nodes):
+        hood = dict.fromkeys([nb for nb, _ in pair[i]] + [x for nj, nk, _ in triple[i] for x in (nj, nk)])
+        key = int(s[i] == 1)
+        for p, x in enumerate(hood):
+            links[x].append((i, 2 << p))
+            key |= (2 << p) * (s[x] == 1)
+        keys.append(key)
+    # thresholds by key, filled as keys are met; a site whose cache is full
+    # computes a missing one without storing it, so memory stays bounded
+    cache: list[dict[int, float]] = [{} for _ in range(n_nodes)]
+    lookup = [known.get for known in cache]
 
     # The stream holds every site index, then every uniform. Draws made in
     # blocks continue the stream as one draw of the whole would, so the
     # sites come from a copy of the generator and the uniforms from the
     # generator once a pass has discarded the site draws.
-    blocks = range(0, total, _FLIP_BLOCK)
+    blocks = [min(_FLIP_BLOCK, total - lo) for lo in range(0, total, _FLIP_BLOCK)]
     site_rng = copy.deepcopy(rng)
-    for lo in blocks:
-        rng.integers(0, n_nodes, size=min(_FLIP_BLOCK, total - lo))
+    for size in blocks:
+        rng.integers(0, n_nodes, size=size)
+    flips = itertools.chain.from_iterable(
+        zip(site_rng.integers(0, n_nodes, size=size).tolist(), rng.random(size).tolist())
+        for size in blocks
+    )
 
     out = np.empty(run.n, dtype=np.int64)
-    kept = 0
-    next_keep = burn + thin
-    s = spins.tolist()
-    step = 0
-    for lo in blocks:
-        size = min(_FLIP_BLOCK, total - lo)
-        sites = site_rng.integers(0, n_nodes, size=size).tolist()
-        for i, u in zip(sites, rng.random(size).tolist()):
-            local = fields[i]
-            for nb, j in pair[i]:
-                local += j * s[nb]
-            dh = 2.0 * s[i] * local
-            for nj, nk, c in triple[i]:
-                dh -= 2.0 * c * s[i] * s[nj] * s[nk]
-            if dh <= 0.0 or u < math.exp(-beta * dh):
+    # a word is kept after the burn-in and one thinning interval, then after each interval
+    for kept in range(run.n):
+        for i, u in itertools.islice(flips, thin + burn if kept == 0 else thin):
+            key = keys[i]
+            t = lookup[i](key)
+            if t is None:
+                local = fields[i]
+                for nb, j in pair[i]:
+                    local += j * s[nb]
+                dh = 2.0 * s[i] * local
+                for nj, nk, c in triple[i]:
+                    dh -= 2.0 * c * s[i] * s[nj] * s[nk]
+                # u < inf always holds, so `u < t` decides as
+                # `dh <= 0.0 or u < exp(-beta dh)` would, NaN dh included
+                t = math.inf if dh <= 0.0 else math.exp(-beta * dh)
+                if len(cache[i]) < _THRESHOLD_CAP:
+                    cache[i][key] = t
+            if u < t:
                 s[i] = -s[i]
+                keys[i] = key ^ 1
+                for nb, bit in links[i]:
+                    keys[nb] ^= bit
                 word ^= 1 << i
-            step += 1
-            if step == next_keep:
-                out[kept] = word
-                kept += 1
-                next_keep += thin
+        out[kept] = word
     return out
 
 

@@ -16,7 +16,6 @@ analyzer b, and the hidden path 3..N connects the analyzers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import astuple, dataclass
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ZeroMeasureConditionError
 from .lattice import Lattice
 from .model import ZERO_MEASURE, BoltzmannModel, build_model
-from ._format import SPINS, check_spins, csv_table, fmt, fmt_assignment, spin_of
+from ._format import check_spins, csv_table, fmt, fmt_assignment, spin_of
 
 __all__ = [
     "SeriesContext",
@@ -277,15 +276,30 @@ def weak_coupling_chsh(ctx: SeriesContext) -> float:
 
 # -- chain measurement dependence, two readings -------------------------------
 
-_SETTINGS = tuple((sa, sb) for sa in SPINS for sb in SPINS)
+def _spin_grid(d: int) -> np.ndarray:
+    """d +-1 int arrays spanning the (2,)*d grid, stacked on a first axis;
+    index 1 on an axis means spin +1."""
+    return np.indices((2,) * d) * 2 - 1
 
 
-def _chain_edge_gap(n: int, k: float, s3: int, sn: int, pair_one, pair_two) -> float:
+def _chain_edge_gap(n: int, k: float, s3, sn, pair_one, pair_two):
     """Difference of endpoint-weight ratios between two setting pairs."""
     (sa, sb), (ja, jb) = pair_one, pair_two
     one = (1.0 + k * sa * s3) * (1.0 + k * sn * sb) / (1.0 + k ** (n - 1) * sa * sb)
     two = (1.0 + k * ja * s3) * (1.0 + k * sn * jb) / (1.0 + k ** (n - 1) * ja * jb)
     return one - two
+
+
+def _chain_gaps(n: int, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|_chain_edge_gap| on (sa, sb, a', b', s3, sn) axes, with the s3 and
+    sn spin grids; each cell equals the scalar call bit for bit."""
+    sa, sb, ja, jb, s3, sn = _spin_grid(6)
+    return np.abs(_chain_edge_gap(n, k, s3, sn, (sa, sb), (ja, jb))), s3, sn
+
+
+def _check_chain_k(k: float) -> None:
+    if not -1.0 < k < 1.0:
+        raise InvalidArgumentError(f"k must lie in (-1, 1), got {k}")
 
 
 def chain_md_closed(n: int, k: float) -> float:
@@ -296,16 +310,12 @@ def chain_md_closed(n: int, k: float) -> float:
     (1 + s3 sn K^(n-3)) / 4 on the two boundary hidden spins.
     """
     _check_chain_n(n)
-    if not -1.0 < k < 1.0:
-        raise InvalidArgumentError(f"k must lie in (-1, 1), got {k}")
-    best = 0.0
-    for pair_one, pair_two in itertools.product(_SETTINGS, repeat=2):
-        total = 0.0
-        for s3, sn in itertools.product(SPINS, repeat=2):
-            w = (1.0 + s3 * sn * k ** (n - 3)) / 4.0
-            total += w * abs(_chain_edge_gap(n, k, s3, sn, pair_one, pair_two))
-        best = max(best, total)
-    return best
+    _check_chain_k(k)
+    gap, s3, sn = _chain_gaps(n, k)
+    terms = (1.0 + s3 * sn * k ** (n - 3)) / 4.0 * gap
+    # summed over (s3, sn) in the order (-,-), (-,+), (+,-), (+,+)
+    total = terms[..., 0, 0] + terms[..., 0, 1] + terms[..., 1, 0] + terms[..., 1, 1]
+    return float(total.max())
 
 
 def chain_md_per_config(n: int, k: float) -> float:
@@ -317,18 +327,10 @@ def chain_md_per_config(n: int, k: float) -> float:
     over 2^(n-2).
     """
     _check_chain_n(n)
-    if not -1.0 < k < 1.0:
-        raise InvalidArgumentError(f"k must lie in (-1, 1), got {k}")
-    scale = 2.0 ** (n - 2)
-    best = 0.0
-    for pair_one, pair_two, s3, sn in itertools.product(_SETTINGS, _SETTINGS, SPINS, SPINS):
-        if s3 * sn == 1:
-            interior = (1.0 + k) ** (n - 3)
-        else:
-            interior = (1.0 + k) ** (n - 4) * (1.0 - k)
-        gap = abs(_chain_edge_gap(n, k, s3, sn, pair_one, pair_two))
-        best = max(best, gap * interior / scale)
-    return best
+    _check_chain_k(k)
+    gap, s3, sn = _chain_gaps(n, k)
+    interior = np.where(s3 * sn == 1, (1.0 + k) ** (n - 3), (1.0 + k) ** (n - 4) * (1.0 - k))
+    return float((gap * interior / 2.0 ** (n - 2)).max())
 
 
 @dataclass(frozen=True)
@@ -399,9 +401,14 @@ class SeriesCheckReport:
 def _closed_grid(form: Callable[..., float], d: int) -> np.ndarray:
     """A closed form at every assignment of its d spin arguments, on (2,)*d
     leading axes with index 1 meaning spin +1; a tuple-valued form adds one
-    last axis."""
-    values = np.array([form(*s) for s in itertools.product(SPINS, repeat=d)], dtype=float)
-    return values.reshape((2,) * d + values.shape[1:])
+    last axis.
+
+    The form runs once, on d +-1 arrays spanning the grid, and evaluates
+    each cell with the operations of its scalar call, so every cell equals
+    that call bit for bit.
+    """
+    values = form(*_spin_grid(d))
+    return np.stack(values, axis=-1) if isinstance(values, tuple) else values
 
 
 def _exact_conditional(

@@ -10,6 +10,7 @@ import itertools
 import json
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -338,6 +339,26 @@ def test_freewill_zero_weight_setting(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["freewill", "--lattice", str(path)]) == EXIT_NUMERIC
     assert "setting (sa=-, sb=-) has zero weight" in capsys.readouterr().err
+
+
+# -- pinned output ------------------------------------------------------------------
+
+#: full-precision outputs recorded before the closed forms ran on whole spin
+#: grids and the Metropolis sampler cached its acceptance thresholds
+_GOLDEN = {
+    "series-chain-n-10.csv": ["series", "--chain-n", "10", "--format", "csv", "--precision", "full"],
+    "chain-profile-5-40-k0.37.csv": ["chain", "--profile", "5", "40", "--k", "0.37", "--precision", "full"],
+    "sample-chain-12-metropolis-seed77.csv": [
+        "sample", "--builtin", "chain-12", "--event", "1:+", "--seed", "77", "--n", "5000",
+        "--kind", "metropolis", "--format", "csv", "--precision", "full",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_output_equals_pinned_file(name, capsys):
+    assert main(_GOLDEN[name]) == EXIT_OK
+    assert capsys.readouterr().out == (Path(__file__).parent / "golden" / name).read_text()
 
 
 # -- sample -------------------------------------------------------------------------

@@ -136,6 +136,37 @@ def test_from_parts_rejects_bad_node_tuple(entry):
         Lattice.from_parts(nodes, [])
 
 
+_ABC = [("a",), ("b",), ("c",)]
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (([5], []), r"node entry 0 is 5; expected \(id,\), \(id, role\) or \(id, role, h\)"),
+        (([("a", "hidden", "x")], []), "node entry 0 field h is 'x'; expected a finite number"),
+        (([("a", "hidden", 10**400)], []), "node entry 0 field h is 1000.*; expected a finite number"),
+        ((_ABC, [("a",)]), r"edge entry 0 has 1 fields; expected \(a, b, j\)"),
+        ((_ABC, [("a", "b", 1.0), 5]), r"edge entry 1 is 5; expected \(a, b, j\)"),
+        ((_ABC, [("a", "b", None)]), "edge entry 0 coupling j is None; expected a finite number"),
+        ((_ABC, [], 1.0, [5]), r"cubic entry 0 is 5; expected \(nodes, c\)"),
+        ((_ABC, [], 1.0, [(("a", "b", "c"),)]), r"cubic entry 0 has 1 fields; expected \(nodes, c\)"),
+        ((_ABC, [], 1.0, [(("a", "b"), 1.0)]), "cubic entry 0 nodes has 2 fields; expected three distinct node ids"),
+        ((_ABC, [], 1.0, [(7, 1.0)]), "cubic entry 0 nodes is 7; expected three distinct node ids"),
+        ((_ABC, [], 1.0, [(("a", "b", "c"), "x")]), "cubic entry 0 coefficient c is 'x'; expected a finite number"),
+    ],
+    ids=["node-int", "node-h-str", "node-h-huge", "edge-short", "edge-int", "edge-j-none",
+         "cubic-int", "cubic-short", "cubic-two-nodes", "cubic-nodes-int", "cubic-c-str"],
+)
+def test_from_parts_names_the_malformed_entry(parts, message):
+    with pytest.raises(LatticeDefinitionError, match=message):
+        Lattice.from_parts(*parts)
+
+
+def test_rejects_cubic_term_without_three_nodes():
+    with pytest.raises(LatticeDefinitionError, match=r"cubic term \('x', 'y'\) needs three distinct nodes"):
+        Lattice(nodes=(Node("x"), Node("y")), edges=(), cubic=(CubicTerm(("x", "y"), 0.1),))
+
+
 # -- lookups -------------------------------------------------------------------
 
 

@@ -1,9 +1,14 @@
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, and `python -m spinbell`
+runs the command line interface."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import spinbell
 
@@ -30,3 +35,11 @@ def test_every_export_resolves():
         and alias.name not in getattr(importlib.import_module(f"spinbell.{node.module}"), "__all__", [alias.name])
     ]
     assert unlisted == []
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(spinbell.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "spinbell", "--version"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"spinbell {spinbell.__version__}\n", "")

@@ -283,6 +283,77 @@ def test_metropolis_default_schedule_matches_one_shot(fast_mixing_model):
     assert np.array_equal(sample(fast_mixing_model, run), expect)
 
 
+def _hub_lattice():
+    """16 spins: site 0 is coupled to all 15 others, so its key takes 2^16
+    values, past the threshold cache cap; the others sit on a ring with
+    their nearest and next-nearest neighbours (6-bit keys)."""
+    rng = np.random.default_rng(16)
+    pairs = [(0, i) for i in range(1, 16)]
+    pairs += [(i, i % 15 + 1) for i in range(1, 16)] + [(i, (i + 1) % 15 + 1) for i in range(1, 16)]
+    nodes = [(str(i), "hidden", float(rng.normal(0.0, 0.2))) for i in range(16)]
+    edges = [(str(a), str(b), float(rng.normal(0.0, 0.3))) for a, b in pairs]
+    return Lattice.from_parts(nodes, edges)
+
+
+def _shared_cubic_lattice():
+    """A ring of 8 with a chord whose cubic terms run over consecutive
+    sites, so most cubic partners of a site are also its pair neighbours."""
+    rng = np.random.default_rng(8)
+    ids = [str(i) for i in range(8)]
+    edges = [(ids[i], ids[(i + 1) % 8], float(rng.normal(0.0, 0.5))) for i in range(8)] + [("0", "4", 0.3)]
+    cubic = [((ids[i], ids[(i + 1) % 8], ids[(i + 2) % 8]), float(rng.normal(0.0, 0.4))) for i in range(8)]
+    cubic.append((("0", "2", "4"), -0.25))
+    nodes = [(i, "hidden", float(rng.normal(0.0, 0.3))) for i in ids]
+    return Lattice.from_parts(nodes, edges, cubic=cubic)
+
+
+def _overflowing_lattice():
+    """Coefficients near the double range: the two cubic terms at x and p
+    give dH = inf - inf = NaN at most visits, a flip that is never accepted,
+    while w keeps moving."""
+    return Lattice.from_parts(
+        [("x",), ("p",), ("q",), ("r",), ("w", "hidden", 0.1)],
+        [("q", "r", -1e308), ("x", "w", 0.4)],
+        cubic=[(("x", "p", "q"), 1e308), (("x", "p", "r"), 1e308)],
+    )
+
+
+@pytest.mark.parametrize("cap", [None, 0, 3], ids=["default-cap", "cap-0", "cap-3"])
+@pytest.mark.parametrize(
+    "make", [_hub_lattice, _shared_cubic_lattice, _overflowing_lattice], ids=["hub", "shared-cubic", "overflow"]
+)
+def test_metropolis_threshold_cache_keeps_the_words(make, cap, monkeypatch):
+    """Cached acceptance thresholds give the words of the one-shot reference,
+    also where a site's cache is full (cap 0 stores nothing, cap 3 fills at
+    once) and where dH is infinite or NaN."""
+    lattice = make()
+    if cap is not None:
+        monkeypatch.setattr(sampling_mod, "_THRESHOLD_CAP", cap)
+    elif make is _hub_lattice:
+        assert 2**16 > sampling_mod._THRESHOLD_CAP
+    for seed in (3, 2**50 + 1):
+        run = SampleRun(seed=seed, n=2_000, kind="metropolis", burn_in=0, thinning=8)
+        words = sample(_unbuilt(lattice), run)
+        assert np.array_equal(words, _reference_metropolis(_unbuilt(lattice), run)), seed
+
+
+def test_metropolis_memory_does_not_grow_with_the_run():
+    """Past the hub site's cache cap a missing threshold is not stored: a
+    100,000-flip run peaks where a 20,000-flip one does."""
+    model = _unbuilt(_hub_lattice())
+    sample(model, SampleRun(seed=1, n=1, kind="metropolis", burn_in=0))  # first-call caches
+    peaks = []
+    for burn_in in (19_000, 99_000):
+        tracemalloc.start()
+        try:
+            sample(model, SampleRun(seed=1, n=1_000, kind="metropolis", burn_in=burn_in, thinning=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    short, long = peaks
+    assert long <= short * 1.02, peaks
+
+
 def test_metropolis_peak_memory_is_bounded():
     """The schedule is drawn one block at a time: drawn whole, this
     20,000-flip run would hold 320 kB of it. (Tracing slows the flip loop

@@ -2,13 +2,16 @@
 enumeration, the weak-coupling Bell combination, and the two readings of
 chain measurement dependence."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spinbell import series
+from spinbell._format import check_spins
 from spinbell.errors import InvalidArgumentError, ZeroMeasureConditionError
 from spinbell.independence import measurement_dependence
 from spinbell.model import BoltzmannModel, build_model
@@ -142,16 +145,48 @@ def test_series_check_compares_every_cell(monkeypatch, name, spin):
         # the spin arguments follow the context; a lambda sequence counts spin by spin
         ctx_at = next(i for i, a in enumerate(args) if isinstance(a, SeriesContext))
         spins = [s for a in args[ctx_at + 1 :] for s in (a if isinstance(a, tuple) else (a,))]
-        if any(s != spin for s in spins):
-            return value
+        # the spins are +-1 arrays spanning the grid: nudge the one cell where all equal spin
+        factor = np.where(np.logical_and.reduce([np.asarray(s) == spin for s in spins]), 1 + 1e-6, 1.0)
         if isinstance(value, tuple):
-            return tuple(v * (1 + 1e-6) for v in value)
-        return value * (1 + 1e-6)
+            return tuple(v * factor for v in value)
+        return value * factor
 
     monkeypatch.setattr(series, _ROW_FORMS[name], nudged)
     report = series_check(k_values=(0.3,), chain_n=5)
     assert report.by_name()[name] > 1e-7
     assert not report.ok()
+
+
+@pytest.mark.parametrize("chain_n", [5, 8, 10])
+def test_closed_grids_equal_scalar_calls(monkeypatch, chain_n):
+    """Every row's closed form, run once on whole spin grids, equals its
+    scalar calls cell by cell (np.array_equal) at every K of the grid."""
+    grid = series._closed_grid
+    equal = []
+
+    def checked(form, d):
+        closed = grid(form, d)
+        cells = np.array([form(*s) for s in itertools.product((-1, 1), repeat=d)], dtype=float)
+        equal.append(closed.dtype == np.float64 and np.array_equal(closed, cells.reshape(closed.shape)))
+        return closed
+
+    monkeypatch.setattr(series, "_closed_grid", checked)
+    report = series_check(DEFAULT_K_GRID, chain_n=chain_n)
+    assert len(report.rows) == 11 * len(DEFAULT_K_GRID)
+    assert [(r.name, r.k) for r, ok in zip(report.rows, equal, strict=True) if not ok] == []
+
+
+@pytest.mark.parametrize("bad", [0, 2, math.nan], ids=["zero", "two", "nan"])
+def test_spin_arrays_are_checked_elementwise(bad):
+    spins = np.array([1, -1, bad, 1])
+    with pytest.raises(InvalidArgumentError, match=f"spin value must be -1 or \\+1, got {bad}"):
+        check_spins(np.ones(3), spins)
+    ctx = SeriesContext.ladder(j=0.3)
+    with pytest.raises(InvalidArgumentError, match="spin value"):
+        series.ladder_joint_numerator(ctx, 1, spins, -1, 1)
+    with pytest.raises(InvalidArgumentError, match="spin value"):
+        series.chain_lambda_conditional(5, SeriesContext.chain(5), (1, spins, -1), 1, 1)
+    check_spins(np.array([1, -1]), np.array([[1.0], [-1.0]]), np.array(1), -1)
 
 
 def test_series_check_reads_no_single_cells(monkeypatch):
@@ -231,6 +266,31 @@ def test_chain_md_per_config_matches_enumeration():
                 q = model.conditional(lam, {"a": ja, "b": jb})
                 best = max(best, abs(p - q))
     assert chain_md_per_config(6, k) == pytest.approx(best, rel=1e-9)
+
+
+def _scalar_chain_md(n, k):
+    """(summed, per-configuration) chain md as the 16 x 16 x 4 scalar loop
+    over setting pairs and boundary spins (s3, sn)."""
+    summed = per = 0.0
+    for (sa, sb), (ja, jb) in itertools.product(_SETTINGS, repeat=2):
+        total = 0.0
+        for s3, sn in itertools.product((-1, 1), repeat=2):
+            one = (1.0 + k * sa * s3) * (1.0 + k * sn * sb) / (1.0 + k ** (n - 1) * sa * sb)
+            two = (1.0 + k * ja * s3) * (1.0 + k * sn * jb) / (1.0 + k ** (n - 1) * ja * jb)
+            gap = abs(one - two)
+            total += (1.0 + s3 * sn * k ** (n - 3)) / 4.0 * gap
+            interior = (1.0 + k) ** (n - 3) if s3 * sn == 1 else (1.0 + k) ** (n - 4) * (1.0 - k)
+            per = max(per, gap * interior / 2.0 ** (n - 2))
+        summed = max(summed, total)
+    return summed, per
+
+
+def test_chain_md_forms_equal_scalar_loops():
+    """The whole-array md forms add each sum in the loop's order: the same
+    floats at every length and K, negative K included."""
+    for n in range(5, 41):
+        for k in (0.0, 0.05, 0.37, -0.37, 0.9, -0.999, 0.999999):
+            assert (chain_md_closed(n, k), chain_md_per_config(n, k)) == _scalar_chain_md(n, k), (n, k)
 
 
 def test_chain_md_summed_limit_is_2k():
