@@ -28,7 +28,6 @@ __all__ = [
     "ConditionalTable",
     "ChshReport",
     "conditional_table",
-    "correlator",
     "chsh",
     "quantum_reference",
     "quantum_chsh",
@@ -131,11 +130,6 @@ def _bell_terms(m) -> tuple[tuple, object, object]:
     (m_apbp, m_apb), (m_abp, m_ab) = m  # index 0 is spin -1
     total = ((m_ab + m_apb) + m_abp) + m_apbp
     return (m_ab, m_apb, m_abp, m_apbp), total, total - 2.0 * m_apbp
-
-
-def correlator(table: ConditionalTable, sa: int, sb: int) -> float:
-    """M(sa, sb) = sum_{s1,s2} s1 s2 P(s1, s2 | sa, sb)."""
-    return float(_correlators(table.values)[spin_index(sa), spin_index(sb)])
 
 
 @dataclass(frozen=True)

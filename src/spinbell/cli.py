@@ -17,14 +17,10 @@ Exit codes: 0 success, 2 bad input, 3 degenerate or out-of-range numerics,
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import warnings
 
-import numpy as np
-
 from . import __version__
-from .bell import chsh, conditional_table
 from .errors import (
     DegenerateModelError,
     EnumerationLimitError,
@@ -37,22 +33,10 @@ from .errors import (
     NumericRangeError,
     ZeroMeasureConditionError,
 )
-from .freewill import freewill_report
-from .independence import independence_report, measurement_dependence
-from .latticefile import load_lattice, load_search_config
-from .model import build_model
-from .presets import BUILTIN_LATTICES, all_cases, builtin_lattice, chain_lattice, get_case
-from .sampling import SampleRun, frequency_report
-from .search import grid_csv, grid_scan, maximize_chsh
-from .series import (
-    DEFAULT_K_GRID,
-    chain_md_closed,
-    chain_md_per_config,
-    chain_md_profile,
-    profile_csv,
-    series_check,
-)
-from ._format import fmt
+from .presets import BUILTIN_LATTICES
+
+# Each subcommand imports the analysis modules it uses, so `--version`,
+# `reproduce --list` and a bad argument load neither them nor numpy.
 
 __all__ = ["main"]
 
@@ -126,15 +110,21 @@ def _start_values(text: str) -> tuple[float, ...]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
 
 def _lattice_from_args(args) -> "Lattice":
+    from .latticefile import load_lattice
+    from .presets import builtin_lattice
+
     if args.lattice:
         return load_lattice(args.lattice)
     return builtin_lattice(args.builtin)
@@ -169,6 +159,12 @@ def _render(report, args) -> str:
 
 
 def _cmd_eval(args) -> int:
+    import functools
+
+    from .bell import chsh, conditional_table
+    from .independence import independence_report
+    from .model import build_model
+
     model = build_model(_lattice_from_args(args))
     lam = args.lam.split(",") if args.lam else None
     want = ("chsh", "independence", "table") if args.report == "all" else (args.report,)
@@ -185,6 +181,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .presets import all_cases, get_case
+
     if args.list:
         for case in all_cases():
             print(f"{case.id:<18s} {case.title}")
@@ -204,6 +202,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .series import DEFAULT_K_GRID, series_check
+
     ks = tuple(args.k) if args.k else DEFAULT_K_GRID
     report = series_check(k_values=ks, chain_n=args.chain_n)
     _emit(_render(report, args), args.out)
@@ -211,6 +211,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_freewill(args) -> int:
+    from .freewill import freewill_report
+    from .model import build_model
+
     model = build_model(_lattice_from_args(args))
     report = freewill_report(model)
     _emit(_render(report, args), args.out)
@@ -218,6 +221,9 @@ def _cmd_freewill(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .model import build_model
+    from .sampling import SampleRun, frequency_report
+
     model = build_model(_lattice_from_args(args))
     run = SampleRun(
         seed=args.seed,
@@ -240,6 +246,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .latticefile import load_search_config
+    from .search import grid_csv, grid_scan, maximize_chsh
+
     space = load_search_config(args.config)
     if args.grid is not None:
         rows = grid_scan(space, resolution=args.grid)
@@ -260,6 +269,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from ._format import fmt
+    from .series import chain_md_closed, chain_md_per_config, chain_md_profile, profile_csv
+
     if args.profile:
         lo, hi = args.profile
         if lo > hi:
@@ -275,6 +287,12 @@ def _cmd_chain(args) -> int:
         f"  md (per-configuration)  = {fmt(per_config, args.precision)}",
     ]
     if args.check:
+        import numpy as np
+
+        from .independence import measurement_dependence
+        from .model import build_model
+        from .presets import chain_lattice
+
         j = float(np.arctanh(args.k))
         model = build_model(chain_lattice(args.n, j=j))
         md, _ = measurement_dependence(model)

@@ -43,9 +43,6 @@ __all__ = [
     "Witness",
     "IndependenceReport",
     "measurement_dependence",
-    "outcome_dependence",
-    "parameter_dependence",
-    "factorizability_check",
     "pairwise_correlation_check",
     "independence_report",
     "decoupling_sweep",
@@ -424,37 +421,6 @@ def measurement_dependence(
 ) -> tuple[float, Witness]:
     """sup over setting pairs of sum_lambda |P(lambda|a,b) - P(lambda|a',b')|."""
     return _md_result(_read_model(model, lam, masses_only=True)[0].mass)
-
-
-def outcome_dependence(
-    model: BoltzmannModel, lam: Sequence[str] | None = None
-) -> tuple[float, Witness]:
-    """sup over settings and lambda of the summed outcome-factorization defect."""
-    value, witness, _ = _od_result(*_read_model(model, lam))
-    return value, witness
-
-
-def parameter_dependence(
-    model: BoltzmannModel, lam: Sequence[str] | None = None
-) -> tuple[float, Witness]:
-    """sup of the remote-setting sensitivity of one-sided outcome
-    conditionals, over both sides."""
-    id1, id2, _, _ = model.lattice.bell_ids()
-    value, witness, _ = _pd_result(*_read_model(model, lam), id1, id2)
-    return value, witness
-
-
-def factorizability_check(
-    model: BoltzmannModel,
-    lam: Sequence[str] | None = None,
-    tol: float = 1e-9,
-) -> tuple[bool, float]:
-    """Does P(s1, s2 | lambda, a, b) = P(s1 | lambda, a) P(s2 | lambda, b)?
-
-    Returns (holds within tol, max absolute defect over nonnull cells).
-    """
-    defect = _fact_result(_read_model(model, lam)[0])
-    return defect <= tol, defect
 
 
 def pairwise_correlation_check(

@@ -35,7 +35,6 @@ from typing import Any
 
 from .errors import LatticeDefinitionError, LatticeFileError
 from .lattice import CubicTerm, Edge, Lattice, Node, NodeRole
-from .search import SearchParam, SearchSpace
 
 __all__ = [
     "parse_lattice",
@@ -210,6 +209,8 @@ def save_lattice(lattice: Lattice, path, indent: int = 2) -> None:
 
 
 def _parse_param(obj, where: str) -> SearchParam:
+    from .search import SearchParam
+
     obj = _expect_object(obj, where)
     _reject_unknown(obj, _PARAM_KEYS, where)
     for key in ("name", "kind", "targets"):
@@ -243,6 +244,7 @@ def _parse_param(obj, where: str) -> SearchParam:
 def parse_search_config(data: Any) -> SearchSpace:
     """Build a SearchSpace from parsed JSON (or a JSON string)."""
     from .presets import builtin_lattice
+    from .search import SearchSpace
 
     if isinstance(data, (str, bytes)):
         try:

@@ -28,13 +28,8 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
-from .bell import QUANTUM_MAX_ANGLES, chsh, conditional_table, quantum_chsh
 from .errors import InvalidArgumentError
 from .lattice import Lattice, NodeRole
-from .model import build_model
-from .independence import independence_report, measurement_dependence
-from .series import chain_md_closed
-from .freewill import freewill_report
 
 __all__ = [
     "canonical_ladder",
@@ -336,7 +331,14 @@ class ReproductionCase:
         return [QuantityResult(q, float(values[q.label])) for q in self.quantities]
 
 
+# The runners import the analysis modules when they run, so that the
+# lattices and the case registry load without them (and without numpy).
+
+
 def _run_ladder_uniform() -> dict[str, float]:
+    from .bell import chsh, conditional_table
+    from .model import build_model
+
     model = build_model(canonical_ladder())
     table = conditional_table(model)
     lam_plus = {nid: 1 for nid in ("3", "4", "5", "6", "7", "8")}
@@ -349,18 +351,29 @@ def _run_ladder_uniform() -> dict[str, float]:
 
 
 def _run_ladder_tuned() -> dict[str, float]:
+    from .bell import chsh, conditional_table
+    from .independence import measurement_dependence
+    from .model import build_model
+
     model = build_model(tuned_ladder())
     md, _ = measurement_dependence(model)
     return {"x_bi": chsh(conditional_table(model)).x_bi, "md": md}
 
 
 def _run_grid_maxima() -> dict[str, float]:
+    from .bell import chsh, conditional_table
+    from .model import build_model
+
     x_uniform = chsh(conditional_table(build_model(uniform_coupling_grid()))).x_bi
     x_tuned = chsh(conditional_table(build_model(tuned_field_grid()))).x_bi
     return {"x_bi uniform couplings": x_uniform, "x_bi tuned fields": x_tuned}
 
 
 def _run_second_neighbor() -> dict[str, float]:
+    from .bell import chsh, conditional_table
+    from .independence import independence_report
+    from .model import build_model
+
     model = build_model(second_neighbor_lattice())
     rep = independence_report(model)
     return {
@@ -374,6 +387,10 @@ def _run_second_neighbor() -> dict[str, float]:
 
 
 def _run_chain_screening() -> dict[str, float]:
+    from .independence import independence_report
+    from .model import build_model
+    from .series import chain_md_closed
+
     n = 8
     model = build_model(chain_lattice(n))
     rep = independence_report(model)
@@ -382,14 +399,22 @@ def _run_chain_screening() -> dict[str, float]:
 
 
 def _run_quantum_cosine() -> dict[str, float]:
+    from .bell import QUANTUM_MAX_ANGLES, quantum_chsh
+
     return {"x at reference angles": quantum_chsh(*QUANTUM_MAX_ANGLES)}
 
 
 def _run_free_will() -> dict[str, float]:
+    from .freewill import freewill_report
+    from .model import build_model
+
     return {"route discrepancy": freewill_report(build_model(tuned_ladder())).max_discrepancy}
 
 
 def _run_weak_coupling() -> dict[str, float]:
+    from .bell import chsh, conditional_table
+    from .model import build_model
+
     k = 0.05
     model = build_model(canonical_ladder(j=math.atanh(k)))
     x = chsh(conditional_table(model)).x_bi

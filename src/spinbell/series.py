@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ZeroMeasureConditionError
+from .errors import InvalidArgumentError, NumericRangeError, ZeroMeasureConditionError
 from .lattice import Lattice
 from .model import ZERO_MEASURE, BoltzmannModel, build_model
 from ._format import check_spins, csv_table, fmt, fmt_assignment, spin_of
@@ -318,6 +318,11 @@ def chain_md_closed(n: int, k: float) -> float:
     return float(total.max())
 
 
+# Longest chain of the per-configuration reading: 2^(n-2) is a finite float
+# up to here, and (1+K)^(n-3) < 2^(n-3) for every K in (-1, 1).
+_CHAIN_PER_CONFIG_N_MAX = 1025
+
+
 def chain_md_per_config(n: int, k: float) -> float:
     """Measurement dependence of the chain, per-configuration reading.
 
@@ -328,6 +333,11 @@ def chain_md_per_config(n: int, k: float) -> float:
     """
     _check_chain_n(n)
     _check_chain_k(k)
+    if n > _CHAIN_PER_CONFIG_N_MAX:
+        raise NumericRangeError(
+            f"per-configuration chain md at n={n}, k={k}: 2^(n-2) exceeds the float range "
+            f"(n <= {_CHAIN_PER_CONFIG_N_MAX})"
+        )
     gap, s3, sn = _chain_gaps(n, k)
     interior = np.where(s3 * sn == 1, (1.0 + k) ** (n - 3), (1.0 + k) ** (n - 4) * (1.0 - k))
     return float((gap * interior / 2.0 ** (n - 2)).max())

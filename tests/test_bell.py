@@ -12,7 +12,6 @@ from spinbell.bell import (
     ConditionalTable,
     chsh,
     conditional_table,
-    correlator,
     quantum_chsh,
     quantum_reference,
 )
@@ -90,7 +89,7 @@ def test_conditional_table_zero_measure_setting():
 
 def test_correlator_sign_convention(ladder_model):
     t = conditional_table(ladder_model)
-    m = correlator(t, 1, 1)
+    m = chsh(t).m_ab
     by_hand = sum(
         s1 * s2 * t.entry(s1, s2, 1, 1) for s1 in (-1, 1) for s2 in (-1, 1)
     )

@@ -125,6 +125,18 @@ def test_eval_out_file(tmp_path, capsys):
     assert "x_bi" in target.read_text()
 
 
+@pytest.mark.parametrize("command", [["eval", "--builtin", "ladder"], ["series", "--k", "0.2"],
+                                     ["freewill", "--builtin", "chain-8"]])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_unwritable(tmp_path, capsys, command, where):
+    target = tmp_path / "no" / "report.txt" if where == "missing directory" else tmp_path
+    assert main([*command, "--out", str(target)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_eval_bad_lattice_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"nodes": [{"id": "1", "rolez": "x"}], "edges": []}')
@@ -547,6 +559,19 @@ def test_chain_profile_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,md_summed,md_per_config"
     assert len(lines) == 5
+
+
+def test_chain_longest_per_config_length(capsys):
+    """2^(n-2) is the last finite power of two at n = 1025; one more is
+    refused as out of range, on a single length and inside a profile."""
+    assert main(["chain", "--n", "1025", "--k", "0.5"]) == EXIT_OK
+    assert "md (per-configuration)  = 2.05405e-128" in capsys.readouterr().out
+    for argv in (["--n", "1026"], ["--n", "100000000"], ["--profile", "1020", "400000"]):
+        assert main(["chain", "--k", "0.5", *argv]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: per-configuration chain md at n=")
+        assert "k=0.5" in captured.err
 
 
 def test_chain_bad_range(capsys):

@@ -20,12 +20,9 @@ from spinbell.independence import (
     Witness,
     _decode_lambda,
     decoupling_sweep,
-    factorizability_check,
     independence_report,
     measurement_dependence,
-    outcome_dependence,
     pairwise_correlation_check,
-    parameter_dependence,
     reevaluate,
 )
 from spinbell.lattice import Lattice
@@ -117,8 +114,12 @@ def test_ladder_premises_hold(ladder_model):
 @pytest.mark.parametrize("which", ["ladder", "second"])
 def test_witnesses_reproduce_values(which, ladder_model, second_model):
     model = ladder_model if which == "ladder" else second_model
-    for fn in (measurement_dependence, outcome_dependence, parameter_dependence):
-        value, witness = fn(model)
+    r = independence_report(model)
+    for value, witness in (
+        measurement_dependence(model),
+        (r.od, r.witnesses["od"]),
+        (r.pd, r.witnesses["pd"]),
+    ):
         assert witness.value == pytest.approx(value, abs=1e-15)
         assert reevaluate(model, witness) == pytest.approx(value, abs=1e-12)
 
@@ -136,7 +137,7 @@ def test_witnesses_on_random_lattices(rng):
 
 
 def test_witness_describe_mentions_location(second_model):
-    _, witness = parameter_dependence(second_model)
+    witness = independence_report(second_model).witnesses["pd"]
     text = witness.describe()
     assert "pd sup at settings" in text
     assert "outcome" in text
@@ -163,15 +164,15 @@ def test_subset_lambda(ladder_model):
 
 
 def test_factorizability_ladder(ladder_model):
-    holds, defect = factorizability_check(ladder_model)
-    assert holds
-    assert defect <= 1e-9
+    r = independence_report(ladder_model)
+    assert r.factorizable
+    assert r.factorization_defect <= 1e-9
 
 
 def test_factorizability_second_neighbor(second_model):
-    holds, defect = factorizability_check(second_model)
-    assert not holds
-    assert defect > 0.1
+    r = independence_report(second_model)
+    assert not r.factorizable
+    assert r.factorization_defect > 0.1
 
 
 def test_pairwise_correlation_disconnected_blocks():
@@ -223,7 +224,7 @@ def test_md_skips_zero_measure_settings(pinned_analyzers):
 
 def test_pd_degenerate_when_no_flip_possible(pinned_analyzers):
     with pytest.raises(DegenerateModelError, match="analyzer flip"):
-        parameter_dependence(pinned_analyzers)
+        independence_report(pinned_analyzers)
 
 
 # -- the block reader against the whole-array reference ----------------------------
@@ -406,26 +407,6 @@ def _routes(model, lam=None):
     }
 
 
-def _measures(model, lam=None):
-    """The single-measure entry points against their reference parts."""
-    lam_ids = model.lattice.hidden_ids if lam is None else tuple(lam)
-    id1, id2, _, _ = model.lattice.bell_ids()
-    w5 = _reference_weights(model, lam_ids)
-    cells = lambda: _reference_cells(w5)  # noqa: E731
-    return [
-        (lambda: measurement_dependence(model, lam), lambda: _reference_md(w5)),
-        (lambda: outcome_dependence(model, lam), lambda: _reference_od(cells(), lam_ids)[:2]),
-        (
-            lambda: parameter_dependence(model, lam),
-            lambda: _reference_pd(cells(), lam_ids, id1, id2)[:2],
-        ),
-        (
-            lambda: factorizability_check(model, lam)[1],
-            lambda: _reference_fact(w5, cells()),
-        ),
-    ]
-
-
 def _assert_reports_equal(got, want):
     if isinstance(want, tuple) and want[:1] == ("raised",):
         assert got == want
@@ -438,14 +419,15 @@ def _assert_reports_equal(got, want):
 
 
 def _check_against_reference(model, lam=None, routes=ROUTES):
-    """The reports of the given routes, and with the direct route the
-    single-measure entry points, against the whole-array reference."""
+    """The reports of the given routes, and with the direct route
+    measurement_dependence, against the whole-array reference."""
     for name, (report, reference) in _routes(model, lam).items():
         if name in routes:
             _assert_reports_equal(_outcome(report), _outcome(reference))
     if "independence_report" in routes:
-        for measure, reference in _measures(model, lam):
-            assert _outcome(measure) == _outcome(reference)
+        lam_ids = model.lattice.hidden_ids if lam is None else tuple(lam)
+        w5 = _reference_weights(model, lam_ids)
+        assert _outcome(measurement_dependence, model, lam) == _outcome(_reference_md, w5)
 
 
 def _reference_population():

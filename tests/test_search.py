@@ -16,11 +16,7 @@ from spinbell.errors import (
     NumericRangeError,
     ZeroMeasureConditionError,
 )
-from spinbell.independence import (
-    measurement_dependence,
-    outcome_dependence,
-    parameter_dependence,
-)
+from spinbell.independence import independence_report, measurement_dependence
 from spinbell.lattice import Lattice
 from spinbell.model import ENUM_CAP_ENV, BoltzmannModel, build_model
 from spinbell.presets import canonical_ladder, grid_lattice, grid_positions
@@ -295,11 +291,11 @@ def test_grid_scan_skips_points_without_pd():
     param = SearchParam("j_pin", "j", targets=(("a", "3"),), lo=0.5, hi=800.0)
     space = SearchSpace(base, params=(param,))
     with pytest.raises(DegenerateModelError, match="analyzer flip"):
-        parameter_dependence(build_model(space.build((800.0,))))
+        independence_report(build_model(space.build((800.0,))))
     rows = grid_scan(space, resolution=3)
     assert [r.values for r in rows] == [(0.5,)]
     model = build_model(space.build((0.5,)))
-    assert rows[0].pd == parameter_dependence(model)[0]
+    assert rows[0].pd == independence_report(model).pd
     assert rows[0].md == measurement_dependence(model)[0]
 
 
@@ -621,21 +617,15 @@ def test_grid_rows_match_fresh_builds(kind):
             table = conditional_table(model)
         except _DEGENERATE:
             continue
-        expected.append(
-            (
-                values,
-                chsh(table).x_bi,
-                measurement_dependence(model)[0],
-                outcome_dependence(model)[0],
-                parameter_dependence(model)[0],
-            )
-        )
+        report = independence_report(model)
+        expected.append((values, chsh(table).x_bi, measurement_dependence(model)[0], report.od, report.pd))
     assert len(rows) == len(expected)
     for row, (values, *want) in zip(rows, expected):
         assert row.values == values
         assert np.allclose((row.x_bi, row.md, row.od, row.pd), want, rtol=0, atol=1e-12)
         # the same point's model through the public measures, bit for bit
         model = space._model(values)
+        report = independence_report(model)
         assert row.md == measurement_dependence(model)[0]
-        assert row.od == outcome_dependence(model)[0]
-        assert row.pd == parameter_dependence(model)[0]
+        assert row.od == report.od
+        assert row.pd == report.pd

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from spinbell import series
 from spinbell._format import check_spins
-from spinbell.errors import InvalidArgumentError, ZeroMeasureConditionError
+from spinbell.errors import InvalidArgumentError, NumericRangeError, ZeroMeasureConditionError
 from spinbell.independence import measurement_dependence
 from spinbell.model import BoltzmannModel, build_model
 from spinbell.presets import canonical_ladder, chain_lattice, second_neighbor_lattice, tuned_ladder
@@ -299,6 +299,17 @@ def test_chain_md_summed_limit_is_2k():
     for k in (0.3, 0.5, 0.8):
         assert chain_md_closed(5, k) > 2.0 * k
         assert chain_md_closed(200, k) == pytest.approx(2.0 * k, rel=1e-9)
+
+
+def test_chain_md_per_config_length_limit():
+    """n = 1025 still computes at any K, K -> 1 included; n = 1026 would
+    need 2^1024 and is refused."""
+    for k in (0.5, -0.999, 0.999999):
+        assert (chain_md_closed(1025, k), chain_md_per_config(1025, k)) == _scalar_chain_md(1025, k)
+        with pytest.raises(NumericRangeError, match=f"n=1026, k={k}"):
+            chain_md_per_config(1026, k)
+    with pytest.raises(NumericRangeError, match="n=1026"):
+        chain_md_profile(range(1024, 1030), 0.5)
 
 
 def test_chain_md_per_config_decays():
