@@ -90,11 +90,13 @@ class ConditionalTable:
 def _check_columns(v: np.ndarray) -> None:
     """Raise unless every setting column of P over (s1, s2, sa, sb, ...) is
     a distribution to within 1e-10; trailing axes stack tables, and an
-    empty stack passes."""
-    if np.any(v < -_COLUMN_TOL) or np.any(v > 1.0 + _COLUMN_TOL):
+    empty stack passes. Each check is written to fail on NaN, which
+    compares false with everything and propagates through min and max."""
+    low, high = np.min(v, initial=0.0), np.max(v, initial=1.0)
+    if not (low >= -_COLUMN_TOL and high <= 1.0 + _COLUMN_TOL):
         raise InvalidArgumentError("conditional table entries leave [0, 1]")
     deviation = np.max(np.abs(v.sum(axis=(0, 1)) - 1.0), initial=0.0)
-    if deviation > _COLUMN_TOL:
+    if not deviation <= _COLUMN_TOL:
         raise InvalidArgumentError(f"conditional table columns deviate from 1 by {deviation:.3e}")
 
 

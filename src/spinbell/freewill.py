@@ -118,7 +118,7 @@ def clamped_models(model: BoltzmannModel) -> BoltzmannModel:
     (sa, sb) owns quarter 2 * (sa index) + (sb index) of the weights. Each
     quarter is that setting's clamp_reduce lattice enumerated with the
     parent's stabilization shift, so a quarter's sum Z* over the parent's
-    z_shifted is an exact probability ratio.
+    z_shifted is an exact probability ratio. Each quarter is built in place.
     """
     lattice = model.lattice
     _, _, ida, idb = lattice.bell_ids()
@@ -126,7 +126,7 @@ def clamped_models(model: BoltzmannModel) -> BoltzmannModel:
     stacked = replace(lattice, nodes=(*free, lattice.node(idb), lattice.node(ida)))
     weights = np.empty(1 << lattice.n)
     for quarter, (sa, sb) in zip(weights.reshape(4, -1), itertools.product(SPINS, repeat=2)):
-        quarter[:] = _weights(clamp_reduce(lattice, {ida: sa, idb: sb}), model.shift)[0]
+        _weights(clamp_reduce(lattice, {ida: sa, idb: sb}), model.shift, out=quarter)
     return BoltzmannModel(stacked, weights, model.shift)
 
 

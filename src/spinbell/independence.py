@@ -28,7 +28,6 @@ ensemble built some other way is read as a BoltzmannModel over its weights.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, InvalidArgumentError
 from .lattice import Lattice, NodeRole
-from .model import ZERO_MEASURE, BoltzmannModel, build_model
+from .model import ZERO_MEASURE, BoltzmannModel, _each, _share, _shares, build_model
 from ._format import SPINS, csv_table, fmt, pm, spin_of
 
 __all__ = [
@@ -272,19 +271,20 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     table is over (s1, s2, sa, sb, lambda...), its lambda axes in lam_ids
     order. With at most _LAM_BLOCK_BITS lambda bits the table is one block.
     Otherwise the lambda axes with the largest strides are fixed per block,
-    so a block is a few contiguous runs of memory.
+    so a block is a few contiguous runs of memory, and the blocks are split
+    into shares (see model._each), each with its own buffers and running
+    scan. A block then holds fewer lambda values, so the buffers of all
+    shares together are no larger than one block at _LAM_BLOCK_BITS.
     Each block is copied into one (s1, s2, sa, sb, c) buffer with its inner
     lambda axes in lam_ids order, so c runs in the order of the flat lambda
     index m, and m = m_inner[c] + m_outer. A cell's running best is
-    replaced by a larger value, or by an equal one at a smaller m. With
-    masses_only the scan holds the masses alone.
+    replaced by a larger value, or by an equal one at a smaller m; the
+    share scans are merged by the same rule, so no field or witness depends
+    on the split. With masses_only the scan holds the masses alone.
     """
-    width = min(lam_bits, _LAM_BLOCK_BITS)
-    w = np.empty((2, 2, 2, 2, 1 << width))
-    target = w.reshape((2, 2, 2, 2) + (2,) * width)
-
-    if width == lam_bits:
-        np.copyto(target, table)
+    if lam_bits <= _LAM_BLOCK_BITS:
+        w = np.empty((2, 2, 2, 2, 1 << lam_bits))
+        np.copyto(w.reshape(table.shape), table)
         scan = _Scan(w.sum(axis=(0, 1)))
         if not masses_only:
             values, scan.od_skipped, scan.pd_skipped, scan.od_max_cell, scan.defect = (
@@ -293,6 +293,8 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
             scan.best, scan.at = values.max(axis=-1), values.argmax(axis=-1)
         return scan
 
+    shares = _shares(1 << (lam_bits - _LAM_BLOCK_BITS))
+    width = max(_LAM_BLOCK_BITS - (shares - 1).bit_length(), 0)
     strides = table.strides[4:]
     by_stride = sorted(range(lam_bits), key=lambda i: (-strides[i], i))
     outer = by_stride[: lam_bits - width]
@@ -303,34 +305,57 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
         return a.transpose([k + i for i in outer] + list(range(k)) + [k + i for i in inner])
 
     source = outer_first(table)
-    scan = _Scan(np.empty((2, 2, 1 << lam_bits)))
-    mass_targets = outer_first(scan.mass.reshape((2, 2) + (2,) * lam_bits))
-    work = np.empty_like(w)
-    scan.best = np.full((3, 2, 2), -np.inf)
-    scan.at = np.zeros((3, 2, 2), dtype=np.int64)
+    mass_all = np.empty((2, 2, 1 << lam_bits))
+    mass_targets = outer_first(mass_all.reshape((2, 2) + (2,) * lam_bits))
     m_inner = np.zeros(1, dtype=np.int64)
     for pos in inner:
         m_inner = (m_inner[:, None] + [0, 1 << (lam_bits - 1 - pos)]).reshape(-1)
-    for idx in itertools.product((0, 1), repeat=len(outer)):
-        np.copyto(target, source[idx])
-        mass = w.sum(axis=(0, 1))
-        np.copyto(mass_targets[idx], mass.reshape((2, 2) + (2,) * width))
-        if masses_only:
-            continue
-        values, od_skipped, pd_skipped, od_max_cell, block_defect = _reduce_block(
-            w, mass, work, False
-        )
-        scan.od_skipped += od_skipped
-        scan.pd_skipped += pd_skipped
-        scan.od_max_cell = max(scan.od_max_cell, od_max_cell)
-        scan.defect = max(scan.defect, block_defect)
-        best = values.max(axis=-1)
-        at = m_inner[values.argmax(axis=-1)]
-        at += sum(bit << (lam_bits - 1 - pos) for bit, pos in zip(idx, outer))
-        better = (best > scan.best) | ((best == scan.best) & (at < scan.at))
-        np.copyto(scan.best, best, where=better)
-        np.copyto(scan.at, at, where=better)
+
+    def read_share(k: int) -> _Scan:
+        w = np.empty((2, 2, 2, 2, 1 << width))
+        target = w.reshape((2, 2, 2, 2) + (2,) * width)
+        work = np.empty_like(w)
+        scan = _Scan(mass_all, np.full((3, 2, 2), -np.inf), np.zeros((3, 2, 2), dtype=np.int64))
+        for q in _share(1 << len(outer), shares, k):
+            idx = tuple(q >> (len(outer) - 1 - i) & 1 for i in range(len(outer)))
+            np.copyto(target, source[idx])
+            mass = w.sum(axis=(0, 1))
+            np.copyto(mass_targets[idx], mass.reshape((2, 2) + (2,) * width))
+            if masses_only:
+                continue
+            values, od_skipped, pd_skipped, od_max_cell, block_defect = _reduce_block(
+                w, mass, work, False
+            )
+            at = m_inner[values.argmax(axis=-1)]
+            at += sum(bit << (lam_bits - 1 - pos) for bit, pos in zip(idx, outer))
+            _merge(scan, values.max(axis=-1), at, od_skipped, pd_skipped, od_max_cell, block_defect)
+        return scan
+
+    scan, *others = _each(read_share, shares)
+    for o in others:
+        _merge(scan, o.best, o.at, o.od_skipped, o.pd_skipped, o.od_max_cell, o.defect)
     return scan
+
+
+def _merge(
+    scan: _Scan,
+    best: np.ndarray,
+    at: np.ndarray,
+    od_skipped: int,
+    pd_skipped: int,
+    od_max_cell: float,
+    defect: float,
+) -> None:
+    """Fold one block's or one share's results into a running scan: counts
+    add, maxima are taken, and a cell's best is replaced by a larger value
+    or by an equal one at a smaller lambda index."""
+    scan.od_skipped += od_skipped
+    scan.pd_skipped += pd_skipped
+    scan.od_max_cell = max(scan.od_max_cell, od_max_cell)
+    scan.defect = max(scan.defect, defect)
+    better = (best > scan.best) | ((best == scan.best) & (at < scan.at))
+    np.copyto(scan.best, best, where=better)
+    np.copyto(scan.at, at, where=better)
 
 
 def _read_model(

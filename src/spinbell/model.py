@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Mapping, Sequence
+import threading
+from collections.abc import Callable, Mapping, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -80,6 +82,82 @@ _BLOCK_BITS = 16
 _DENSE_BITS = 6
 
 
+# -- shares of the 2^N block passes ------------------------------------------------
+
+# The passes over more than one block (energies, weights, the independence
+# reader) split their blocks into one share per usable core, at most
+# _MAX_SHARES; numpy releases the interpreter lock inside each block's ufunc
+# calls. Every word gets the same operands in the same order in any share, so
+# results are bit-identical at any share count. The count is read once.
+_MAX_SHARES = 4
+try:
+    _SHARES = min(len(os.sched_getaffinity(0)), _MAX_SHARES)
+except AttributeError:  # no sched_getaffinity on this platform
+    _SHARES = min(os.cpu_count() or 1, _MAX_SHARES)
+
+_T = TypeVar("_T")
+_pool = None  # concurrent.futures.ThreadPoolExecutor, made on first use
+_pool_lock = threading.Lock()
+_in_pool = threading.local()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _mark_pool_thread() -> None:
+    _in_pool.active = True
+
+
+def _shares(blocks: int) -> int:
+    """Shares for a pass over the given number of blocks."""
+    return min(_SHARES, blocks)
+
+
+def _share(count: int, shares: int, k: int) -> range:
+    """Share k's contiguous run of count items split into shares."""
+    return range(count * k // shares, count * (k + 1) // shares)
+
+
+def _each(fn: Callable[[int], _T], shares: int) -> list[_T]:
+    """[fn(0), ..., fn(shares - 1)]: share 0 on the calling thread, the
+    others on the pool, each under the caller's numpy error state (which is
+    local to a thread). A call from a pool thread runs every share inline,
+    so nested use cannot deadlock. fn must call no public spinbell function:
+    those are traced from the calling thread only.
+    """
+    if shares == 1 or getattr(_in_pool, "active", False):
+        return [fn(k) for k in range(shares)]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                _MAX_SHARES - 1, "spinbell-share", initializer=_mark_pool_thread
+            )
+        pool = _pool
+    err = np.geterr()
+
+    def run(k: int) -> _T:
+        with np.errstate(**err):
+            return fn(k)
+
+    futures = [pool.submit(run, k) for k in range(1, shares)]
+    try:
+        first = fn(0)
+    finally:
+        for future in futures:  # wait for every share before returning or raising
+            future.exception()
+    return [first, *(future.result() for future in futures)]
+
+
 def _terms(lattice: Lattice) -> list[tuple[float, tuple[int, ...]]]:
     """(coefficient, bits) of every nonzero term, each to be subtracted, in
     the order of lattice.energy: fields, edges, triples. A triple's
@@ -101,8 +179,9 @@ def _factor(coef: float, bits: Sequence[int], width: int) -> np.ndarray:
     return coef * _PATTERNS[len(bits) - 1].reshape(shape)
 
 
-def _energies(lattice: Lattice) -> np.ndarray:
-    """Energy of every configuration, indexed by integer word.
+def _energies(lattice: Lattice, out: np.ndarray | None = None) -> np.ndarray:
+    """Energy of every configuration, indexed by integer word, written into
+    out (a contiguous array of 2^N floats) when given.
 
     Each term is subtracted in place onto the (2,)*N tensor (node k on axis
     N-1-k) as a factor that spans only the term's own axes, in the order of
@@ -118,7 +197,8 @@ def _energies(lattice: Lattice) -> np.ndarray:
     fixed nodes at spin -1; a term on fixed nodes alone is a scalar. The
     terms before the first one that touches a fixed node are the same in
     every block and are built once. Every word still receives the same
-    +-coefficient operands in the same order.
+    +-coefficient operands in the same order, and the blocks are split
+    into shares (see _each).
     """
     n = lattice.n
     width = min(n, _BLOCK_BITS)
@@ -126,7 +206,11 @@ def _energies(lattice: Lattice) -> np.ndarray:
     split = len(terms)
     if width < n:
         split = next((i for i, (_, bits) in enumerate(terms) if max(bits) >= width), split)
-    start = np.full((2,) * width, float(lattice.offset))
+    if out is None or width < n:
+        start = np.full((2,) * width, float(lattice.offset))
+    else:
+        start = out.reshape((2,) * width)
+        start.fill(lattice.offset)
     for coef, bits in terms[:split]:
         # _factor inlined: up to 16 spins this loop is the whole build, and
         # searches and the CLI make thousands of those
@@ -150,20 +234,29 @@ def _energies(lattice: Lattice) -> np.ndarray:
                 shape = f.shape[: width - dense] + (2,) * dense
                 f = np.ascontiguousarray(np.broadcast_to(f, shape))
         rest.append((f, -f, fixed))
-    e = np.empty(1 << n)
-    for q, block in enumerate(e.reshape((-1,) + start.shape)):
-        np.copyto(block, start)
-        for f, neg, fixed in rest:
-            # an odd count of fixed nodes at spin -1 (bit 0) flips the sign
-            block -= neg if (fixed & ~q).bit_count() & 1 else f
+    e = np.empty(1 << n) if out is None else out
+    blocks = e.reshape((-1,) + start.shape)
+    shares = _shares(len(blocks))
+
+    def fill(k: int) -> None:
+        for q in _share(len(blocks), shares, k):
+            block = blocks[q]
+            np.copyto(block, start)
+            for f, neg, fixed in rest:
+                # an odd count of fixed nodes at spin -1 (bit 0) flips the sign
+                block -= neg if (fixed & ~q).bit_count() & 1 else f
+
+    _each(fill, shares)
     return e
 
 
-def _weights(lattice: Lattice, shift: float | None = None) -> tuple[np.ndarray, float]:
-    """Stabilized weights of a lattice, built in one 2^N array, and the
-    shift used (see _stabilize)."""
+def _weights(
+    lattice: Lattice, shift: float | None = None, out: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Stabilized weights of a lattice, built in one 2^N array (out when
+    given), and the shift used (see _stabilize)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = _energies(lattice)
+        energies = _energies(lattice, out)
     return _stabilize(energies, lattice.beta, shift)
 
 
@@ -174,18 +267,48 @@ def _stabilize(
     place, and return them with the shift used. The shift defaults to the
     energy minimum, which must be finite: NaN or -inf there means some
     energy left the double range.
+
+    Past one block of 2^_BLOCK_BITS words the minimum is taken per share
+    and the three steps run one block at a time, each share on its own
+    blocks (see _each).
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        if energies.size <= 1 << _BLOCK_BITS:
+            if shift is None:
+                shift = _check_shift(float(energies.min()))
+            np.subtract(energies, shift, out=energies)
+            np.multiply(energies, -beta, out=energies)
+            return np.exp(energies, out=energies), shift
+
+        blocks = energies.reshape(-1, 1 << _BLOCK_BITS)
+        shares = _shares(len(blocks))
+
+        def low(k: int) -> float:
+            part = _share(len(blocks), shares, k)
+            return blocks[part.start : part.stop].min()
+
         if shift is None:
-            shift = float(energies.min())
-            if not math.isfinite(shift):
-                raise NumericRangeError(
-                    f"energies leave the double range (minimum energy is {shift}); "
-                    "reduce the couplings, fields or offset"
-                )
-        np.subtract(energies, shift, out=energies)
-        np.multiply(energies, -beta, out=energies)
-        return np.exp(energies, out=energies), shift
+            # np.min, unlike min(), keeps a NaN from any share
+            shift = _check_shift(float(np.min(_each(low, shares))))
+
+        def finish(k: int) -> None:
+            for q in _share(len(blocks), shares, k):
+                block = blocks[q]
+                np.subtract(block, shift, out=block)
+                np.multiply(block, -beta, out=block)
+                np.exp(block, out=block)
+
+        _each(finish, shares)
+        return energies, shift
+
+
+def _check_shift(shift: float) -> float:
+    if not math.isfinite(shift):
+        raise NumericRangeError(
+            f"energies leave the double range (minimum energy is {shift}); "
+            "reduce the couplings, fields or offset"
+        )
+    return shift
 
 
 class BoltzmannModel:

@@ -17,6 +17,7 @@ analyzer b, and the hidden path 3..N connects the analyzers.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -238,7 +239,8 @@ def chain_lambda_conditional(
     for left, right in zip(lam, lam[1:]):
         num *= 1.0 + k * left * right
     num *= 1.0 + k * lam[-1] * sb
-    return num / (2.0 ** (n - 2) * _chain_denominator(ctx, n, sa, sb))
+    value = num / (_pow2(n - 2, n, ctx) * _chain_denominator(ctx, n, sa, sb))
+    return _chain_finite(value, n, ctx)
 
 
 def chain_setting_marginal(n: int, ctx: SeriesContext, sa: int, sb: int) -> float:
@@ -246,7 +248,21 @@ def chain_setting_marginal(n: int, ctx: SeriesContext, sa: int, sb: int) -> floa
     to a single K^(n-1) term."""
     _check_chain_n(n)
     check_spins(sa, sb)
-    return ctx.alpha * 2.0**n * _chain_denominator(ctx, n, sa, sb)
+    return _chain_finite(ctx.alpha * _pow2(n, n, ctx) * _chain_denominator(ctx, n, sa, sb), n, ctx)
+
+
+def _chain_finite(value: float, n: int, ctx: SeriesContext) -> float:
+    """value (a float, or an array on a spin grid), unless a chain closed
+    form at n left the float range."""
+    if not np.isfinite(value).all():
+        raise NumericRangeError(f"chain closed form at n={n}, k={ctx.k} leaves the float range")
+    return value
+
+
+def _pow2(e: int, n: int, ctx: SeriesContext) -> float:
+    """2.0**e, checked as a chain form at n (2.0**e raises a bare
+    OverflowError past the float range)."""
+    return _chain_finite(2.0**e if e < sys.float_info.max_exp else math.inf, n, ctx)
 
 
 def chain_outcome_factors(

@@ -10,6 +10,7 @@ import pytest
 from spinbell.bell import (
     QUANTUM_MAX_ANGLES,
     ConditionalTable,
+    _check_columns,
     chsh,
     conditional_table,
     quantum_chsh,
@@ -48,6 +49,25 @@ def test_table_validates_column_sums():
     bad = np.full((2, 2, 2, 2), 0.2)
     with pytest.raises(InvalidArgumentError, match="deviate"):
         ConditionalTable(bad)
+
+
+def test_table_refuses_nan():
+    """NaN compares false with every bound, so each check must fail on it."""
+    one = np.full((2, 2, 2, 2), 0.25)
+    one[1, 0, 0, 1] = np.nan
+    for bad in (one, np.full((2, 2, 2, 2), np.nan)):
+        with pytest.raises(InvalidArgumentError, match="\\[0, 1\\]"):
+            ConditionalTable(bad)
+
+
+def test_stacked_tables_refuse_nan():
+    """The placement sweep checks a (s1, s2, sa, sb, placement) stack at once."""
+    stack = np.full((2, 2, 2, 2, 5), 0.25)
+    _check_columns(stack)
+    stack[0, 1, 1, 0, 3] = np.nan
+    with pytest.raises(InvalidArgumentError, match="\\[0, 1\\]"):
+        _check_columns(stack)
+    _check_columns(np.empty((2, 2, 2, 2, 0)))
 
 
 def test_entry_and_column(ladder_model):

@@ -312,6 +312,67 @@ def test_chain_md_per_config_length_limit():
         chain_md_profile(range(1024, 1030), 0.5)
 
 
+def _unchecked(form):
+    """A chain form as it read before the range checks, None past the
+    float range (inf, or the bare OverflowError of 2.0**n)."""
+    try:
+        value = form()
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _marginal_form(n, ctx, sa, sb):
+    return ctx.alpha * 2.0**n * (1.0 + ctx.k ** (n - 1) * sa * sb)
+
+
+def _lambda_form(n, ctx, lam, sa, sb):
+    num = 1.0 + ctx.k * sa * lam[0]
+    for left, right in zip(lam, lam[1:]):
+        num *= 1.0 + ctx.k * left * right
+    num *= 1.0 + ctx.k * lam[-1] * sb
+    return num / (2.0 ** (n - 2) * (1.0 + ctx.k ** (n - 1) * sa * sb))
+
+
+@pytest.mark.parametrize(
+    "j, last",
+    [(0.5, 846), (0.0, 1023)],
+    ids=["alpha-overflows-first", "two-to-the-n-overflows"],
+)
+def test_chain_setting_marginal_refuses_the_float_range(j, last):
+    """Finite values keep their bits up to the last length; one past it the
+    form is refused with n and k named instead of reading inf or raising a
+    bare OverflowError."""
+    ctx = SeriesContext.build(1025, j=j)
+    for n in (5, last - 1, last):
+        for sa, sb in ((1, 1), (1, -1)):
+            assert series.chain_setting_marginal(n, ctx, sa, sb) == _marginal_form(n, ctx, sa, sb)
+    for n in (last + 1, 1024, 1030):
+        assert _unchecked(lambda: _marginal_form(n, ctx, 1, 1)) is None
+        with pytest.raises(NumericRangeError, match=f"n={n}, k={ctx.k}"):
+            series.chain_setting_marginal(n, ctx, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "j, last",
+    [(20.0, 1024), (0.1, 1025)],
+    ids=["numerator-overflows", "two-to-the-n-overflows"],
+)
+def test_chain_lambda_conditional_refuses_the_float_range(j, last):
+    """At K = 1 the aligned numerator 2^(n-1) overflows first; at small K
+    the 2^(n-2) normalization does."""
+    ctx = SeriesContext.build(5, j=j)
+    for n in (last - 1, last):
+        lam = (1,) * (n - 2)
+        got = series.chain_lambda_conditional(n, ctx, lam, 1, 1)
+        assert got == _lambda_form(n, ctx, lam, 1, 1)
+    for n in (last + 1, 1030):
+        lam = (1,) * (n - 2)
+        assert _unchecked(lambda: _lambda_form(n, ctx, lam, 1, 1)) is None
+        with pytest.raises(NumericRangeError, match=f"n={n}, k={ctx.k}"):
+            series.chain_lambda_conditional(n, ctx, lam, 1, 1)
+
+
 def test_chain_md_per_config_decays():
     values = [chain_md_per_config(n, 0.5) for n in range(5, 31, 5)]
     assert all(a > b for a, b in zip(values, values[1:]))
