@@ -32,7 +32,6 @@ _EXPORTS = {
         "Witness",
         "IndependenceReport",
         "measurement_dependence",
-        "pairwise_correlation_check",
         "independence_report",
         "reevaluate",
         "decoupling_sweep",

@@ -42,7 +42,6 @@ __all__ = [
     "Witness",
     "IndependenceReport",
     "measurement_dependence",
-    "pairwise_correlation_check",
     "independence_report",
     "decoupling_sweep",
     "reevaluate",
@@ -119,15 +118,24 @@ _PAIR_SLOT = np.array(
 ).reshape(-1)
 
 
+# lambda values per chunk of md's difference rows, so that they stay in cache
+_MD_CHUNK = 1 << 12
+
+
 def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_lambda |P(lambda|a,b) - P(lambda|a',b')| for all 16 ordered
     setting pairs, from weights over (..., sa, sb, lambda-flat), which are
-    overwritten with P(lambda | a, b).
+    overwritten with P(lambda | a, b); the lambda axis has a power-of-two
+    length.
 
     Returns (diff, pair_valid), both (..., 2, 2, 2, 2); diff is -1 where
     either setting has zero weight. Leading axes stack independent models.
-    Only the 6 unordered pairs are summed, each over its own contiguous
-    lambda row: |p - q| equals |q - p| exactly, and the diagonal is 0.
+    Only the 6 unordered pairs are summed, each over its own lambda row:
+    |p - q| equals |q - p| exactly, and the diagonal is 0. The rows are
+    formed _MD_CHUNK lambda values at a time. numpy sums a contiguous row
+    of 2^k values as the sum of its two halves, down to 128 values, so
+    adding the chunks' sums pairwise, neighbours first, gives each row's
+    whole sum bit for bit.
     """
     mass_ab = mass_ab_lam.sum(axis=-1)  # (..., 2, 2)
     valid = mass_ab >= ZERO_MEASURE
@@ -136,13 +144,19 @@ def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = mass_ab.shape[:-2]
     p = np.divide(mass_ab_lam, np.where(valid, mass_ab, 1.0)[..., None], out=mass_ab_lam)
     p = p.reshape(lead + (4, -1))
-    rows = np.empty(lead + (6, p.shape[-1]))
-    np.subtract(p[..., :3, :], p[..., 1:, :], out=rows[..., :3, :])
-    np.subtract(p[..., :2, :], p[..., 2:, :], out=rows[..., 3:5, :])
-    np.subtract(p[..., :1, :], p[..., 3:, :], out=rows[..., 5:, :])
-    sums = np.zeros(lead + (7,))
-    np.abs(rows, out=rows).sum(axis=-1, out=sums[..., :6])
-    diff = sums[..., _PAIR_SLOT].reshape(lead + (2, 2, 2, 2))
+    size = p.shape[-1]
+    chunk = min(size, _MD_CHUNK)
+    rows = np.empty(lead + (6, chunk))
+    sums = np.zeros(lead + (7, size // chunk))  # row 6: the diagonal's 0
+    for j in range(size // chunk):
+        part = p[..., j * chunk : (j + 1) * chunk] if chunk < size else p
+        np.subtract(part[..., :3, :], part[..., 1:, :], out=rows[..., :3, :])
+        np.subtract(part[..., :2, :], part[..., 2:, :], out=rows[..., 3:5, :])
+        np.subtract(part[..., :1, :], part[..., 3:, :], out=rows[..., 5:, :])
+        np.abs(rows, out=rows).sum(axis=-1, out=sums[..., :6, j])
+    while sums.shape[-1] > 1:
+        sums = sums[..., 0::2] + sums[..., 1::2]
+    diff = sums[..., _PAIR_SLOT, 0].reshape(lead + (2, 2, 2, 2))
     pair_valid = valid[..., :, :, None, None] & valid[..., None, None, :, :]
     return np.where(pair_valid, diff, -1.0), pair_valid
 
@@ -164,38 +178,88 @@ def _md_result(mass: np.ndarray) -> tuple[float, Witness]:
 # -- the block reader ------------------------------------------------------------
 
 # lambda values per block: the reader's (2, 2, 2, 2, C) buffer then holds 2^16
-# words (512 KiB), so every pass over a block runs in L2. A lambda set of at
-# most this many bits is read in one block, with nothing to merge.
+# words (512 KiB), so every pass over a block runs in cache. A lambda set of
+# at most this many bits is read in one block, with nothing to merge.
 _LAM_BLOCK_BITS = 12
 
 
-@dataclass
 class _Scan:
     """What one read of a weight table leaves.
 
     mass is the setting mass over (sa, sb, lambda-flat) until _md_result
     consumes it: md overwrites it with P(lambda | a, b), so md runs after
     anything that reads the mass values (its size stays the cell count).
-    best and at hold, per quantity and cell, the largest value and the
-    smallest lambda index that reaches it: od over (sa, sb), pd against
-    analyzer a over (s2, b) and pd against analyzer b over (s1, a); a cell
-    without weight reads -1. A masses-only read leaves the rest unset.
+    top holds, per quantity, (value, -cell, -m): its largest value over
+    every cell and lambda value, the first cell in cell order that reaches
+    it, and the smallest lambda index m at which that cell does. The
+    quantities are od over cells (sa, sb), pd against analyzer a over
+    (s2, b) and pd against analyzer b over (s1, a); a cell without weight
+    reads -1. A masses-only read leaves top unset.
     """
 
-    mass: np.ndarray
-    best: np.ndarray | None = None
-    at: np.ndarray | None = None
-    od_skipped: int = 0
-    pd_skipped: int = 0
-    od_max_cell: float = -np.inf
-    defect: float = -np.inf
+    od_skipped = pd_skipped = 0
+    od_max_cell = defect = -np.inf
+    _unset = (-np.inf, 0, 0)
+
+    def __init__(self, mass: np.ndarray) -> None:
+        self.mass = mass
+        self.top = [self._unset] * 3
+
+    def offer(self, k: int, key: tuple[float, int, int]) -> None:
+        """Keep quantity k's maximum (value, -cell, -m): a larger value, or
+        an equal one at an earlier cell, or at the same cell and a smaller
+        lambda index. This is a total order, so no result depends on how
+        the blocks are split or ordered."""
+        if key > self.top[k]:
+            self.top[k] = key
+
+    def add_block(
+        self, buf: _Buffers, single: bool, m_inner: np.ndarray, m_outer: int
+    ) -> None:
+        """Reduce the block in buf and fold it in. Its lambda value c has
+        the flat index m_inner[c] + m_outer."""
+        values, od_skipped, pd_skipped, od_max_cell, defect = _reduce_block(buf, single)
+        self.od_skipped += od_skipped
+        self.pd_skipped += pd_skipped
+        self.od_max_cell = max(self.od_max_cell, od_max_cell)
+        self.defect = max(self.defect, defect)
+        tops = values.max(axis=-1).reshape(3, 4)
+        cells = tops.argmax(axis=1)
+        for k, (cell, value) in enumerate(zip(cells.tolist(), tops[(0, 1, 2), cells].tolist())):
+            if value >= self.top[k][0]:
+                hits = values[k].reshape(4, -1)[cell] == value
+                self.offer(k, (value, -cell, -int(m_inner[hits].min()) - m_outer))
+
+    def merge(self, other: _Scan) -> None:
+        """Fold in the scan of another share."""
+        self.od_skipped += other.od_skipped
+        self.pd_skipped += other.pd_skipped
+        self.od_max_cell = max(self.od_max_cell, other.od_max_cell)
+        self.defect = max(self.defect, other.defect)
+        for k in range(3):
+            self.offer(k, other.top[k])
 
 
-def _reduce_block(
-    w: np.ndarray, mass: np.ndarray, work: np.ndarray, single: bool
-) -> tuple[np.ndarray, int, int, float, float]:
-    """od, pd and factorization reductions of one block w over (s1, s2, sa,
-    sb, c) with setting masses mass; work is a buffer of w's shape.
+class _Buffers:
+    """One share's buffers for a block w over (s1, s2, sa, sb, c) and its
+    setting masses mass over (sa, sb, c): a work array of w's shape, the
+    per-cell values (quantity, 2, 2, c) described on _Scan, the conditional
+    outcome marginals p1 over (s1, sa, sb, c) and p2 over (s2, sa, sb, c),
+    the weights g1 over (s1, sa, c) and g2 over (s2, sb, c), and their sums
+    over the outcome."""
+
+    def __init__(self, w: np.ndarray, mass: np.ndarray) -> None:
+        self.w, self.mass = w, mass
+        self.work = np.empty_like(w)
+        self.values = np.empty((3,) + mass.shape)
+        self.p = np.empty_like(w)
+        self.g = np.empty((2,) + mass.shape)
+        self.marginal = np.empty_like(mass)
+
+
+def _reduce_block(buf: _Buffers, single: bool) -> tuple[np.ndarray, int, int, float, float]:
+    """od, pd and factorization reductions of the block buf.w over (s1, s2,
+    sa, sb, c) with setting masses buf.mass.
 
     Every sum adds its terms in the order of numpy's sum over a C-ordered
     (s1, s2, sa, sb, lambda-flat) array. A sum over the two leading axes
@@ -203,159 +267,204 @@ def _reduce_block(
     onto (s1, a) and (s2, b) are spelled out, because numpy pairs their
     terms when the trailing axis has length 1 (single is set when lambda
     takes a single value). w is overwritten with P(s1, s2 | sa, sb, lambda),
-    zeroed on cells without weight. Returns the per-cell values (quantity,
-    2, 2, c) described on _Scan, the skipped od cells and pd pairs, the
-    largest single-cell od term, and the factorization defect.
+    zero on cells without weight (a division by inf). Returns buf.values
+    filled with the per-cell values, the skipped od cells and pd pairs,
+    the largest single-cell od term, and the factorization defect.
     """
+    w, work, mass, values = buf.w, buf.work, buf.mass, buf.values
     valid = mass >= ZERO_MEASURE
-    invalid = ~valid
+    every = bool(valid.all())
     # weights over (s1, a, c) and (s2, b, c), before w is normalized
-    g1 = w[:, 0, :, 0] + w[:, 0, :, 1]
+    g1, g2 = buf.g
+    np.add(w[:, 0, :, 0], w[:, 0, :, 1], out=g1)
     if single:
         g1 += w[:, 1, :, 0] + w[:, 1, :, 1]
     else:
         g1 += w[:, 1, :, 0]
         g1 += w[:, 1, :, 1]
-    g2 = w[0, :, 0] + w[0, :, 1]
+    np.add(w[0, :, 0], w[0, :, 1], out=g2)
     g2 += w[1, :, 0]
     g2 += w[1, :, 1]
 
-    np.divide(w, np.where(valid, mass, 1.0), out=w)
-    w *= valid
-    p1 = w[:, 0] + w[:, 1]  # P(s1 | sa, sb, lambda)
-    p2 = w[0] + w[1]  # P(s2 | sa, sb, lambda)
+    np.divide(w, np.where(valid, mass, np.inf), out=w)
+    p1, p2 = buf.p
+    np.add(w[:, 0], w[:, 1], out=p1)  # P(s1 | sa, sb, lambda)
+    np.add(w[0], w[1], out=p2)  # P(s2 | sa, sb, lambda)
 
-    values = np.empty((3,) + mass.shape)
     od, pd_a, pd_b = values
+    # outcome 2 against a flip of analyzer a at fixed (b, lambda), and
+    # outcome 1 against a flip of analyzer b at fixed (a, lambda)
+    np.subtract(p2[:, 1], p2[:, 0], out=pd_a)
+    np.subtract(p1[:, :, 1], p1[:, :, 0], out=pd_b)
+    np.abs(values[1:], out=values[1:])
+
     np.multiply(p1[:, None], p2[None], out=work)
     np.subtract(w, work, out=work)
     np.abs(work, out=work)
     # a cell without weight has all-zero terms, so the largest term is the
     # largest over cells with weight, or 0
     od_max_cell = float(work.max())
-    work.sum(axis=(0, 1), out=od)
-    np.copyto(od, -1.0, where=invalid)
-
-    # outcome 2 against a flip of analyzer a at fixed (b, lambda), and
-    # outcome 1 against a flip of analyzer b at fixed (a, lambda)
-    np.subtract(p2[:, 1], p2[:, 0], out=pd_a)
-    np.abs(pd_a, out=pd_a)
-    ok_a = valid[1] & valid[0]
-    np.copyto(pd_a, -1.0, where=~ok_a)
-    np.subtract(p1[:, :, 1], p1[:, :, 0], out=pd_b)
-    np.abs(pd_b, out=pd_b)
-    ok_b = valid[:, 1] & valid[:, 0]
-    np.copyto(pd_b, -1.0, where=~ok_b)
-    pd_skipped = ok_a.size + ok_b.size - int(np.count_nonzero(ok_a) + np.count_nonzero(ok_b))
-    od_skipped = int(np.count_nonzero(invalid))
+    _setting_mass(work, od)
+    od_skipped = pd_skipped = 0
+    if not every:
+        np.copyto(od, -1.0, where=~valid)
+        ok_a = valid[1] & valid[0]
+        np.copyto(pd_a, -1.0, where=~ok_a)
+        ok_b = valid[:, 1] & valid[:, 0]
+        np.copyto(pd_b, -1.0, where=~ok_b)
+        pd_skipped = ok_a.size + ok_b.size - int(np.count_nonzero(ok_a) + np.count_nonzero(ok_b))
+        od_skipped = valid.size - int(np.count_nonzero(valid))
 
     # P(s1 | a, lambda) P(s2 | b, lambda) against P(s1, s2 | a, b, lambda).
     # A cell with weight has weight on both marginals (sums of nonnegative
     # terms are no smaller than each term), so only the cells without
-    # weight are masked.
-    for g in (g1, g2):
-        marginal = g[0] + g[1]
-        ok = marginal >= ZERO_MEASURE
-        g /= np.where(ok, marginal, 1.0)
-        g *= ok
+    # weight are masked: their product is zeroed, like their w, and the
+    # defect is the largest |difference| over cells with weight, or 0.
+    g = buf.g
+    marginal = np.add(g[:, 0], g[:, 1], out=buf.marginal)
+    if not every:
+        np.copyto(marginal, np.inf, where=marginal < ZERO_MEASURE)
+    np.divide(g, marginal[:, None], out=g)
     np.multiply(g1[:, None, :, None], g2[None, :, None], out=work)
+    if not every:
+        work *= valid
     np.subtract(w, work, out=work)
-    np.abs(work, out=work)
-    np.copyto(work, -1.0, where=invalid)
-    return values, od_skipped, pd_skipped, od_max_cell, float(work.max())
+    defect = max(float(work.max()), -float(work.min())) + 0.0  # + 0.0: no -0.0
+    return values, od_skipped, pd_skipped, od_max_cell, defect
 
 
 def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     """Read a weight table one block of lambda values at a time.
 
     table is over (s1, s2, sa, sb, lambda...), its lambda axes in lam_ids
-    order. With at most _LAM_BLOCK_BITS lambda bits the table is one block.
-    Otherwise the lambda axes with the largest strides are fixed per block,
-    so a block is a few contiguous runs of memory, and the blocks are split
-    into shares (see model._each), each with its own buffers and running
-    scan. A block then holds fewer lambda values, so the buffers of all
-    shares together are no larger than one block at _LAM_BLOCK_BITS.
-    Each block is copied into one (s1, s2, sa, sb, c) buffer with its inner
-    lambda axes in lam_ids order, so c runs in the order of the flat lambda
-    index m, and m = m_inner[c] + m_outer. A cell's running best is
-    replaced by a larger value, or by an equal one at a smaller m; the
-    share scans are merged by the same rule, so no field or witness depends
-    on the split. With masses_only the scan holds the masses alone.
+    order, and is a transpose of a C-contiguous array (as weight_table
+    returns): axis k's stride gives the bit it holds in that array's words.
+    With at most _LAM_BLOCK_BITS lambda bits the table is one block, copied
+    with its lambda axes in lam_ids order, so its lambda index is the flat
+    index m of _decode_lambda.
+
+    Otherwise a block fixes every lambda bit at or above some bit: it is
+    the contiguous runs of words below that bit, one run per value of the
+    role bits above it. Each block is copied into one (s1, s2, sa, sb, c)
+    buffer with c in memory order, a transpose of each run; no copied run
+    is shorter than the span between two role bits. Lambda value c of the
+    block has m = m_inner[c] + m_outer. The blocks are split into shares
+    (see model._each), each with its own buffers and running scan; with
+    more shares a block holds fewer lambda values, so that all buffers
+    together stay below half the table's size.
+
+    Only the masses need m order, because md sums them in it. Each block's
+    masses are put in m order by one gather, and the blocks are read in m
+    order of their fixed bits, 8 at a time; for lambda in bit order (the
+    default) each group fills runs of 8 consecutive words of the masses.
+    The other quantities keep their largest value, at the first cell and
+    then the smallest m that reach it (see _Scan.offer), so no field or
+    witness depends on the split or the block order. A masses-only read
+    sums each block's masses straight from its runs, in memory order,
+    without the copy.
     """
     if lam_bits <= _LAM_BLOCK_BITS:
         w = np.empty((2, 2, 2, 2, 1 << lam_bits))
         np.copyto(w.reshape(table.shape), table)
         scan = _Scan(w.sum(axis=(0, 1)))
         if not masses_only:
-            values, scan.od_skipped, scan.pd_skipped, scan.od_max_cell, scan.defect = (
-                _reduce_block(w, scan.mass, np.empty_like(w), lam_bits == 0)
-            )
-            scan.best, scan.at = values.max(axis=-1), values.argmax(axis=-1)
+            scan.add_block(_Buffers(w, scan.mass), lam_bits == 0, np.arange(1 << lam_bits), 0)
         return scan
 
     shares = _shares(1 << (lam_bits - _LAM_BLOCK_BITS))
-    width = max(_LAM_BLOCK_BITS - (shares - 1).bit_length(), 0)
-    strides = table.strides[4:]
-    by_stride = sorted(range(lam_bits), key=lambda i: (-strides[i], i))
-    outer = by_stride[: lam_bits - width]
-    inner = sorted(by_stride[lam_bits - width :])
-
-    def outer_first(a: np.ndarray) -> np.ndarray:
-        k = a.ndim - lam_bits
-        return a.transpose([k + i for i in outer] + list(range(k)) + [k + i for i in inner])
-
-    source = outer_first(table)
+    # a share's buffers hold 108 words per lambda value of its block, the
+    # table 16 words per lambda value
+    width = max(min(_LAM_BLOCK_BITS, lam_bits - 4 - (shares - 1).bit_length()), 0)
+    blocks = 1 << (lam_bits - width)
+    ndim = table.ndim
+    bit = [(s // table.itemsize).bit_length() - 1 for s in table.strides]
+    # the runs are the words below bit run; with the role bits at or above
+    # it they make 2^(width + 4) words
+    run = max(r for r in range(ndim) if r + sum(b >= r for b in bit[:4]) == width + 4)
+    memory = sorted(range(ndim), key=lambda k: -bit[k])  # the table's axes, highest bit first
+    outer = [k for k in memory if k >= 4 and bit[k] >= run]
+    inner = [k for k in memory if k >= 4 and bit[k] < run]
+    m_outer = _flat_index(outer, ndim)
+    m_inner = _flat_index(inner, ndim)
+    in_order = np.argsort(m_inner)
+    ranked = np.argsort(m_outer)  # the blocks in m order
+    # the masses over (sa, sb, outer bits, inner bits), each group highest m
+    # bit first; with lambda in bit order (the default) the outer bits are
+    # the lowest bits of m, so a tile of blocks fills runs of words
+    tile_bits = min(3, len(outer))
     mass_all = np.empty((2, 2, 1 << lam_bits))
-    mass_targets = outer_first(mass_all.reshape((2, 2) + (2,) * lam_bits))
-    m_inner = np.zeros(1, dtype=np.int64)
-    for pos in inner:
-        m_inner = (m_inner[:, None] + [0, 1 << (lam_bits - 1 - pos)]).reshape(-1)
+    by_rank = mass_all.reshape((2, 2) + (2,) * lam_bits)
+    by_rank = by_rank.transpose([0, 1, *(k - 2 for k in sorted(outer) + sorted(inner))])
+
+    if masses_only:
+        # block q in memory order, its outcome axes first
+        rest = [k for k in memory if k not in outer and k > 1]
+        source = table.transpose(outer + [0, 1] + rest)
+        cell = np.arange(4 << width).reshape((2,) * len(rest))
+        cell = cell.transpose([rest.index(k) for k in (2, 3, *inner)]).reshape(2, 2, -1)
+    else:
+        source = table.transpose(outer + [0, 1, 2, 3] + inner)
+        cell = np.arange(4 << width).reshape(2, 2, -1)
+    cell = cell[:, :, in_order]  # where (sa, sb, value in m order) sits in a block's masses
+
+    # every share's buffers, made on the calling thread: what a pool thread
+    # allocates stays with its malloc arena after it is freed
+    tiles = [np.empty((2, 2, 1 << tile_bits, 1 << width)) for _ in range(shares)]
+    if masses_only:
+        masses = [np.empty(source.shape[len(outer) + 2 :]) for _ in range(shares)]
+    else:
+        buffers = [
+            _Buffers(np.empty((2, 2, 2, 2, 1 << width)), np.empty((2, 2, 1 << width)))
+            for _ in range(shares)
+        ]
 
     def read_share(k: int) -> _Scan:
-        w = np.empty((2, 2, 2, 2, 1 << width))
-        target = w.reshape((2, 2, 2, 2) + (2,) * width)
-        work = np.empty_like(w)
-        scan = _Scan(mass_all, np.full((3, 2, 2), -np.inf), np.zeros((3, 2, 2), dtype=np.int64))
-        for q in _share(1 << len(outer), shares, k):
-            idx = tuple(q >> (len(outer) - 1 - i) & 1 for i in range(len(outer)))
-            np.copyto(target, source[idx])
-            mass = w.sum(axis=(0, 1))
-            np.copyto(mass_targets[idx], mass.reshape((2, 2) + (2,) * width))
-            if masses_only:
-                continue
-            values, od_skipped, pd_skipped, od_max_cell, block_defect = _reduce_block(
-                w, mass, work, False
-            )
-            at = m_inner[values.argmax(axis=-1)]
-            at += sum(bit << (lam_bits - 1 - pos) for bit, pos in zip(idx, outer))
-            _merge(scan, values.max(axis=-1), at, od_skipped, pd_skipped, od_max_cell, block_defect)
+        scan = _Scan(mass_all)
+        tiled = tiles[k]
+        if masses_only:
+            mass = masses[k]
+        else:
+            buf = buffers[k]
+            target = buf.w.reshape(source.shape[len(outer) :])
+        for t in _share(blocks >> tile_bits, shares, k):
+            for i in range(1 << tile_bits):
+                q = int(ranked[t << tile_bits | i])
+                block = source[tuple(q >> (len(outer) - 1 - j) & 1 for j in range(len(outer)))]
+                if masses_only:
+                    np.take(_setting_mass(block, mass), cell, out=tiled[:, :, i], mode="clip")
+                    continue
+                np.copyto(target, block)
+                np.take(_setting_mass(buf.w, buf.mass), cell, out=tiled[:, :, i], mode="clip")
+                scan.add_block(buf, False, m_inner, int(m_outer[q]))
+            top = len(outer) - tile_bits
+            fixed = (t >> (top - 1 - j) & 1 for j in range(top))
+            slot = by_rank[(slice(None), slice(None), *fixed)]
+            np.copyto(slot, tiled.reshape(slot.shape))
         return scan
 
     scan, *others = _each(read_share, shares)
-    for o in others:
-        _merge(scan, o.best, o.at, o.od_skipped, o.pd_skipped, o.od_max_cell, o.defect)
+    for other in others:
+        scan.merge(other)
     return scan
 
 
-def _merge(
-    scan: _Scan,
-    best: np.ndarray,
-    at: np.ndarray,
-    od_skipped: int,
-    pd_skipped: int,
-    od_max_cell: float,
-    defect: float,
-) -> None:
-    """Fold one block's or one share's results into a running scan: counts
-    add, maxima are taken, and a cell's best is replaced by a larger value
-    or by an equal one at a smaller lambda index."""
-    scan.od_skipped += od_skipped
-    scan.pd_skipped += pd_skipped
-    scan.od_max_cell = max(scan.od_max_cell, od_max_cell)
-    scan.defect = max(scan.defect, defect)
-    better = (best > scan.best) | ((best == scan.best) & (at < scan.at))
-    np.copyto(scan.best, best, where=better)
-    np.copyto(scan.at, at, where=better)
+def _flat_index(axes: list[int], ndim: int) -> np.ndarray:
+    """The flat lambda index m of each C-ordered value of the given lambda
+    axes of an ndim-axis table: lambda axis k is bit ndim - 1 - k of m
+    (lam_ids[0] on top)."""
+    m = np.zeros(1, dtype=np.int64)
+    for k in axes:
+        m = (m[:, None] + [0, 1 << (ndim - 1 - k)]).reshape(-1)
+    return m
+
+
+def _setting_mass(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of w over its two leading (outcome) axes, the four slices added
+    one after another, as numpy sums a C-ordered array over them."""
+    np.add(w[0, 0], w[0, 1], out=out)
+    out += w[1, 0]
+    out += w[1, 1]
+    return out
 
 
 def _read_model(
@@ -372,8 +481,9 @@ def _read_model(
 def _first_max(scan: _Scan, k: int) -> tuple[float, int, int, int]:
     """(value, row, column, lambda index) of quantity k's first maximum in
     (cell, lambda) order."""
-    flat = int(np.argmax(scan.best[k]))
-    return float(scan.best[k].flat[flat]), flat >> 1, flat & 1, int(scan.at[k].flat[flat])
+    value, cell, at = scan.top[k]
+    cell = -cell
+    return value, cell >> 1, cell & 1, -at
 
 
 def _check_cells(scan: _Scan) -> None:
@@ -446,28 +556,6 @@ def measurement_dependence(
 ) -> tuple[float, Witness]:
     """sup over setting pairs of sum_lambda |P(lambda|a,b) - P(lambda|a',b')|."""
     return _md_result(_read_model(model, lam, masses_only=True)[0].mass)
-
-
-def pairwise_correlation_check(
-    model: BoltzmannModel, tol: float = 1e-9
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Pairwise factorization matrix over all nodes.
-
-    Entry [i, j] is True when P(s_i, s_j) = P(s_i) P(s_j) holds within tol
-    for all four spin pairs (diagonal True). Returns (node ids, bool matrix).
-    """
-    ids = model.lattice.node_ids
-    n = len(ids)
-    singles = {nid: model.marginal({nid: 1}) for nid in ids}
-    out = np.ones((n, n), dtype=bool)
-    for i in range(n):
-        pi = np.array([1.0 - singles[ids[i]], singles[ids[i]]])
-        for j in range(i + 1, n):
-            pj = np.array([1.0 - singles[ids[j]], singles[ids[j]]])
-            joint = model.joint_table([ids[i], ids[j]])
-            ok = bool(np.max(np.abs(joint - np.outer(pi, pj))) <= tol)
-            out[i, j] = out[j, i] = ok
-    return ids, out
 
 
 @dataclass(frozen=True)

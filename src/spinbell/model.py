@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import TypeVar
 
 import numpy as np
@@ -423,7 +423,11 @@ class BoltzmannModel:
         Axis j of the result belongs to node_ids[j]; index 1 means spin +1.
         The table is unnormalized (divide by its sum for a distribution).
         When every node is requested, no axis is summed and the table is a
-        transposed view of the weights.
+        transposed view of the weights. Up to 2^_BLOCK_BITS words (16
+        spins) it is numpy's sum over the dropped axes. Beyond, the blocks
+        are folded and their tables added in a fixed pairwise tree (see
+        _fold): each cell is within a relative 1e-13 of its exact sum, and
+        the table is the same at any share count.
         """
         if not node_ids:
             raise InvalidArgumentError("weight_table needs at least one node")
@@ -433,11 +437,15 @@ class BoltzmannModel:
             if nid not in self._index:
                 raise InvalidConfigurationError(f"unknown node {nid!r} in table request")
         n = self.n
-        axes = [n - 1 - self._index[nid] for nid in node_ids]
-        drop = tuple(a for a in range(n) if a not in axes)
-        summed = self._tensor.sum(axis=drop) if drop else self._tensor
-        kept = sorted(axes)  # the axes of summed
-        return summed.transpose([kept.index(a) for a in axes])
+        bits = [self._index[nid] for nid in node_ids]
+        if len(bits) == n:
+            summed = self._tensor
+        elif n <= _BLOCK_BITS:
+            summed = self._tensor.sum(axis=tuple(n - 1 - k for k in range(n) if k not in bits))
+        else:
+            summed = _fold(self.weights, sorted(bits)).reshape((2,) * len(bits))
+        kept = sorted(bits, reverse=True)  # the axes of summed
+        return summed.transpose([kept.index(k) for k in bits])
 
     def joint_table(self, node_ids: Sequence[str]) -> np.ndarray:
         """Exact joint distribution over the requested nodes. Same axis
@@ -447,6 +455,73 @@ class BoltzmannModel:
         if total < ZERO_MEASURE:
             raise DegenerateModelError("all configurations carry zero weight")
         return w / total
+
+
+def _fold(weights: np.ndarray, kept: Sequence[int]) -> np.ndarray:
+    """The weights summed onto the kept bits (ascending), as one array in
+    word order over those bits.
+
+    Each block of 2^_BLOCK_BITS words is folded onto its kept cells by
+    summing its dropped bits out highest first: each step adds the two
+    halves of one bit, runs of 2^bit contiguous words, through two buffers
+    per share. The block tables are then combined by a fixed pairwise tree
+    over the block index, lowest bit first, as a binary counter would:
+    tables that differ in a dropped bit are added, and tables that differ
+    in a kept bit are placed side by side. So every cell is a balanced
+    tree of additions over its terms, and the relative error does not grow
+    like 2^N. The blocks are split into shares (see _each) at a level of
+    that tree, so the additions, and the table, are the same at any share
+    count.
+    """
+    width = _BLOCK_BITS
+    blocks = weights.reshape(-1, 1 << width)
+    drop = [b for b in range(width - 1, -1, -1) if b not in kept]
+    high = {b - width for b in kept if b >= width}
+    levels = (len(blocks) - 1).bit_length()
+    cut = min((_shares(len(blocks)) - 1).bit_length(), levels)
+    inner = levels - cut  # tree levels within one share's subtree
+    shares = _shares(1 << cut)
+
+    def fold(q: int, bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        a = blocks[q]
+        for i, b in enumerate(drop):
+            v = a.reshape(-1, 2, 1 << b)
+            last = i == len(drop) - 1  # the table outlives the buffers
+            out = None if last else bufs[i & 1][: a.size >> 1].reshape(len(v), -1)
+            a = np.add(v[:, 0], v[:, 1], out=out).reshape(-1)
+        return a
+
+    # made on the calling thread: what a pool thread allocates stays with its
+    # malloc arena after it is freed
+    buffers = [
+        (np.empty(1 << (width - 1)), np.empty(1 << max(width - 2, 0))) for _ in range(shares)
+    ]
+
+    def subtrees(k: int) -> list[np.ndarray]:
+        bufs = buffers[k]
+        return [
+            _pairwise((fold(q, bufs) for q in range(s << inner, (s + 1) << inner)), 0, high)
+            for s in _share(1 << cut, shares, k)
+        ]
+
+    return _pairwise((t for part in _each(subtrees, shares) for t in part), inner, high)
+
+
+def _pairwise(tables: Iterable[np.ndarray], level: int, high: set[int]) -> np.ndarray:
+    """Combine 2^k consecutive tables, the leaves of the subtrees at the
+    given level of the block index, pair by pair like a binary counter:
+    at a bit in high the pair is placed side by side (the second above),
+    at any other bit the two are added."""
+    stack: list[tuple[int, np.ndarray]] = []
+    for table in tables:
+        at = level
+        while stack and stack[-1][0] == at:
+            prev = stack.pop()[1]
+            table = np.concatenate((prev, table)) if at in high else prev + table
+            at += 1
+        stack.append((at, table))
+    ((_, table),) = stack
+    return table
 
 
 def _check_cap(n: int) -> None:

@@ -1,6 +1,7 @@
 """Conditional outcome tables, correlators, the CHSH combination and the
 quantum cosine reference."""
 
+import dataclasses
 import itertools
 import math
 
@@ -19,7 +20,7 @@ from spinbell.bell import (
 from spinbell.errors import InvalidArgumentError, ZeroMeasureConditionError
 from spinbell.lattice import Lattice
 from spinbell.model import build_model
-from spinbell.presets import canonical_ladder
+from spinbell.presets import canonical_ladder, chain_lattice
 
 from conftest import oracle_conditional, random_bell_lattice
 
@@ -105,6 +106,18 @@ def test_conditional_table_zero_measure_setting():
 
 
 # -- correlators and the combination ------------------------------------------------
+
+
+def test_conditional_table_keeps_to_node_order_at_22_spins():
+    """Declaring the nodes in reverse order moves every weight to another
+    word and changes every summation order; the table moves by at most the
+    rounding of weight_table (a plain sum over the slices moved it by
+    1.3e-12)."""
+    lat = chain_lattice(20, j=0.7)
+    reverse = dataclasses.replace(lat, nodes=tuple(reversed(lat.nodes)))
+    got = conditional_table(build_model(reverse)).values
+    want = conditional_table(build_model(lat)).values
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_correlator_sign_convention(ladder_model):

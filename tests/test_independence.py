@@ -19,10 +19,10 @@ from spinbell.independence import (
     IndependenceReport,
     Witness,
     _decode_lambda,
+    _md_pairs,
     decoupling_sweep,
     independence_report,
     measurement_dependence,
-    pairwise_correlation_check,
     reevaluate,
 )
 from spinbell.lattice import Lattice
@@ -176,6 +176,8 @@ def test_factorizability_second_neighbor(second_model):
 
 
 def test_pairwise_correlation_disconnected_blocks():
+    """Nodes in different components factorize pairwise; coupled ones do
+    not."""
     lat = Lattice.from_parts(
         nodes=[
             ("1", "outcome1"),
@@ -185,14 +187,17 @@ def test_pairwise_correlation_disconnected_blocks():
         ],
         edges=[("1", "2", 0.8), ("a", "b", 0.5)],
     )
-    ids, mat = pairwise_correlation_check(build_model(lat))
-    idx = {nid: k for k, nid in enumerate(ids)}
-    assert mat[idx["1"], idx["a"]]
-    assert mat[idx["2"], idx["b"]]
-    assert not mat[idx["1"], idx["2"]]
-    assert not mat[idx["a"], idx["b"]]
-    assert np.array_equal(mat, mat.T)
-    assert mat.diagonal().all()
+    model = build_model(lat)
+
+    def factorizes(i, j):
+        joint = model.joint_table([i, j])
+        product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        return np.max(np.abs(joint - product)) <= 1e-9
+
+    assert factorizes("1", "a") and factorizes("a", "1")
+    assert factorizes("2", "b")
+    assert not factorizes("1", "2")
+    assert not factorizes("a", "b")
 
 
 # -- zero-measure handling ----------------------------------------------------------
@@ -517,6 +522,19 @@ def test_block_boundaries_on_lambda_subsets(bits, monkeypatch):
     for lam in ([], ["3"], ["6", "3", "8"], ["8", "7", "4", "5"]):
         _check_against_reference(model, lam)
     _check_against_reference(build_model(second_neighbor_lattice()), [])
+
+
+@pytest.mark.parametrize("chunk", [128, 1 << 12])
+def test_md_chunks_add_up_as_whole_rows(chunk, monkeypatch):
+    """md forms its difference rows a chunk at a time; the chunk sums,
+    added pairwise, equal numpy's sum over each whole row."""
+    monkeypatch.setattr(independence_mod, "_MD_CHUNK", chunk)
+    rng = np.random.default_rng(13)
+    for size in (1 << 7, 1 << 10, 1 << 14):
+        mass = rng.random((2, 2, size)) * 10.0 ** rng.uniform(-6, 0, (2, 2, size))
+        p = mass / mass.sum(axis=-1)[..., None]
+        want = np.abs(p[:, :, None, None, :] - p[None, None, :, :, :]).sum(axis=-1)
+        assert np.array_equal(_md_pairs(mass)[0], want)
 
 
 @pytest.mark.parametrize("bits", [0, 2])

@@ -28,7 +28,14 @@ from spinbell.model import (
     build_model,
     enumeration_cap,
 )
-from spinbell.presets import BUILTIN_LATTICES, canonical_ladder, chain_lattice
+from spinbell.freewill import clamped_models
+from spinbell.presets import (
+    BUILTIN_LATTICES,
+    canonical_ladder,
+    chain_lattice,
+    grid_lattice,
+    grid_positions,
+)
 
 from conftest import (
     RANDOM_STYLES,
@@ -361,6 +368,88 @@ def test_joint_table_normalized(rng):
     t = m.joint_table(["1", "2"])
     assert t.sum() == pytest.approx(1.0, abs=1e-12)
     assert t[1, 0] == pytest.approx(m.marginal({"1": 1, "2": -1}), abs=1e-13)
+
+
+# -- weight_table past one block: accurate whatever the summation order -------------
+
+# a table cell's largest relative error against math.fsum, which rounds once
+TABLE_RTOL = 1e-13
+
+
+def _fsum_table(m, ids):
+    """weight_table's reference: every cell summed by math.fsum."""
+    n = m.n
+    axes = [n - 1 - m.lattice.index[nid] for nid in ids]
+    rest = [a for a in range(n) if a not in axes]
+    cells = m.weights.reshape((2,) * n).transpose(axes + rest).reshape(1 << len(ids), -1)
+    return np.array([math.fsum(cell.tolist()) for cell in cells]).reshape((2,) * len(ids))
+
+
+def _assert_table_accurate(m, ids):
+    want = _fsum_table(m, ids)
+    assert np.max(np.abs(m.weight_table(ids) - want) / want) <= TABLE_RTOL
+
+
+def _scattered_grid(n):
+    """A 2 x n/2 grid with diagonals and seeded fields, roles spread over
+    the words: at n = 22 they sit at bits 0, 10, 12 and 16."""
+    columns = n // 2
+    rng = np.random.default_rng(n)
+    placement = {"t0": "outcome1", f"t{columns - 1}": "outcome2", "u1": "analyzer_a",
+                 "u5": "analyzer_b"}
+    fields = {pos: float(rng.uniform(-0.5, 0.5)) for pos in grid_positions(columns)}
+    return grid_lattice(placement, j=0.8, fields=fields, columns=columns, diagonal_j=0.3)
+
+
+def _layout_model(layout, n):
+    if layout == "chain":  # roles at bits 0-3
+        return build_model(chain_lattice(n - 2, j=0.7))
+    if layout == "grid":
+        return build_model(_scattered_grid(n))
+    # the four clamped ensembles of the grid, analyzers on the top two bits
+    return clamped_models(build_model(_scattered_grid(n)))
+
+
+@pytest.mark.parametrize("n", [18, 20, 22])
+@pytest.mark.parametrize("layout", ["chain", "grid", "stacked"])
+def test_weight_table_beyond_one_block_meets_the_fsum_oracle(layout, n):
+    """A plain sum over 2^(N-4) slices errs by up to 4.4e-12 at N = 22."""
+    m = _layout_model(layout, n)
+    assert m.n == n
+    _assert_table_accurate(m, m.lattice.bell_ids())
+
+
+@pytest.mark.parametrize("block", [2, 3, 4])
+def test_weight_table_fold_paths_on_small_blocks(block, rng):
+    """Blocks of 2^block words on 8 to 12 spins: kept bits below and above
+    the block, none dropped in a block, one node, every node but one."""
+    for n in (8, 10, 12):
+        m = build_model(chain_lattice(n - 2, j=0.9, h=0.2))
+        ids = m.lattice.node_ids
+        subsets = [ids[:4], ids[-3:], ids[:block], [ids[1], ids[-1]], [ids[n // 2]],
+                   [*ids[:2], *ids[3:]], list(reversed(ids[::2]))]
+        subsets += [list(rng.permutation(ids)[: rng.integers(1, n)]) for _ in range(4)]
+        with mock.patch.object(model, "_BLOCK_BITS", block):
+            for subset in subsets:
+                _assert_table_accurate(m, subset)
+            assert np.shares_memory(m.weight_table(ids), m.weights)  # nothing summed: a view
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_LATTICES))
+def test_weight_table_within_one_block_is_numpy_sum(name, rng):
+    """Up to 16 spins the table is numpy's sum over the dropped axes, bit
+    for bit, as in earlier releases."""
+    m = build_model(BUILTIN_LATTICES[name]())
+    ids = m.lattice.node_ids
+    n = m.n
+    subsets = [m.lattice.bell_ids(), ids[:1], ids[1:], list(reversed(ids[:5]))]
+    subsets += [list(rng.permutation(ids)[: rng.integers(1, n)]) for _ in range(4)]
+    for subset in subsets:
+        axes = [n - 1 - m.lattice.index[nid] for nid in subset]
+        drop = tuple(a for a in range(n) if a not in axes)
+        summed = m.weights.reshape((2,) * n).sum(axis=drop)
+        kept = sorted(axes)
+        assert np.array_equal(m.weight_table(subset), summed.transpose([kept.index(a) for a in axes]))
 
 
 # -- enumeration cap ---------------------------------------------------------------

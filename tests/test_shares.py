@@ -17,11 +17,19 @@ import pytest
 import spinbell
 from spinbell import bell, freewill, independence, model
 from spinbell.errors import NumericRangeError
-from spinbell.freewill import clamped_independence_report, freewill_report
-from spinbell.independence import independence_report
+from spinbell.bell import conditional_table
+from spinbell.freewill import clamped_independence_report, clamped_models, freewill_report
+from spinbell.independence import independence_report, measurement_dependence
 from spinbell.lattice import Lattice
 from spinbell.model import _each, _energies, _stabilize, _weights, build_model
 from spinbell.presets import chain_lattice
+
+from test_independence import (
+    _assert_reports_equal as _assert_equal_to_reference,
+    _reference_md,
+    _reference_report,
+    _reference_weights,
+)
 
 # 3 splits 2^k blocks unevenly
 SHARE_COUNTS = (1, 2, 3)
@@ -110,6 +118,52 @@ def test_tie_heavy_chain_does_not_depend_on_the_share_count(bits, shares, monkey
     assert results[0][0].od < 1e-14
     for other in results[1:]:
         _assert_reports_equal(other, results[0])
+
+
+@pytest.mark.parametrize("n", [17, 18, 20])
+def test_tables_do_not_depend_on_the_share_count(n, shares):
+    """weight_table splits its blocks over the shares at a level of its
+    pairwise tree, so every addition is the same at any share count."""
+    m = build_model(_random_lattice(n, seed=n))
+    ids = m.lattice.node_ids
+    requests = [m.lattice.bell_ids(), [ids[n - 1], ids[2], ids[9]], [ids[3], ids[0]], ids[1:]]
+    results = []
+    for count in SHARE_COUNTS:
+        shares(count)
+        results.append((
+            [m.weight_table(request) for request in requests],
+            conditional_table(m).values,
+            freewill_report(m).partition_gap,
+        ))
+    tables, cond, gap = results[0]
+    for other in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(other[0], tables))
+        assert np.array_equal(other[1], cond)
+        assert other[2] == gap
+
+
+@pytest.mark.parametrize("bits", [independence._LAM_BLOCK_BITS, 6])
+@pytest.mark.parametrize("layout", ["lowest", "scattered", "stacked"])
+def test_gather_layouts_match_the_whole_array_reference(layout, bits, shares, monkeypatch):
+    """Roles at the lowest bits (one transpose per block), roles spread
+    with one above the block (two runs per block), and the stacked clamped
+    model (analyzers on the top two bits, four runs per block): every
+    report field, witness and md equals the whole-array reduction."""
+    monkeypatch.setattr(independence, "_LAM_BLOCK_BITS", bits)
+    if layout == "lowest":
+        m = build_model(chain_lattice(16, j=0.7))
+    elif layout == "scattered":
+        m = build_model(_random_lattice(18, seed=8))
+    else:
+        m = clamped_models(build_model(_random_lattice(18, seed=8)))
+    lam_ids = m.lattice.hidden_ids
+    w5 = _reference_weights(m, lam_ids)
+    want = _reference_report(w5, lam_ids, *m.lattice.bell_ids()[:2])
+    want_md = _reference_md(w5)
+    for count in SHARE_COUNTS:
+        shares(count)
+        _assert_equal_to_reference(independence_report(m), want)
+        assert measurement_dependence(m) == want_md
 
 
 def test_overflow_in_a_worker_share_raises_numeric_range_error(shares):
