@@ -118,24 +118,15 @@ _PAIR_SLOT = np.array(
 ).reshape(-1)
 
 
-# lambda values per chunk of md's difference rows, so that they stay in cache
-_MD_CHUNK = 1 << 12
-
-
 def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_lambda |P(lambda|a,b) - P(lambda|a',b')| for all 16 ordered
     setting pairs, from weights over (..., sa, sb, lambda-flat), which are
-    overwritten with P(lambda | a, b); the lambda axis has a power-of-two
-    length.
+    overwritten with P(lambda | a, b).
 
     Returns (diff, pair_valid), both (..., 2, 2, 2, 2); diff is -1 where
     either setting has zero weight. Leading axes stack independent models.
-    Only the 6 unordered pairs are summed, each over its own lambda row:
-    |p - q| equals |q - p| exactly, and the diagonal is 0. The rows are
-    formed _MD_CHUNK lambda values at a time. numpy sums a contiguous row
-    of 2^k values as the sum of its two halves, down to 128 values, so
-    adding the chunks' sums pairwise, neighbours first, gives each row's
-    whole sum bit for bit.
+    Only the 6 unordered pairs are summed, each over its own contiguous
+    lambda row: |p - q| equals |q - p| exactly, and the diagonal is 0.
     """
     mass_ab = mass_ab_lam.sum(axis=-1)  # (..., 2, 2)
     valid = mass_ab >= ZERO_MEASURE
@@ -144,19 +135,13 @@ def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = mass_ab.shape[:-2]
     p = np.divide(mass_ab_lam, np.where(valid, mass_ab, 1.0)[..., None], out=mass_ab_lam)
     p = p.reshape(lead + (4, -1))
-    size = p.shape[-1]
-    chunk = min(size, _MD_CHUNK)
-    rows = np.empty(lead + (6, chunk))
-    sums = np.zeros(lead + (7, size // chunk))  # row 6: the diagonal's 0
-    for j in range(size // chunk):
-        part = p[..., j * chunk : (j + 1) * chunk] if chunk < size else p
-        np.subtract(part[..., :3, :], part[..., 1:, :], out=rows[..., :3, :])
-        np.subtract(part[..., :2, :], part[..., 2:, :], out=rows[..., 3:5, :])
-        np.subtract(part[..., :1, :], part[..., 3:, :], out=rows[..., 5:, :])
-        np.abs(rows, out=rows).sum(axis=-1, out=sums[..., :6, j])
-    while sums.shape[-1] > 1:
-        sums = sums[..., 0::2] + sums[..., 1::2]
-    diff = sums[..., _PAIR_SLOT, 0].reshape(lead + (2, 2, 2, 2))
+    rows = np.empty(lead + (6, p.shape[-1]))
+    np.subtract(p[..., :3, :], p[..., 1:, :], out=rows[..., :3, :])
+    np.subtract(p[..., :2, :], p[..., 2:, :], out=rows[..., 3:5, :])
+    np.subtract(p[..., :1, :], p[..., 3:, :], out=rows[..., 5:, :])
+    sums = np.zeros(lead + (7,))
+    np.abs(rows, out=rows).sum(axis=-1, out=sums[..., :6])
+    diff = sums[..., _PAIR_SLOT].reshape(lead + (2, 2, 2, 2))
     pair_valid = valid[..., :, :, None, None] & valid[..., None, None, :, :]
     return np.where(pair_valid, diff, -1.0), pair_valid
 
@@ -181,6 +166,8 @@ def _md_result(mass: np.ndarray) -> tuple[float, Witness]:
 # words (512 KiB), so every pass over a block runs in cache. A lambda set of
 # at most this many bits is read in one block, with nothing to merge.
 _LAM_BLOCK_BITS = 12
+# blocks whose masses are written out together: 8 words, one cache line
+_TILE_BITS = 3
 
 
 class _Scan:
@@ -354,9 +341,10 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     together stay below half the table's size.
 
     Only the masses need m order, because md sums them in it. Each block's
-    masses are put in m order by one gather, and the blocks are read in m
-    order of their fixed bits, 8 at a time; for lambda in bit order (the
-    default) each group fills runs of 8 consecutive words of the masses.
+    masses are put in m order by one gather into its own contiguous row of
+    a tile, and the blocks are read in m order of their fixed bits, a tile
+    of 2^_TILE_BITS at a time; for lambda in bit order (the default) each
+    tile fills runs of 8 consecutive words of the masses.
     The other quantities keep their largest value, at the first cell and
     then the smallest m that reach it (see _Scan.offer), so no field or
     witness depends on the split or the block order. A masses-only read
@@ -388,13 +376,13 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     m_inner = _flat_index(inner, ndim)
     in_order = np.argsort(m_inner)
     ranked = np.argsort(m_outer)  # the blocks in m order
-    # the masses over (sa, sb, outer bits, inner bits), each group highest m
-    # bit first; with lambda in bit order (the default) the outer bits are
-    # the lowest bits of m, so a tile of blocks fills runs of words
-    tile_bits = min(3, len(outer))
+    # the masses over (outer bits, sa, sb, inner bits), each group of bits
+    # highest m bit first; with lambda in bit order (the default) the outer
+    # bits are the lowest bits of m, so a tile of blocks fills runs of words
+    tile_bits = min(_TILE_BITS, len(outer))
     mass_all = np.empty((2, 2, 1 << lam_bits))
-    by_rank = mass_all.reshape((2, 2) + (2,) * lam_bits)
-    by_rank = by_rank.transpose([0, 1, *(k - 2 for k in sorted(outer) + sorted(inner))])
+    order = [*(k - 2 for k in sorted(outer)), 0, 1, *(k - 2 for k in sorted(inner))]
+    by_rank = mass_all.reshape((2, 2) + (2,) * lam_bits).transpose(order)
 
     if masses_only:
         # block q in memory order, its outcome axes first
@@ -409,7 +397,7 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
 
     # every share's buffers, made on the calling thread: what a pool thread
     # allocates stays with its malloc arena after it is freed
-    tiles = [np.empty((2, 2, 1 << tile_bits, 1 << width)) for _ in range(shares)]
+    tiles = [np.empty((1 << tile_bits, 2, 2, 1 << width)) for _ in range(shares)]
     if masses_only:
         masses = [np.empty(source.shape[len(outer) + 2 :]) for _ in range(shares)]
     else:
@@ -431,14 +419,13 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
                 q = int(ranked[t << tile_bits | i])
                 block = source[tuple(q >> (len(outer) - 1 - j) & 1 for j in range(len(outer)))]
                 if masses_only:
-                    np.take(_setting_mass(block, mass), cell, out=tiled[:, :, i], mode="clip")
+                    np.take(_setting_mass(block, mass), cell, out=tiled[i], mode="clip")
                     continue
                 np.copyto(target, block)
-                np.take(_setting_mass(buf.w, buf.mass), cell, out=tiled[:, :, i], mode="clip")
+                np.take(_setting_mass(buf.w, buf.mass), cell, out=tiled[i], mode="clip")
                 scan.add_block(buf, False, m_inner, int(m_outer[q]))
             top = len(outer) - tile_bits
-            fixed = (t >> (top - 1 - j) & 1 for j in range(top))
-            slot = by_rank[(slice(None), slice(None), *fixed)]
+            slot = by_rank[tuple(t >> (top - 1 - j) & 1 for j in range(top))]
             np.copyto(slot, tiled.reshape(slot.shape))
         return scan
 

@@ -314,10 +314,11 @@ def _check_shift(shift: float) -> float:
 class BoltzmannModel:
     """Exact distribution P(s) = exp(-beta H(s)) / Z over one lattice.
 
-    The stabilized weight vector is exposed read-only; its reshape to a
-    (2,)*N tensor maps the node at declaration position k to tensor axis
-    N-1-k (numpy C order puts the most significant bit on axis 0), with
-    index 1 on an axis meaning spin +1. Only this class reads that tensor:
+    The stabilized weight vector is exposed read-only and C-contiguous (a
+    strided array is copied: the block reads take bits from the strides).
+    Its reshape to a (2,)*N tensor maps the node at declaration position k
+    to tensor axis N-1-k (numpy C order puts the most significant bit on
+    axis 0), with index 1 on an axis meaning spin +1. Only this class reads that tensor:
     weight_table is the one reduction onto nodes, and weight_sum the
     single-event reference.
     """
@@ -326,6 +327,7 @@ class BoltzmannModel:
 
     def __init__(self, lattice: Lattice, weights: np.ndarray, shift: float) -> None:
         self.lattice = lattice
+        weights = np.ascontiguousarray(weights)
         weights.flags.writeable = False
         self.weights = weights
         self.shift = shift

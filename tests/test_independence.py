@@ -19,7 +19,6 @@ from spinbell.independence import (
     IndependenceReport,
     Witness,
     _decode_lambda,
-    _md_pairs,
     decoupling_sweep,
     independence_report,
     measurement_dependence,
@@ -524,19 +523,6 @@ def test_block_boundaries_on_lambda_subsets(bits, monkeypatch):
     _check_against_reference(build_model(second_neighbor_lattice()), [])
 
 
-@pytest.mark.parametrize("chunk", [128, 1 << 12])
-def test_md_chunks_add_up_as_whole_rows(chunk, monkeypatch):
-    """md forms its difference rows a chunk at a time; the chunk sums,
-    added pairwise, equal numpy's sum over each whole row."""
-    monkeypatch.setattr(independence_mod, "_MD_CHUNK", chunk)
-    rng = np.random.default_rng(13)
-    for size in (1 << 7, 1 << 10, 1 << 14):
-        mass = rng.random((2, 2, size)) * 10.0 ** rng.uniform(-6, 0, (2, 2, size))
-        p = mass / mass.sum(axis=-1)[..., None]
-        want = np.abs(p[:, :, None, None, :] - p[None, None, :, :, :]).sum(axis=-1)
-        assert np.array_equal(_md_pairs(mass)[0], want)
-
-
 @pytest.mark.parametrize("bits", [0, 2])
 def test_block_boundaries_tie_heavy_chain(bits, monkeypatch):
     """On a uniform chain od is rounding noise of about 1e-16 in every cell,
@@ -565,6 +551,23 @@ def test_default_blocks_with_a_role_above_the_block():
     assert (index["a"], index["b"], index["2"]) == (6, 16, 18)
     assert len(model.lattice.hidden_ids) > independence_mod._LAM_BLOCK_BITS
     _check_against_reference(model)
+
+
+def test_strided_weights_read_like_contiguous_ones(chain18_model):
+    """An outside ensemble passed as a column of a wider array: the block
+    reads take bits from the strides, so the model keeps its own
+    contiguous copy and reads it like the built model."""
+    base = chain18_model
+    stacked = np.stack([base.weights, 2.0 * base.weights], axis=1)
+    column = stacked[:, 0]
+    assert not column.flags.c_contiguous
+    model = BoltzmannModel(base.lattice, column, base.shift)
+    assert model.weights.flags.c_contiguous and not model.weights.flags.writeable
+    assert np.array_equal(model.weights, base.weights)
+    bell_ids = base.lattice.bell_ids()
+    assert np.array_equal(model.weight_table(bell_ids), base.weight_table(bell_ids))
+    assert measurement_dependence(model) == measurement_dependence(base)
+    _assert_reports_equal(independence_report(model), independence_report(base))
 
 
 @pytest.fixture(scope="module")
