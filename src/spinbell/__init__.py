@@ -40,7 +40,6 @@ _EXPORTS = {
         "SeriesContext",
         "SeriesCheckReport",
         "series_check",
-        "weak_coupling_chsh",
         "chain_md_closed",
         "chain_md_per_config",
         "chain_md_profile",

@@ -348,8 +348,7 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     The other quantities keep their largest value, at the first cell and
     then the smallest m that reach it (see _Scan.offer), so no field or
     witness depends on the split or the block order. A masses-only read
-    sums each block's masses straight from its runs, in memory order,
-    without the copy.
+    copies each block the same way and skips the reductions.
     """
     if lam_bits <= _LAM_BLOCK_BITS:
         w = np.empty((2, 2, 2, 2, 1 << lam_bits))
@@ -384,46 +383,31 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     order = [*(k - 2 for k in sorted(outer)), 0, 1, *(k - 2 for k in sorted(inner))]
     by_rank = mass_all.reshape((2, 2) + (2,) * lam_bits).transpose(order)
 
-    if masses_only:
-        # block q in memory order, its outcome axes first
-        rest = [k for k in memory if k not in outer and k > 1]
-        source = table.transpose(outer + [0, 1] + rest)
-        cell = np.arange(4 << width).reshape((2,) * len(rest))
-        cell = cell.transpose([rest.index(k) for k in (2, 3, *inner)]).reshape(2, 2, -1)
-    else:
-        source = table.transpose(outer + [0, 1, 2, 3] + inner)
-        cell = np.arange(4 << width).reshape(2, 2, -1)
-    cell = cell[:, :, in_order]  # where (sa, sb, value in m order) sits in a block's masses
+    source = table.transpose(outer + [0, 1, 2, 3] + inner)
+    # where (sa, sb, value in m order) sits in a block's masses
+    cell = np.arange(4 << width).reshape(2, 2, -1)[:, :, in_order]
 
     # every share's buffers, made on the calling thread: what a pool thread
     # allocates stays with its malloc arena after it is freed
     tiles = [np.empty((1 << tile_bits, 2, 2, 1 << width)) for _ in range(shares)]
-    if masses_only:
-        masses = [np.empty(source.shape[len(outer) + 2 :]) for _ in range(shares)]
-    else:
-        buffers = [
-            _Buffers(np.empty((2, 2, 2, 2, 1 << width)), np.empty((2, 2, 1 << width)))
-            for _ in range(shares)
-        ]
+    buffers = [
+        _Buffers(np.empty((2, 2, 2, 2, 1 << width)), np.empty((2, 2, 1 << width)))
+        for _ in range(shares)
+    ]
 
     def read_share(k: int) -> _Scan:
         scan = _Scan(mass_all)
         tiled = tiles[k]
-        if masses_only:
-            mass = masses[k]
-        else:
-            buf = buffers[k]
-            target = buf.w.reshape(source.shape[len(outer) :])
+        buf = buffers[k]
+        target = buf.w.reshape(source.shape[len(outer) :])
         for t in _share(blocks >> tile_bits, shares, k):
             for i in range(1 << tile_bits):
                 q = int(ranked[t << tile_bits | i])
                 block = source[tuple(q >> (len(outer) - 1 - j) & 1 for j in range(len(outer)))]
-                if masses_only:
-                    np.take(_setting_mass(block, mass), cell, out=tiled[i], mode="clip")
-                    continue
                 np.copyto(target, block)
                 np.take(_setting_mass(buf.w, buf.mass), cell, out=tiled[i], mode="clip")
-                scan.add_block(buf, False, m_inner, int(m_outer[q]))
+                if not masses_only:
+                    scan.add_block(buf, False, m_inner, int(m_outer[q]))
             top = len(outer) - tile_bits
             slot = by_rank[tuple(t >> (top - 1 - j) & 1 for j in range(top))]
             np.copyto(slot, tiled.reshape(slot.shape))

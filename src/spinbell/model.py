@@ -212,12 +212,7 @@ def _energies(lattice: Lattice, out: np.ndarray | None = None) -> np.ndarray:
         start = out.reshape((2,) * width)
         start.fill(lattice.offset)
     for coef, bits in terms[:split]:
-        # _factor inlined: up to 16 spins this loop is the whole build, and
-        # searches and the CLI make thousands of those
-        shape = [1] * width
-        for k in bits:
-            shape[width - 1 - k] = 2
-        start -= coef * _PATTERNS[len(bits) - 1].reshape(shape)
+        start -= _factor(coef, bits, width)
     if width == n:
         return start.reshape(-1)
 

@@ -79,6 +79,10 @@ class SampleRun:
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
+        for field in ("n", "burn_in", "thinning"):
+            value = getattr(self, field)
+            if not (isinstance(value, (int, np.integer)) or value is None and field != "n"):
+                raise InvalidArgumentError(f"{field} must be an integer, got {value!r}")
         if self.n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {self.n}")
         if self.n > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:

@@ -43,7 +43,6 @@ __all__ = [
     "chain_lambda_conditional",
     "chain_outcome_factors",
     "chain_joint_outcomes",
-    "weak_coupling_chsh",
     "chain_md_closed",
     "chain_md_per_config",
     "chain_md_profile",
@@ -283,11 +282,6 @@ def chain_joint_outcomes(ctx: SeriesContext, s1: int, s2: int, sa: int, sb: int)
     factors, independent of lambda."""
     f1, f2 = chain_outcome_factors(ctx, s1, s2, sa, sb)
     return f1 * f2
-
-
-def weak_coupling_chsh(ctx: SeriesContext) -> float:
-    """Leading weak-coupling Bell combination of the canonical ladder, -2K^2."""
-    return -2.0 * ctx.k * ctx.k
 
 
 # -- chain measurement dependence, two readings -------------------------------

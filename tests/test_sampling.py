@@ -68,6 +68,12 @@ def test_run_validation():
         SampleRun(seed=0, n=10, burn_in=-1)
     with pytest.raises(InvalidArgumentError, match="thinning"):
         SampleRun(seed=0, n=10, thinning=0)
+    with pytest.raises(InvalidArgumentError, match="^n must be an integer, got 2.5"):
+        SampleRun(seed=0, n=2.5)
+    with pytest.raises(InvalidArgumentError, match="^burn_in must be an integer, got 2.5"):
+        SampleRun(seed=0, n=10, kind="metropolis", burn_in=2.5)
+    with pytest.raises(InvalidArgumentError, match="^thinning must be an integer, got 1.5"):
+        SampleRun(seed=0, n=10, kind="metropolis", thinning=1.5)
 
 
 # -- reproducibility -----------------------------------------------------------------

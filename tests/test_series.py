@@ -24,7 +24,6 @@ from spinbell.series import (
     chain_md_profile,
     profile_csv,
     series_check,
-    weak_coupling_chsh,
 )
 
 _SETTINGS = tuple((sa, sb) for sa in (-1, 1) for sb in (-1, 1))
@@ -218,11 +217,6 @@ def test_exact_conditional_refuses_zero_measure_condition():
     with pytest.raises(ZeroMeasureConditionError) as cell_error:
         model.conditional({"1": 1}, {"a": -1, "3": 1})
     assert str(table_error.value) == str(cell_error.value)
-
-
-def test_weak_coupling_form():
-    ctx = SeriesContext.ladder(j=0.05)
-    assert weak_coupling_chsh(ctx) == pytest.approx(-2.0 * math.tanh(0.05) ** 2, abs=1e-15)
 
 
 # -- chain measurement dependence, two readings ----------------------------------
