@@ -181,7 +181,8 @@ class _Scan:
     it, and the smallest lambda index m at which that cell does. The
     quantities are od over cells (sa, sb), pd against analyzer a over
     (s2, b) and pd against analyzer b over (s1, a); a cell without weight
-    reads -1. A masses-only read leaves top unset.
+    reads -1. The other fields gather what _reduce_block finds in each
+    block. A masses-only read leaves all but mass unset.
     """
 
     od_skipped = pd_skipped = 0
@@ -205,11 +206,7 @@ class _Scan:
     ) -> None:
         """Reduce the block in buf and fold it in. Its lambda value c has
         the flat index m_inner[c] + m_outer."""
-        values, od_skipped, pd_skipped, od_max_cell, defect = _reduce_block(buf, single)
-        self.od_skipped += od_skipped
-        self.pd_skipped += pd_skipped
-        self.od_max_cell = max(self.od_max_cell, od_max_cell)
-        self.defect = max(self.defect, defect)
+        values = _reduce_block(self, buf, single)
         tops = values.max(axis=-1).reshape(3, 4)
         cells = tops.argmax(axis=1)
         for k, (cell, value) in enumerate(zip(cells.tolist(), tops[(0, 1, 2), cells].tolist())):
@@ -244,9 +241,9 @@ class _Buffers:
         self.marginal = np.empty_like(mass)
 
 
-def _reduce_block(buf: _Buffers, single: bool) -> tuple[np.ndarray, int, int, float, float]:
+def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
     """od, pd and factorization reductions of the block buf.w over (s1, s2,
-    sa, sb, c) with setting masses buf.mass.
+    sa, sb, c) with setting masses buf.mass, for scan.
 
     Every sum adds its terms in the order of numpy's sum over a C-ordered
     (s1, s2, sa, sb, lambda-flat) array. A sum over the two leading axes
@@ -254,9 +251,9 @@ def _reduce_block(buf: _Buffers, single: bool) -> tuple[np.ndarray, int, int, fl
     onto (s1, a) and (s2, b) are spelled out, because numpy pairs their
     terms when the trailing axis has length 1 (single is set when lambda
     takes a single value). w is overwritten with P(s1, s2 | sa, sb, lambda),
-    zero on cells without weight (a division by inf). Returns buf.values
-    filled with the per-cell values, the skipped od cells and pd pairs,
-    the largest single-cell od term, and the factorization defect.
+    zero on cells without weight (a division by inf). Adds the skipped od
+    cells and pd pairs, the largest single-cell od term and the
+    factorization defect into scan; returns buf.values, the per-cell values.
     """
     w, work, mass, values = buf.w, buf.work, buf.mass, buf.values
     valid = mass >= ZERO_MEASURE
@@ -290,17 +287,16 @@ def _reduce_block(buf: _Buffers, single: bool) -> tuple[np.ndarray, int, int, fl
     np.abs(work, out=work)
     # a cell without weight has all-zero terms, so the largest term is the
     # largest over cells with weight, or 0
-    od_max_cell = float(work.max())
+    scan.od_max_cell = max(scan.od_max_cell, float(work.max()))
     _setting_mass(work, od)
-    od_skipped = pd_skipped = 0
     if not every:
         np.copyto(od, -1.0, where=~valid)
         ok_a = valid[1] & valid[0]
         np.copyto(pd_a, -1.0, where=~ok_a)
         ok_b = valid[:, 1] & valid[:, 0]
         np.copyto(pd_b, -1.0, where=~ok_b)
-        pd_skipped = ok_a.size + ok_b.size - int(np.count_nonzero(ok_a) + np.count_nonzero(ok_b))
-        od_skipped = valid.size - int(np.count_nonzero(valid))
+        scan.pd_skipped += int(np.count_nonzero(~ok_a) + np.count_nonzero(~ok_b))
+        scan.od_skipped += int(np.count_nonzero(~valid))
 
     # P(s1 | a, lambda) P(s2 | b, lambda) against P(s1, s2 | a, b, lambda).
     # A cell with weight has weight on both marginals (sums of nonnegative
@@ -317,7 +313,8 @@ def _reduce_block(buf: _Buffers, single: bool) -> tuple[np.ndarray, int, int, fl
         work *= valid
     np.subtract(w, work, out=work)
     defect = max(float(work.max()), -float(work.min())) + 0.0  # + 0.0: no -0.0
-    return values, od_skipped, pd_skipped, od_max_cell, defect
+    scan.defect = max(scan.defect, defect)
+    return values
 
 
 def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
@@ -449,74 +446,11 @@ def _read_model(
     return _read(table, len(lam_ids), masses_only), lam_ids
 
 
-def _first_max(scan: _Scan, k: int) -> tuple[float, int, int, int]:
-    """(value, row, column, lambda index) of quantity k's first maximum in
-    (cell, lambda) order."""
-    value, cell, at = scan.top[k]
-    cell = -cell
-    return value, cell >> 1, cell & 1, -at
-
-
-def _check_cells(scan: _Scan) -> None:
-    if scan.od_skipped == scan.mass.size:
-        raise DegenerateModelError("every (setting, lambda) cell carries zero weight")
-
-
-def _od_result(scan: _Scan, lam_ids: Sequence[str]) -> tuple[float, Witness, float]:
-    _check_cells(scan)
-    value, ia, ib, m = _first_max(scan, 0)
-    witness = Witness(
-        kind="od",
-        settings=(spin_of(ia), spin_of(ib)),
-        lam=_decode_lambda(lam_ids, m),
-        value=value,
-        skipped_cells=scan.od_skipped,
-    )
-    return value, witness, max(scan.od_max_cell, 0.0)
-
-
-def _pd_result(
-    scan: _Scan, lam_ids: Sequence[str], id1: str, id2: str
-) -> tuple[float, Witness, dict[str, float]]:
-    best_a, s2i, ibi, ma = _first_max(scan, 1)
-    best_b, s1i, iai, mb = _first_max(scan, 2)
-    sides = {
-        "outcome2_vs_analyzer_a": max(best_a, 0.0),
-        "outcome1_vs_analyzer_b": max(best_b, 0.0),
-    }
-    if best_a < 0.0 and best_b < 0.0:
-        raise DegenerateModelError(
-            "no analyzer flip leaves both (setting, lambda) cells with weight"
-        )
-    # strict max; ties go to the side listed first (outcome 2 vs analyzer a)
-    if best_a >= best_b:
-        witness = Witness(
-            kind="pd",
-            settings=(1, spin_of(ibi)),
-            alt_settings=(-1, spin_of(ibi)),
-            lam=_decode_lambda(lam_ids, ma),
-            outcome=(id2, spin_of(s2i)),
-            value=best_a,
-            skipped_cells=scan.pd_skipped,
-        )
-    else:
-        witness = Witness(
-            kind="pd",
-            settings=(spin_of(iai), 1),
-            alt_settings=(spin_of(iai), -1),
-            lam=_decode_lambda(lam_ids, mb),
-            outcome=(id1, spin_of(s1i)),
-            value=best_b,
-            skipped_cells=scan.pd_skipped,
-        )
-    return witness.value, witness, sides
-
-
-def _fact_result(scan: _Scan) -> float:
-    """Max defect of P(s1,s2|lambda,a,b) = P(s1|lambda,a) P(s2|lambda,b);
-    the right-hand factors drop the distant analyzer entirely."""
-    _check_cells(scan)
-    return scan.defect
+def _top(scan: _Scan, k: int, lam_ids: Sequence[str]) -> tuple[float, int, tuple]:
+    """(value, cell, lambda assignment) of quantity k's first maximum in
+    (cell, lambda) order; cell is row * 2 + column."""
+    value, cell, m = scan.top[k]
+    return value, -cell, _decode_lambda(lam_ids, -m)
 
 
 # -- public measures -----------------------------------------------------------
@@ -583,9 +517,35 @@ def independence_report(
     scan, lam_ids = _read_model(model, lam)
     id1, id2, _, _ = model.lattice.bell_ids()
     md, w_md = _md_result(scan.mass)  # consumes scan.mass (see _Scan)
-    od, w_od, od_max_cell = _od_result(scan, lam_ids)
-    pd, w_pd, sides = _pd_result(scan, lam_ids, id1, id2)
-    defect = _fact_result(scan)
+    if scan.od_skipped == scan.mass.size:
+        raise DegenerateModelError("every (setting, lambda) cell carries zero weight")
+    od, cell, lam_od = _top(scan, 0, lam_ids)
+    w_od = Witness(
+        kind="od",
+        settings=(spin_of(cell >> 1), spin_of(cell & 1)),
+        lam=lam_od,
+        value=od,
+        skipped_cells=scan.od_skipped,
+    )
+    best_a, best_b = scan.top[1][0], scan.top[2][0]
+    if best_a < 0.0 and best_b < 0.0:
+        raise DegenerateModelError(
+            "no analyzer flip leaves both (setting, lambda) cells with weight"
+        )
+    # strict max; ties go to outcome 2 against analyzer a
+    side_a = best_a >= best_b
+    pd, cell, lam_pd = _top(scan, 1 if side_a else 2, lam_ids)
+    fixed = spin_of(cell & 1)
+    settings, alt = ((1, fixed), (-1, fixed)) if side_a else ((fixed, 1), (fixed, -1))
+    w_pd = Witness(
+        kind="pd",
+        settings=settings,
+        alt_settings=alt,
+        lam=lam_pd,
+        outcome=(id2 if side_a else id1, spin_of(cell >> 1)),
+        value=pd,
+        skipped_cells=scan.pd_skipped,
+    )
     return IndependenceReport(
         md=md,
         od=od,
@@ -593,12 +553,15 @@ def independence_report(
         mi_holds=md <= tol,
         oi_holds=od <= tol,
         pi_holds=pd <= tol,
-        factorizable=defect <= tol,
+        factorizable=scan.defect <= tol,
         tol=tol,
         witnesses={"md": w_md, "od": w_od, "pd": w_pd},
-        od_max_cell=od_max_cell,
-        pd_sides=sides,
-        factorization_defect=defect,
+        od_max_cell=max(scan.od_max_cell, 0.0),
+        pd_sides={
+            "outcome2_vs_analyzer_a": max(best_a, 0.0),
+            "outcome1_vs_analyzer_b": max(best_b, 0.0),
+        },
+        factorization_defect=scan.defect,
         skipped_cells=w_md.skipped_cells + w_od.skipped_cells + w_pd.skipped_cells,
     )
 

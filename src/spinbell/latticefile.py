@@ -33,7 +33,7 @@ import json
 import math
 from typing import Any
 
-from .errors import LatticeDefinitionError, LatticeFileError
+from .errors import LatticeDefinitionError, LatticeFileError, SpinbellError
 from .lattice import CubicTerm, Edge, Lattice, Node, NodeRole
 
 __all__ = [
@@ -57,9 +57,17 @@ def _fail(where: str, message: str):
     raise LatticeFileError(f"{where}: {message}")
 
 
-def _expect_object(value, where: str) -> dict:
+def _expect_object(value, where: str, allowed: set | None = None, required=()) -> dict:
+    """value as an object with keys only from allowed (when given) and
+    every required key."""
     if not isinstance(value, dict):
         _fail(where, f"expected an object, got {type(value).__name__}")
+    extra = sorted(set(value) - allowed) if allowed is not None else []
+    if extra:
+        _fail(where, f"unknown keys {extra}; allowed keys are {sorted(allowed)}")
+    for key in required:
+        if key not in value:
+            _fail(where, f"missing required key {key!r}")
     return value
 
 
@@ -87,17 +95,8 @@ def _expect_string(value, where: str) -> str:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    extra = sorted(set(obj) - allowed)
-    if extra:
-        _fail(where, f"unknown keys {extra}; allowed keys are {sorted(allowed)}")
-
-
 def _parse_node(obj, where: str) -> Node:
-    obj = _expect_object(obj, where)
-    _reject_unknown(obj, _NODE_KEYS, where)
-    if "id" not in obj:
-        _fail(where, "missing required key 'id'")
+    obj = _expect_object(obj, where, _NODE_KEYS, ("id",))
     nid = _expect_string(obj["id"], f"{where}.id")
     role = NodeRole.HIDDEN
     if "role" in obj:
@@ -111,11 +110,7 @@ def _parse_node(obj, where: str) -> Node:
 
 
 def _parse_edge(obj, where: str) -> Edge:
-    obj = _expect_object(obj, where)
-    _reject_unknown(obj, _EDGE_KEYS, where)
-    for key in ("a", "b", "j"):
-        if key not in obj:
-            _fail(where, f"missing required key {key!r}")
+    obj = _expect_object(obj, where, _EDGE_KEYS, ("a", "b", "j"))
     return Edge(
         _expect_string(obj["a"], f"{where}.a"),
         _expect_string(obj["b"], f"{where}.b"),
@@ -124,11 +119,7 @@ def _parse_edge(obj, where: str) -> Edge:
 
 
 def _parse_cubic(obj, where: str) -> CubicTerm:
-    obj = _expect_object(obj, where)
-    _reject_unknown(obj, _CUBIC_KEYS, where)
-    for key in ("nodes", "c"):
-        if key not in obj:
-            _fail(where, f"missing required key {key!r}")
+    obj = _expect_object(obj, where, _CUBIC_KEYS, ("nodes", "c"))
     ids = _expect_list(obj["nodes"], f"{where}.nodes")
     if len(ids) != 3:
         _fail(f"{where}.nodes", f"expected exactly 3 node ids, got {len(ids)}")
@@ -138,18 +129,29 @@ def _parse_cubic(obj, where: str) -> CubicTerm:
     return CubicTerm(names, _expect_number(obj["c"], f"{where}.c"))
 
 
-def parse_lattice(data: Any) -> Lattice:
-    """Build a lattice from parsed JSON (or a JSON string)."""
+def _decode(data: Any) -> Any:
+    """data, decoded first if it is JSON text."""
     if isinstance(data, (str, bytes)):
         try:
-            data = json.loads(data)
+            return json.loads(data)
         except json.JSONDecodeError as exc:
             raise LatticeFileError(f"not valid JSON: {exc}") from exc
-    obj = _expect_object(data, "top level")
-    _reject_unknown(obj, _TOP_KEYS, "top level")
-    for key in ("nodes", "edges"):
-        if key not in obj:
-            _fail("top level", f"missing required key {key!r}")
+    return data
+
+
+def _load(path, parse):
+    """parse applied to the text of the file at path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise LatticeFileError(f"cannot read {path}: {exc}") from exc
+    return parse(text)
+
+
+def parse_lattice(data: Any) -> Lattice:
+    """Build a lattice from parsed JSON (or a JSON string)."""
+    obj = _expect_object(_decode(data), "top level", _TOP_KEYS, ("nodes", "edges"))
 
     beta = _expect_number(obj["beta"], "beta") if "beta" in obj else 1.0
     offset = _expect_number(obj["offset"], "offset") if "offset" in obj else 0.0
@@ -174,12 +176,7 @@ def parse_lattice(data: Any) -> Lattice:
 
 
 def load_lattice(path) -> Lattice:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise LatticeFileError(f"cannot read {path}: {exc}") from exc
-    return parse_lattice(text)
+    return _load(path, parse_lattice)
 
 
 def format_lattice(lattice: Lattice, indent: int = 2) -> str:
@@ -211,11 +208,7 @@ def save_lattice(lattice: Lattice, path, indent: int = 2) -> None:
 def _parse_param(obj, where: str) -> SearchParam:
     from .search import SearchParam
 
-    obj = _expect_object(obj, where)
-    _reject_unknown(obj, _PARAM_KEYS, where)
-    for key in ("name", "kind", "targets"):
-        if key not in obj:
-            _fail(where, f"missing required key {key!r}")
+    obj = _expect_object(obj, where, _PARAM_KEYS, ("name", "kind", "targets"))
     name = _expect_string(obj["name"], f"{where}.name")
     kind = _expect_string(obj["kind"], f"{where}.kind")
     raw = _expect_list(obj["targets"], f"{where}.targets")
@@ -237,7 +230,7 @@ def _parse_param(obj, where: str) -> SearchParam:
     hi = _expect_number(obj["hi"], f"{where}.hi") if "hi" in obj else None
     try:
         return SearchParam(name=name, kind=kind, targets=tuple(targets), lo=lo, hi=hi)
-    except Exception as exc:
+    except SpinbellError as exc:
         raise LatticeFileError(f"{where}: {exc}") from exc
 
 
@@ -246,13 +239,7 @@ def parse_search_config(data: Any) -> SearchSpace:
     from .presets import builtin_lattice
     from .search import SearchSpace
 
-    if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise LatticeFileError(f"not valid JSON: {exc}") from exc
-    obj = _expect_object(data, "top level")
-    _reject_unknown(obj, _SEARCH_KEYS, "top level")
+    obj = _expect_object(_decode(data), "top level", _SEARCH_KEYS)
     has_inline = "lattice" in obj
     has_builtin = "builtin" in obj
     if has_inline == has_builtin:
@@ -263,7 +250,7 @@ def parse_search_config(data: Any) -> SearchSpace:
         name = _expect_string(obj["builtin"], "builtin")
         try:
             base = builtin_lattice(name)
-        except Exception as exc:
+        except SpinbellError as exc:
             raise LatticeFileError(f"builtin: {exc}") from exc
     if "params" not in obj:
         _fail("top level", "missing required key 'params'")
@@ -276,14 +263,9 @@ def parse_search_config(data: Any) -> SearchSpace:
     )
     try:
         return SearchSpace(base=base, params=tuple(params), objective=objective)
-    except Exception as exc:
+    except SpinbellError as exc:
         raise LatticeFileError(str(exc)) from exc
 
 
 def load_search_config(path) -> SearchSpace:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise LatticeFileError(f"cannot read {path}: {exc}") from exc
-    return parse_search_config(text)
+    return _load(path, parse_search_config)

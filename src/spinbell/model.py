@@ -521,12 +521,18 @@ def _pairwise(tables: Iterable[np.ndarray], level: int, high: set[int]) -> np.nd
     return table
 
 
-def _check_cap(n: int) -> None:
-    """Refuse to enumerate n spins beyond the cap (see build_model)."""
+def _check_cap(n: int, rows: int = 1) -> None:
+    """Refuse to enumerate n spins beyond the cap, or into an array of rows
+    times 2^n doubles that cannot be addressed (see build_model)."""
     limit = enumeration_cap()
     if n > limit:
         raise EnumerationLimitError(
             f"lattice has {n} spins; enumeration cap is {limit} (override with {ENUM_CAP_ENV})"
+        )
+    if rows * 8 << n > np.iinfo(np.intp).max:
+        raise EnumerationLimitError(
+            f"lattice has {n} spins: {rows} x 2^{n} doubles need {rows * 8 << n} bytes, "
+            "which cannot be addressed"
         )
 
 

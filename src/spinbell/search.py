@@ -27,7 +27,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -95,6 +95,12 @@ class SearchParam:
         if not self.targets:
             raise InvalidArgumentError(f"parameter {self.name!r} has no targets")
         object.__setattr__(self, "targets", tuple(self.targets))
+        # a j target is one (a, b) pair; a string would unpack letter by letter
+        for i, t in enumerate(self.targets if self.kind == "j" else ()):
+            if isinstance(t, (str, bytes)) or not isinstance(t, Collection) or len(t) != 2:
+                raise InvalidArgumentError(
+                    f"parameter {self.name!r} target {i} must be a pair of node ids, got {t!r}"
+                )
         lo, hi = self.bounds
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidArgumentError(
@@ -150,7 +156,7 @@ class SearchSpace:
         owned_h, owned_j = self._targets(range(len(self.params)))
         rest = self.base.with_fields(dict.fromkeys(owned_h, 0.0))
         rest = rest.with_couplings(dict.fromkeys(owned_j, 0.0))
-        _check_cap(rest.n)
+        _check_cap(rest.n, len(self.params))
         columns = np.empty((len(self.params), 1 << rest.n))
         for g in range(len(self.params)):
             # Phi_g: the energy of group g's targets at coefficient 1, all else 0

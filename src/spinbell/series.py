@@ -475,6 +475,8 @@ def series_check(
     from .presets import canonical_ladder, chain_lattice
 
     _check_chain_n(chain_n)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise InvalidArgumentError(f"beta must be positive and finite, got {beta}")
     rows: list[SeriesCheckRow] = []
     for k in k_values:
         if not 0.0 <= k < 1.0:

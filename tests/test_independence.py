@@ -553,6 +553,26 @@ def test_default_blocks_with_a_role_above_the_block():
     _check_against_reference(model)
 
 
+@pytest.mark.parametrize(
+    "n, scale, message",
+    [
+        (10, 1e-302, "every (setting, lambda) cell carries zero weight"),
+        (18, 1e-303, "every (setting, lambda) cell carries zero weight"),
+        (10, 1e-305, "every analyzer setting carries zero weight"),
+    ],
+)
+def test_uniform_tiny_weights_refused_in_order(n, scale, message):
+    """Every setting keeps weight but no (setting, lambda) cell does, read
+    in one block (the ladder) and in many (an 18-spin chain); with still
+    smaller weights md's refusal of the settings comes first."""
+    lattice = canonical_ladder() if n == 10 else chain_lattice(16)
+    assert lattice.n == n
+    model = BoltzmannModel(lattice, np.full(1 << n, scale), 0.0)
+    with pytest.raises(DegenerateModelError) as raised:
+        independence_report(model)
+    assert str(raised.value) == message
+
+
 def test_strided_weights_read_like_contiguous_ones(chain18_model):
     """An outside ensemble passed as a column of a wider array: the block
     reads take bits from the strides, so the model keeps its own

@@ -28,7 +28,9 @@ from spinbell.model import (
     build_model,
     enumeration_cap,
 )
+from spinbell.cli import EXIT_INPUT, main
 from spinbell.freewill import clamped_models
+from spinbell.latticefile import save_lattice
 from spinbell.presets import (
     BUILTIN_LATTICES,
     canonical_ladder,
@@ -36,6 +38,7 @@ from spinbell.presets import (
     grid_lattice,
     grid_positions,
 )
+from spinbell.search import SearchParam, SearchSpace
 
 from conftest import (
     RANDOM_STYLES,
@@ -462,6 +465,31 @@ def test_cap_blocks_large_lattices(monkeypatch):
         build_model(lat)
     monkeypatch.setenv(ENUM_CAP_ENV, "6")
     assert build_model(lat).n == 6
+
+
+@pytest.mark.parametrize("n", [60, 64])
+def test_raised_cap_refuses_weights_that_cannot_be_addressed(n, monkeypatch, tmp_path, capsys):
+    """8 * 2^n weight bytes beyond the largest array size: the library and
+    the CLI refuse before numpy is asked for anything."""
+    monkeypatch.setenv(ENUM_CAP_ENV, "100")
+    lat = chain_lattice(n - 2)
+    with pytest.raises(EnumerationLimitError, match=f"need {8 << n} bytes"):
+        build_model(lat)
+    with pytest.raises(EnumerationLimitError, match="cannot be addressed"):
+        SearchSpace(lat, params=(SearchParam("p", "h", targets=("1",)),))
+    path = tmp_path / "chain.json"
+    save_lattice(lat, path)
+    assert main(["eval", "--lattice", str(path), "--report", "chsh"]) == EXIT_INPUT
+    assert "cannot be addressed" in capsys.readouterr().err
+
+
+def test_raised_cap_refuses_search_columns_that_cannot_be_addressed(monkeypatch):
+    """At 59 spins the weights can be addressed, but not the energy columns
+    of two parameter groups."""
+    monkeypatch.setenv(ENUM_CAP_ENV, "100")
+    params = (SearchParam("p", "h", targets=("1",)), SearchParam("q", "h", targets=("2",)))
+    with pytest.raises(EnumerationLimitError, match=f"need {2 * 8 << 59} bytes"):
+        SearchSpace(chain_lattice(57), params=params)
 
 
 def test_cap_env_override(monkeypatch):

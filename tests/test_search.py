@@ -58,6 +58,10 @@ def test_param_validation():
         SearchParam("p", "h", targets=())
     with pytest.raises(InvalidArgumentError, match="empty range"):
         SearchParam("p", "h", targets=("1",), lo=2.0, hi=2.0)
+    # a j target is one (a, b) pair, never a string or a tuple of another length
+    for i, targets in ((0, ("a6",)), (0, (("1",),)), (1, (("1", "a"), ("1", "3", "4")))):
+        with pytest.raises(InvalidArgumentError, match=f"'p' target {i} must be a pair"):
+            SearchParam("p", "j", targets=targets)
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,9 @@ def test_series_check_rejects_bad_k():
         series_check(k_values=(-0.1,))
     with pytest.raises(InvalidArgumentError, match="k grid"):
         series_check(k_values=(1.0,))
+    for beta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError, match="beta must be positive"):
+            series_check(k_values=(0.2,), beta=beta)
 
 
 def test_series_check_report_output():
