@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 bad input, 3 degenerate or out-of-range numerics,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -399,7 +400,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (spinbell ... | head): Python
+        # flushes stdout again at exit, so that write goes to devnull, as the
+        # SIGPIPE note of the signal module's docs advises; exit status 1
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # stdout has no descriptor
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

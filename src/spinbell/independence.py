@@ -124,14 +124,13 @@ def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     overwritten with P(lambda | a, b).
 
     Returns (diff, pair_valid), both (..., 2, 2, 2, 2); diff is -1 where
-    either setting has zero weight. Leading axes stack independent models.
-    Only the 6 unordered pairs are summed, each over its own contiguous
-    lambda row: |p - q| equals |q - p| exactly, and the diagonal is 0.
+    either setting has zero weight, so it is -1 everywhere when every
+    setting has. Leading axes stack independent models. Only the 6
+    unordered pairs are summed, each over its own contiguous lambda row:
+    |p - q| equals |q - p| exactly, and the diagonal is 0.
     """
     mass_ab = mass_ab_lam.sum(axis=-1)  # (..., 2, 2)
     valid = mass_ab >= ZERO_MEASURE
-    if not valid.any(axis=(-2, -1)).all():
-        raise DegenerateModelError("every analyzer setting carries zero weight")
     lead = mass_ab.shape[:-2]
     p = np.divide(mass_ab_lam, np.where(valid, mass_ab, 1.0)[..., None], out=mass_ab_lam)
     p = p.reshape(lead + (4, -1))
@@ -148,6 +147,8 @@ def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _md_result(mass: np.ndarray) -> tuple[float, Witness]:
     diff, pair_valid = _md_pairs(mass)
+    if not pair_valid.any():
+        raise DegenerateModelError("every analyzer setting carries zero weight")
     k = int(np.argmax(diff))  # bits of k: sa, sb, sa', sb'
     value = float(diff.flat[k])
     witness = Witness(
@@ -158,6 +159,23 @@ def _md_result(mass: np.ndarray) -> tuple[float, Witness]:
         skipped_cells=16 - int(np.count_nonzero(pair_valid)),
     )
     return value, witness
+
+
+def _md_rows(table: np.ndarray, lam_bits: int) -> np.ndarray:
+    """md of P models, each == to measurement_dependence of its model (-inf
+    where that raises DegenerateModelError), from a stack of their weight
+    tables over (P, s1, s2, sa, sb, lambda...), each a transpose of a
+    C-contiguous array as weight_table returns it. The setting masses are
+    summed as _read sums them: a stack of tables with at most
+    _LAM_BLOCK_BITS lambda bits in one block, a larger table by _read."""
+    if lam_bits > _LAM_BLOCK_BITS:
+        mass = np.stack([_read(t, lam_bits, masses_only=True).mass for t in table])
+    else:
+        w = np.empty((len(table), 2, 2, 2, 2, 1 << lam_bits))
+        np.copyto(w.reshape(table.shape), table)
+        mass = w.sum(axis=(1, 2))
+    md = _md_pairs(mass)[0].reshape(len(mass), -1).max(axis=1)
+    return np.where(md < 0.0, -np.inf, md)
 
 
 # -- the block reader ------------------------------------------------------------

@@ -134,7 +134,7 @@ def _decode(data: Any) -> Any:
     if isinstance(data, (str, bytes)):
         try:
             return json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # bytes that are not UTF-8
             raise LatticeFileError(f"not valid JSON: {exc}") from exc
     return data
 
@@ -144,7 +144,7 @@ def _load(path, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LatticeFileError(f"cannot read {path}: {exc}") from exc
     return parse(text)
 

@@ -17,6 +17,7 @@ measure zero: conditioning on them raises ZeroMeasureConditionError.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import threading
@@ -519,6 +520,98 @@ def _pairwise(tables: Iterable[np.ndarray], level: int, high: set[int]) -> np.nd
         stack.append((at, table))
     ((_, table),) = stack
     return table
+
+
+class _Family:
+    """Energies linear in G coefficients over every configuration of one
+    lattice, enumerated once: E(v) = rest + sum_g v_g * columns[g].
+
+    rest holds the lattice's energies with every field and coupling that a
+    group owns set to 0, and columns[g] the energies of group g's targets at
+    coefficient 1 with everything else 0 (8 * (G + 1) * 2^N bytes). A point
+    therefore agrees with a fresh build of its lattice to rounding, not bit
+    for bit. The lattice (roles, node order, beta) is the one the models of
+    every point carry, whatever their fields and couplings.
+
+    point builds one point's weights; weights builds a batch of points as
+    rows of one array, each row with point's operations in point's order,
+    so every row is bit-identical to point's weights. A batch holds at most
+    rows points: 2^_BLOCK_BITS words in all, and at least one row.
+    """
+
+    __slots__ = ("lattice", "rest", "columns", "rows")
+
+    def __init__(
+        self,
+        lattice: Lattice,
+        fields: Mapping[str, int],
+        couplings: Mapping[frozenset, int],
+        groups: int,
+    ) -> None:
+        """fields and couplings map each owned node id and edge key to the
+        group that sets it."""
+        rest = lattice.with_fields(dict.fromkeys(fields, 0.0))
+        rest = rest.with_couplings(dict.fromkeys(couplings, 0.0))
+        _check_cap(rest.n, groups)
+        columns = np.empty((groups, 1 << rest.n))
+        for g in range(groups):
+            nodes = [dataclasses.replace(n, h=float(fields.get(n.id) == g)) for n in rest.nodes]
+            edges = [dataclasses.replace(e, j=float(couplings.get(e.key()) == g)) for e in rest.edges]
+            columns[g] = _energies(Lattice(nodes, edges))
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = _energies(rest)
+        energies.flags.writeable = columns.flags.writeable = False
+        self.lattice, self.rest, self.columns = lattice, energies, columns
+        self.rows = max((1 << _BLOCK_BITS) >> rest.n, 1)
+
+    def point(self, values: Sequence[float]) -> tuple[np.ndarray, float]:
+        """Stabilized weights and shift at one point: the rest energies
+        copied, v * column added per group in order, then _stabilize."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = self.rest.copy()
+            for v, column in zip(values, self.columns):
+                energies += v * column
+        return _stabilize(energies, self.lattice.beta)
+
+    def weights(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stabilized weights (P, 2^N) and shifts (P,) at P <= rows points
+        (P, G), each row bit-identical to point's. A row whose minimum energy
+        is not finite, where point raises NumericRangeError, has shift NaN
+        and weights that mean nothing."""
+        energies = np.empty((len(points), self.rest.size))
+        term = np.empty_like(energies)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies[:] = self.rest
+            for v, column in zip(points.T, self.columns):
+                np.multiply(v[:, None], column, out=term)
+                energies += term
+            low = energies.min(axis=1)
+            shifts = np.where(np.isfinite(low), low, np.nan)
+            if self.rest.size > 1 << _BLOCK_BITS:  # one row, in blocks
+                if not np.isnan(shifts[0]):
+                    _stabilize(energies[0], self.lattice.beta, float(low[0]))
+            else:
+                np.subtract(energies, low[:, None], out=energies)
+                np.multiply(energies, -self.lattice.beta, out=energies)
+                np.exp(energies, out=energies)
+        return energies, shifts
+
+    def tables(self, weights: np.ndarray, node_ids: Sequence[str]) -> np.ndarray:
+        """Each row's BoltzmannModel.weight_table over node_ids, bit for bit,
+        stacked on a leading axis; beyond 2^_BLOCK_BITS words a batch is one
+        row, folded as weight_table folds it."""
+        n = self.lattice.n
+        index = self.lattice.index
+        bits = [index[nid] for nid in node_ids]
+        if len(bits) == n:
+            summed = weights.reshape((-1,) + (2,) * n)
+        elif n <= _BLOCK_BITS:
+            tensor = weights.reshape((-1,) + (2,) * n)
+            summed = tensor.sum(axis=tuple(n - k for k in range(n) if k not in bits))
+        else:
+            summed = _fold(weights[0], sorted(bits)).reshape((1,) + (2,) * len(bits))
+        kept = sorted(bits, reverse=True)  # the axes of summed after the first
+        return summed.transpose([0, *(1 + kept.index(k) for k in bits)])
 
 
 def _check_cap(n: int, rows: int = 1) -> None:

@@ -9,11 +9,16 @@ degenerate or zero-measure model score -inf instead of raising, so the walk
 simply avoids them.
 
 Energies are linear in the search parameters, E(theta) = E_rest +
-sum_g theta_g Phi_g, so a space enumerates its lattice once: E_rest holds
-every term no group targets, and row g of Phi is the spin (or spin-pair)
-column summed over group g's targets. An evaluation is G multiply-adds and
-one exp over 2^N entries; it agrees with a fresh build of the same point
-to rounding, not bit for bit.
+sum_g theta_g Phi_g, so a space enumerates its lattice once (model._Family):
+E_rest holds every term no group targets, and row g of Phi is the spin (or
+spin-pair) column summed over group g's targets. A point's score agrees
+with a fresh build of the same point to rounding, not bit for bit.
+
+SearchSpace.evaluate scores one point. The search scores each compass poll,
+and the grid scan its points, as one batch: the points' weights are the rows
+of one array of at most 2^16 words (one row beyond 16 spins), and every
+reduction runs over the whole batch. Each row takes evaluate's operations in
+evaluate's order, so every batched score is == to evaluate's, -inf included.
 
 Also here: a dense grid scan over the same parameter space, and an exhaustive
 search over placements of the four measurement roles on a two-row grid. The
@@ -23,7 +28,6 @@ read.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,9 +42,9 @@ from .errors import (
     NumericRangeError,
     ZeroMeasureConditionError,
 )
-from .independence import _md_pairs, independence_report, measurement_dependence
+from .independence import _md_pairs, _md_rows, independence_report, measurement_dependence
 from .lattice import Lattice
-from .model import ZERO_MEASURE, BoltzmannModel, _check_cap, _energies, _stabilize, build_model
+from .model import ZERO_MEASURE, BoltzmannModel, _Family, build_model
 from .sampling import _generator
 from ._format import csv_table, fmt
 
@@ -73,6 +77,21 @@ def _objective_md(model: BoltzmannModel) -> float:
 
 
 OBJECTIVES = {"x_bi": _objective_x_bi, "md": _objective_md}
+
+
+def _x_bi_rows(weights: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, x_bi) of weight tables over (P, s1, s2, sa, sb) with their
+    setting masses over (P, sa, sb): keep marks the tables whose every
+    setting has weight, and x_bi is chsh(conditional_table(...)).x_bi of
+    each kept table, -inf elsewhere, with the same operations."""
+    keep = ~(masses < ZERO_MEASURE).any(axis=(1, 2))
+    tables = weights[keep]
+    tables /= masses[keep][:, None, None]
+    tables = np.moveaxis(tables, 0, -1)  # (s1, s2, sa, sb, table)
+    _check_columns(tables)
+    x_bi = np.full(len(keep), -np.inf)
+    x_bi[keep] = _bell_terms(_correlators(tables))[2]
+    return keep, x_bi
 
 
 @dataclass(frozen=True)
@@ -131,15 +150,14 @@ class SearchParam:
 class SearchSpace:
     """Tied parameter groups over a base lattice, scored by one objective.
 
-    Construction enumerates the base once into the energy columns that every
-    evaluation reads (8 * (G + 1) * 2^N bytes for G groups).
+    Construction enumerates the base once into the linear family of energies
+    that every evaluation reads (8 * (G + 1) * 2^N bytes for G groups).
     """
 
     base: Lattice
     params: tuple[SearchParam, ...]
     objective: str = "x_bi"
-    _rest: np.ndarray = field(init=False, repr=False, compare=False)
-    _columns: np.ndarray = field(init=False, repr=False, compare=False)
+    _family: _Family = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))
@@ -154,20 +172,8 @@ class SearchSpace:
             )
         # Resolving the targets also rejects bad ones before any search.
         owned_h, owned_j = self._targets(range(len(self.params)))
-        rest = self.base.with_fields(dict.fromkeys(owned_h, 0.0))
-        rest = rest.with_couplings(dict.fromkeys(owned_j, 0.0))
-        _check_cap(rest.n, len(self.params))
-        columns = np.empty((len(self.params), 1 << rest.n))
-        for g in range(len(self.params)):
-            # Phi_g: the energy of group g's targets at coefficient 1, all else 0
-            nodes = [dataclasses.replace(n, h=float(owned_h.get(n.id) == g)) for n in rest.nodes]
-            edges = [dataclasses.replace(e, j=float(owned_j.get(e.key()) == g)) for e in rest.edges]
-            columns[g] = _energies(Lattice(nodes, edges))
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies = _energies(rest)
-        for name, array in (("_rest", energies), ("_columns", columns)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        family = _Family(self.base, owned_h, owned_j, len(self.params))
+        object.__setattr__(self, "_family", family)
 
     def center(self) -> tuple[float, ...]:
         return tuple((p.bounds[0] + p.bounds[1]) / 2.0 for p in self.params)
@@ -211,18 +217,13 @@ class SearchSpace:
         return lattice
 
     def _model(self, values: Sequence[float]) -> BoltzmannModel:
-        """The ensemble at one point, read from the energy columns.
+        """The ensemble at one point, read from the energy family.
 
         Its lattice is the base, which carries the roles, node order and
         beta the objectives read, but not the point's fields and couplings;
         the model must not leave this module.
         """
-        vals = self._check(values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies = self._rest.copy()
-            for v, column in zip(vals, self._columns):
-                energies += v * column
-        weights, shift = _stabilize(energies, self.base.beta)
+        weights, shift = self._family.point(self._check(values))
         return BoltzmannModel(self.base, weights, shift)
 
     def evaluate(self, values: Sequence[float]) -> float:
@@ -231,6 +232,42 @@ class SearchSpace:
             return OBJECTIVES[self.objective](self._model(values))
         except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
             return -math.inf
+
+    def _batches(
+        self, points: Sequence[tuple[float, ...]]
+    ) -> Iterator[tuple[Sequence[tuple[float, ...]], np.ndarray, np.ndarray]]:
+        """(points, weights, shifts), one batch of the family's rows at a
+        time (see _Family.weights). The points must lie in the box."""
+        rows = self._family.rows
+        for lo in range(0, len(points), rows):
+            batch = points[lo : lo + rows]
+            yield batch, *self._family.weights(np.array(batch, dtype=float))
+
+    def _score_rows(self, objective: str, weights: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        """The objective at each row of a batch, == evaluate at its point:
+        -inf exactly where evaluate's model raises NumericRangeError (a NaN
+        shift), ZeroMeasureConditionError or DegenerateModelError."""
+        ok = ~np.isnan(shifts)
+        scores = np.full(len(ok), -np.inf)
+        if not ok.any():
+            return scores
+        rows = weights if ok.all() else weights[ok]
+        ids = self.base.bell_ids()
+        if objective == "x_bi":
+            tables = self._family.tables(rows, ids)
+            scores[ok] = _x_bi_rows(tables, tables.sum(axis=(1, 2)))[1]
+        else:
+            hidden = self.base.hidden_ids
+            scores[ok] = _md_rows(self._family.tables(rows, [*ids, *hidden]), len(hidden))
+        return scores
+
+    def _scores(self, points: Sequence[tuple[float, ...]]) -> list[float]:
+        """evaluate at each point, == point by point, scored in batches."""
+        return [
+            score
+            for _, weights, shifts in self._batches(points)
+            for score in self._score_rows(self.objective, weights, shifts).tolist()
+        ]
 
 
 @dataclass(frozen=True)
@@ -262,31 +299,31 @@ def _pattern_descent(
     counter: list[int],
     trajectory: list,
 ) -> tuple[tuple[float, ...], float]:
-    """Compass search from start; counter[0] tracks global evaluations."""
+    """Compass search from start; counter[0] tracks global evaluations.
 
-    def ev(values: tuple[float, ...]) -> float:
-        counter[0] += 1
-        return space.evaluate(values)
-
+    A poll probes best[i] -/+ step on each axis in turn, skipping probes
+    that the bounds clip back onto best, and scores them as one batch,
+    truncated to the budget left; the first strictly best probe wins.
+    """
     best = start
-    best_score = ev(best)
+    (best_score,) = space._scores([best])
+    counter[0] += 1
     trajectory.append((counter[0], best, best_score))
     step = initial_step
     while step >= min_step and counter[0] < budget:
         probe_best = None
         probe_score = best_score
+        probes = []
         for i, p in enumerate(space.params):
             for sign in (-1.0, 1.0):
-                if counter[0] >= budget:
-                    break
-                cand = list(best)
-                cand[i] = p.clip(best[i] + sign * step)
-                cand = tuple(cand)
-                if cand == best:
-                    continue
-                score = ev(cand)
-                if score > probe_score:
-                    probe_best, probe_score = cand, score
+                cand = (*best[:i], p.clip(best[i] + sign * step), *best[i + 1 :])
+                if cand != best:
+                    probes.append(cand)
+        probes = probes[: budget - counter[0]]
+        counter[0] += len(probes)
+        for cand, score in zip(probes, space._scores(probes)):
+            if score > probe_score:
+                probe_best, probe_score = cand, score
         if probe_best is None:
             step *= 0.5
         else:
@@ -388,20 +425,24 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
     """Dense scan: resolution points per axis, inclusive of both bounds.
 
     Each row carries the CHSH combination and all three dependence measures;
-    degenerate points are skipped.
+    degenerate points are skipped. The points are scored in batches (see
+    SearchSpace._batches), and each row's measures are read from its
+    batch row, so every row is == to one built point by point.
     """
     if resolution < 2:
         raise InvalidArgumentError(f"resolution must be >= 2, got {resolution}")
     axes = [_grid_axis(p, resolution) for p in space.params]
     rows = []
-    for values in itertools.product(*axes):
-        try:
-            model = space._model(values)
-            x_bi = chsh(conditional_table(model)).x_bi
-            report = independence_report(model)
-        except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
-            continue
-        rows.append(GridRow(tuple(values), x_bi, report.md, report.od, report.pd))
+    for points, weights, shifts in space._batches(list(itertools.product(*axes))):
+        x_bi = space._score_rows("x_bi", weights, shifts).tolist()
+        for values, w, shift, x in zip(points, weights, shifts.tolist(), x_bi):
+            if x == -math.inf:
+                continue
+            try:
+                report = independence_report(BoltzmannModel(space.base, w, shift))
+            except DegenerateModelError:
+                continue
+            rows.append(GridRow(values, x, report.md, report.od, report.pd))
     return rows
 
 
@@ -471,13 +512,8 @@ def _placement_x_bi(
         view = set_sums[key].transpose([key.index(k) for k in combo])
         weights[i] = view
         masses[i] = view.sum(axis=(0, 1))
-    keep = ~(masses < ZERO_MEASURE).any(axis=(1, 2))
-    tables = weights[keep]
-    tables /= masses[keep][:, None, None]
-    tables = np.moveaxis(tables, 0, -1)  # (s1, s2, sa, sb, placement)
-    _check_columns(tables)
-    x_bi = _bell_terms(_correlators(tables))[2]
-    return [combo for combo, k in zip(combos, keep) if k], x_bi
+    keep, x_bi = _x_bi_rows(weights, masses)
+    return [combo for combo, k in zip(combos, keep) if k], x_bi[keep]
 
 
 # Upper bound on the md difference array of one batch of placements.

@@ -8,7 +8,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinbell
 from spinbell.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, main
 from spinbell.latticefile import save_lattice
 from spinbell.model import BoltzmannModel
@@ -355,8 +359,11 @@ def test_freewill_zero_weight_setting(tmp_path, capsys):
 
 # -- pinned output ------------------------------------------------------------------
 
+_GOLDEN_DIR = Path(__file__).parent / "golden"
+
 #: full-precision outputs recorded before the closed forms ran on whole spin
-#: grids and the Metropolis sampler cached its acceptance thresholds
+#: grids and the Metropolis sampler cached its acceptance thresholds, and
+#: the optimize outputs recorded before the search scored points in batches
 _GOLDEN = {
     "series-chain-n-10.csv": ["series", "--chain-n", "10", "--format", "csv", "--precision", "full"],
     "chain-profile-5-40-k0.37.csv": ["chain", "--profile", "5", "40", "--k", "0.37", "--precision", "full"],
@@ -364,13 +371,25 @@ _GOLDEN = {
         "sample", "--builtin", "chain-12", "--event", "1:+", "--seed", "77", "--n", "5000",
         "--kind", "metropolis", "--format", "csv", "--precision", "full",
     ],
+    "optimize-x_bi-budget300-seed7.txt": [
+        "optimize", "--config", str(_GOLDEN_DIR / "search-ladder-x_bi.json"),
+        "--budget", "300", "--seed", "7", "--precision", "full",
+    ],
+    "optimize-md-budget300-seed7.txt": [
+        "optimize", "--config", str(_GOLDEN_DIR / "search-ladder-md.json"),
+        "--budget", "300", "--seed", "7", "--precision", "full",
+    ],
+    "optimize-grid4.csv": [
+        "optimize", "--config", str(_GOLDEN_DIR / "search-ladder-x_bi.json"),
+        "--grid", "4", "--format", "csv", "--precision", "full",
+    ],
 }
 
 
 @pytest.mark.parametrize("name", list(_GOLDEN))
 def test_output_equals_pinned_file(name, capsys):
     assert main(_GOLDEN[name]) == EXIT_OK
-    assert capsys.readouterr().out == (Path(__file__).parent / "golden" / name).read_text()
+    assert capsys.readouterr().out == (_GOLDEN_DIR / name).read_text()
 
 
 # -- sample -------------------------------------------------------------------------
@@ -392,6 +411,35 @@ def test_sample_csv_deterministic(capsys):
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == one
     assert one.splitlines()[0] == "n,freq,exact,se"
+
+
+_SAMPLE_CSV = ["sample", "--builtin", "ladder", "--event", "1:+", "--n", "100000", "--format", "csv"]
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # the reader is gone before the command writes, as in `spinbell ... | head -1`
+    env = dict(os.environ, PYTHONPATH=str(Path(spinbell.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinbell", *_SAMPLE_CSV],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout without a file descriptor whose reader has gone."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_without_descriptor_exits_1(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(_SAMPLE_CSV) == 1
 
 
 def test_sample_metropolis(capsys):
@@ -520,6 +568,16 @@ def test_optimize_grid_skips_points_without_pd(tmp_path, capsys):
 def test_optimize_missing_config(tmp_path, capsys):
     assert main(["optimize", "--config", str(tmp_path / "no.json")]) == EXIT_INPUT
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, command", [("--lattice", "eval"), ("--config", "optimize")])
+def test_file_that_is_not_utf8_exits_input(tmp_path, capsys, flag, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    assert main([command, flag, str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

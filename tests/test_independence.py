@@ -19,6 +19,7 @@ from spinbell.independence import (
     IndependenceReport,
     Witness,
     _decode_lambda,
+    _md_rows,
     decoupling_sweep,
     independence_report,
     measurement_dependence,
@@ -571,6 +572,22 @@ def test_uniform_tiny_weights_refused_in_order(n, scale, message):
     with pytest.raises(DegenerateModelError) as raised:
         independence_report(model)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("n", [10, 18])
+def test_md_rows_equal_measurement_dependence(n):
+    """A stack of weight tables read in one block (the ladder) and one table
+    at a time in many (an 18-spin chain); the last model has no setting
+    with weight, where measurement_dependence raises and the row is -inf."""
+    lattice = canonical_ladder() if n == 10 else chain_lattice(16)
+    built = build_model(lattice)
+    models = [built, BoltzmannModel(lattice, 0.5 * built.weights, 0.0)]
+    models.append(BoltzmannModel(lattice, np.full(1 << n, 1e-305), 0.0))
+    ids = [*lattice.bell_ids(), *lattice.hidden_ids]
+    rows = _md_rows(np.stack([m.weight_table(ids) for m in models]), n - 4)
+    assert rows.tolist() == [measurement_dependence(m)[0] for m in models[:2]] + [-np.inf]
+    with pytest.raises(DegenerateModelError, match="every analyzer setting carries zero weight"):
+        measurement_dependence(models[2])
 
 
 def test_strided_weights_read_like_contiguous_ones(chain18_model):

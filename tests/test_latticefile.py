@@ -95,6 +95,20 @@ def test_load_missing_file(tmp_path):
         load_lattice(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize("parse", [parse_lattice, parse_search_config])
+def test_parse_rejects_bytes_that_are_not_utf8(parse):
+    with pytest.raises(LatticeFileError, match="not valid JSON: 'utf-8' codec can't decode byte 0xff"):
+        parse(b"\xff{}")
+
+
+@pytest.mark.parametrize("load", [load_lattice, load_search_config])
+def test_load_rejects_files_that_are_not_utf8(tmp_path, load):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(LatticeFileError, match="cannot read .*latin1.json: 'utf-8' codec"):
+        load(path)
+
+
 # -- location-tagged errors -------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from spinbell.model import (
     ENUM_CAP_ENV,
     BoltzmannModel,
     _energies,
+    _Family,
     build_model,
     enumeration_cap,
 )
@@ -503,3 +504,37 @@ def test_cap_env_override(monkeypatch):
         enumeration_cap()
     monkeypatch.delenv(ENUM_CAP_ENV)
     assert enumeration_cap() == 24
+
+
+# -- the linear family of search energies ----------------------------------------------
+
+
+@pytest.mark.parametrize("spins", [10, 18])
+def test_family_rows_equal_one_point(spins):
+    """Every batch row's weights, shift and weight tables are those of the
+    one-point route, bit for bit: one batch of 64 rows at 10 spins, single
+    rows folded block by block at 18. A coupling near the double range
+    overflows its row's energies, where the one-point route raises."""
+    lattice = canonical_ladder() if spins == 10 else chain_lattice(16)
+    family = _Family(lattice, {"1": 0, "2": 1}, {frozenset(("b", "2")): 1}, 2)
+    assert family.rows == (64 if spins == 10 else 1)
+    rng = np.random.Generator(np.random.Philox(5))
+    points = rng.uniform(-2.0, 2.0, size=(max(family.rows, 3), 2))
+    points[1, 1] = 1e308
+    subsets = [["1", "2", "a", "b"], ["b", "3", "1"], ["4"], list(reversed(lattice.node_ids))]
+    for lo in range(0, len(points), family.rows):
+        batch = points[lo : lo + family.rows]
+        weights, shifts = family.weights(batch)
+        assert np.isnan(shifts).tolist() == [lo + k == 1 for k in range(len(batch))]
+        if not np.isnan(shifts).all():
+            tables = [family.tables(weights, ids) for ids in subsets]
+        for k, (values, shift) in enumerate(zip(batch.tolist(), shifts.tolist())):
+            if math.isnan(shift):
+                with pytest.raises(NumericRangeError):
+                    family.point(values)
+                continue
+            w, s = family.point(values)
+            assert np.array_equal(weights[k], w) and shift == s
+            one = BoltzmannModel(lattice, w, s)
+            for ids, table in zip(subsets, tables):
+                assert np.array_equal(table[k], one.weight_table(ids))

@@ -19,7 +19,14 @@ from spinbell.errors import (
 from spinbell.independence import independence_report, measurement_dependence
 from spinbell.lattice import Lattice
 from spinbell.model import ENUM_CAP_ENV, BoltzmannModel, build_model
-from spinbell.presets import canonical_ladder, grid_lattice, grid_positions
+from spinbell.presets import (
+    canonical_ladder,
+    chain_lattice,
+    grid_lattice,
+    grid_positions,
+    second_neighbor_lattice,
+    tuned_field_grid,
+)
 from spinbell.search import (
     COUPLING_BOUNDS,
     FIELD_BOUNDS,
@@ -633,3 +640,152 @@ def test_grid_rows_match_fresh_builds(kind):
         assert row.md == measurement_dependence(model)[0]
         assert row.od == report.od
         assert row.pd == report.pd
+
+
+# -- batched scores: the compass poll and the grid scan ------------------------------
+
+
+def _ladder_space(objective, params=None):
+    params = params or (
+        SearchParam("h_out", "h", targets=("1", "2"), lo=-2.0, hi=2.0),
+        SearchParam("j_arm", "j", targets=(("1", "3"), ("a", "6")), lo=0.1, hi=3.0),
+        SearchParam("j_mid", "j", targets=(("4", "7"),), lo=0.1, hi=3.0),
+    )
+    return SearchSpace(canonical_ladder(), params, objective=objective)
+
+
+def _two_route_spaces(objective):
+    """(space, point count): the spaces whose batched scores are checked
+    against evaluate, with more points than one batch holds at 10 spins."""
+    tuned = SearchSpace(
+        tuned_field_grid(),
+        (
+            SearchParam("h_ends", "h", targets=("1", "2")),
+            SearchParam("j_rung", "j", targets=(("3", "a"), ("5", "b"))),
+            SearchParam("j_row", "j", targets=(("3", "4"), ("4", "5"))),
+        ),
+        objective=objective,
+    )
+    second = SearchSpace(
+        second_neighbor_lattice(),
+        (
+            SearchParam("j_ab", "j", targets=(("a", "b"),)),
+            SearchParam("j_diag", "j", targets=(("a", "2"), ("1", "b")), lo=0.0, hi=2.0),
+        ),
+        objective=objective,
+    )
+    chain = SearchSpace(
+        chain_lattice(16),
+        (
+            SearchParam("h_end", "h", targets=("1", "3")),
+            SearchParam("j_mid", "j", targets=(("8", "9"), ("b", "2"))),
+        ),
+        objective=objective,
+    )
+    return [(_ladder_space(objective), 150), (tuned, 150), (second, 150), (chain, 3)]
+
+
+@pytest.mark.parametrize("objective", ["x_bi", "md"])
+def test_batched_scores_equal_evaluate(objective):
+    for space, count in _two_route_spaces(objective):
+        rng = np.random.Generator(np.random.Philox(11))
+        points = [tuple(float(rng.uniform(*p.bounds)) for p in space.params) for _ in range(count)]
+        assert space._scores(points) == [space.evaluate(v) for v in points]
+
+
+@pytest.mark.parametrize("objective", ["x_bi", "md"])
+def test_batched_scores_mix_finite_and_minus_inf_rows(objective):
+    # a huge coupling on the analyzer row leaves the anti-aligned settings
+    # without weight (x_bi is undefined there, md skips those pairs), and
+    # couplings near the double range overflow the energies: batches that
+    # mix such rows with finite ones
+    row = (("a", "6"), ("6", "7"), ("7", "8"), ("8", "b"))
+    zero = SearchParam("j_row", "j", targets=row, lo=0.0, hi=500.0)
+    overflow = SearchParam("j_arm", "j", targets=(("1", "a"), ("a", "6")), lo=0.0, hi=1e308)
+    for param, values, minus_inf in (
+        (zero, [0.5, 450.0, 1.0], objective == "x_bi"),
+        (overflow, [0.7, 1e308, 2.0, 9e307], True),
+    ):
+        space = SearchSpace(canonical_ladder(), (param,), objective=objective)
+        points = [(v,) for v in values * 30]
+        scores = space._scores(points)
+        assert scores == [space.evaluate(v) for v in points]
+        assert (-math.inf in scores) == minus_inf
+        assert any(math.isfinite(s) for s in scores)
+    with pytest.raises(NumericRangeError):
+        SearchSpace(canonical_ladder(), (overflow,))._model((1e308,))
+    with pytest.raises(ZeroMeasureConditionError):
+        conditional_table(SearchSpace(canonical_ladder(), (zero,))._model((450.0,)))
+
+
+def _serial_descent(space, start, budget, initial_step, min_step, counter, trajectory):
+    """The compass search scoring one probe at a time through evaluate."""
+
+    def ev(values):
+        counter[0] += 1
+        return space.evaluate(values)
+
+    best = start
+    best_score = ev(best)
+    trajectory.append((counter[0], best, best_score))
+    step = initial_step
+    while step >= min_step and counter[0] < budget:
+        probe_best = None
+        probe_score = best_score
+        for i, p in enumerate(space.params):
+            for sign in (-1.0, 1.0):
+                if counter[0] >= budget:
+                    break
+                cand = list(best)
+                cand[i] = p.clip(best[i] + sign * step)
+                cand = tuple(cand)
+                if cand == best:
+                    continue
+                score = ev(cand)
+                if score > probe_score:
+                    probe_best, probe_score = cand, score
+        if probe_best is None:
+            step *= 0.5
+        else:
+            best, best_score = probe_best, probe_score
+            trajectory.append((counter[0], best, best_score))
+    return best, best_score
+
+
+def _run(space, budget, seed, start=None):
+    r = maximize_chsh(space, budget=budget, seed=seed, start=start)
+    return r.best_values, r.best_score, r.evaluations, r.restarts, r.certified, r.trajectory
+
+
+@pytest.mark.parametrize("objective", ["x_bi", "md"])
+def test_batched_polls_follow_the_serial_search(monkeypatch, objective):
+    # budgets that end mid-poll (a poll holds up to 6 probes at G = 3);
+    # a start on the box corner, where the bounds clip probes onto best;
+    # and a start where the analyzer row pins sa = sb, on a plateau of -inf
+    # x_bi that a walk accepting ties would wander
+    space = _ladder_space(objective)
+    runs = [(space, budget, seed, None) for budget in (1, 2, 7, 50) for seed in (0, 5)]
+    runs.append((space, 40, 1, (-2.0, 0.1, 3.0)))
+    row = SearchParam("j_row", "j", targets=(("a", "6"), ("6", "7"), ("7", "8"), ("8", "b")), hi=500.0)
+    pinned = _ladder_space(objective, (row, *space.params[:2]))
+    runs += [(pinned, 60, seed, (450.0, 0.0, 1.0)) for seed in (0, 2)]
+    batched = [_run(*run) for run in runs]
+    monkeypatch.setattr(search_mod, "_pattern_descent", _serial_descent)
+    assert batched == [_run(*run) for run in runs]
+
+
+def test_search_evaluates_one_point_only_to_certify(monkeypatch):
+    calls = []
+    evaluate = SearchSpace.evaluate
+
+    def counting(self, values):
+        calls.append(values)
+        return evaluate(self, values)
+
+    monkeypatch.setattr(SearchSpace, "evaluate", counting)
+    space = _ladder_space("x_bi")
+    res = maximize_chsh(space, budget=60, seed=3)
+    assert calls == [res.best_values]
+    assert res.certified
+    grid_scan(space, resolution=2)
+    assert len(calls) == 1
