@@ -1,5 +1,5 @@
 """Small shared helpers for reports and the CLI: number formatting, the one
-csv writer, and spin values, their table indices and their signs."""
+csv writer, spin values with their table indices and signs, and counts."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["fmt", "csv_table", "SPINS", "spin_of", "spin_index", "check_spins", "pm", "fmt_assignment"]
+__all__ = ["fmt", "csv_table", "SPINS", "spin_of", "spin_index", "check_spins", "check_counts", "pm",
+           "fmt_assignment"]
 
 #: spin values in table-index order: index 0 is spin -1, index 1 is spin +1
 SPINS = (-1, 1)
@@ -65,6 +66,13 @@ def check_spins(*spins: int | np.ndarray) -> None:
                 spin_index(s[bad][0].item())
         else:
             spin_index(s)
+
+
+def check_counts(**counts: object) -> None:
+    """Refuse, by its name, any count that is not an integer (Python's or numpy's)."""
+    for name, value in counts.items():
+        if not isinstance(value, Integral):
+            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def pm(s: int) -> str:

@@ -20,9 +20,10 @@ order and keep the first maximizer, so witnesses are deterministic.
 The reductions are pure functions of the stabilized weights over
 (s1, s2, sa, sb, lambda). One reader walks them a block of lambda values at
 a time and computes every measure from each block while it is in cache. It
-is reached only through a model: every public measure takes the model's
-weight_table over those axes, so the direct route, the stacked clamped model
-of freewill and the grid scan of search share identical arithmetic. An
+reads tables made by weight_table's reduction, of a model or of a batch of
+search rows (_md_rows): every public measure takes the model's weight_table
+over those axes, so the direct route, the stacked clamped model of freewill,
+the grid scan and the batched md of search share identical arithmetic. An
 ensemble built some other way is read as a BoltzmannModel over its weights.
 """
 

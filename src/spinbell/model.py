@@ -257,12 +257,12 @@ def _weights(
 
 
 def _stabilize(
-    energies: np.ndarray, beta: float, shift: float | None = None
+    energies: np.ndarray, beta: float, shift: float | np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Turn energies into stabilized weights exp(-beta * (E - shift)) in
     place, and return them with the shift used. The shift defaults to the
     energy minimum, which must be finite: NaN or -inf there means some
-    energy left the double range.
+    energy left the double range. Within one block it may be one per row.
 
     Past one block of 2^_BLOCK_BITS words the minimum is taken per share
     and the three steps run one block at a time, each share on its own
@@ -314,9 +314,9 @@ class BoltzmannModel:
     strided array is copied: the block reads take bits from the strides).
     Its reshape to a (2,)*N tensor maps the node at declaration position k
     to tensor axis N-1-k (numpy C order puts the most significant bit on
-    axis 0), with index 1 on an axis meaning spin +1. Only this class reads that tensor:
-    weight_table is the one reduction onto nodes, and weight_sum the
-    single-event reference.
+    axis 0), with index 1 on an axis meaning spin +1. Only this module reads that tensor:
+    weight_table (_tables, which also reduces search batches) is the one
+    reduction onto nodes, and weight_sum the single-event reference.
     """
 
     __slots__ = ("lattice", "weights", "shift", "z_shifted", "log_z", "_tensor", "_index")
@@ -434,16 +434,7 @@ class BoltzmannModel:
         for nid in node_ids:
             if nid not in self._index:
                 raise InvalidConfigurationError(f"unknown node {nid!r} in table request")
-        n = self.n
-        bits = [self._index[nid] for nid in node_ids]
-        if len(bits) == n:
-            summed = self._tensor
-        elif n <= _BLOCK_BITS:
-            summed = self._tensor.sum(axis=tuple(n - 1 - k for k in range(n) if k not in bits))
-        else:
-            summed = _fold(self.weights, sorted(bits)).reshape((2,) * len(bits))
-        kept = sorted(bits, reverse=True)  # the axes of summed
-        return summed.transpose([kept.index(k) for k in bits])
+        return _tables(self.weights[None], self._index, node_ids)[0]
 
     def joint_table(self, node_ids: Sequence[str]) -> np.ndarray:
         """Exact joint distribution over the requested nodes. Same axis
@@ -453,6 +444,21 @@ class BoltzmannModel:
         if total < ZERO_MEASURE:
             raise DegenerateModelError("all configurations carry zero weight")
         return w / total
+
+
+def _tables(weights: np.ndarray, index: Mapping[str, int], node_ids: Sequence[str]) -> np.ndarray:
+    """BoltzmannModel.weight_table over node_ids of each row of weights
+    (P, 2^N), stacked on a leading axis; index maps each node id to its bit.
+    Beyond 2^_BLOCK_BITS words there is one row, folded by _fold."""
+    n = len(index)
+    bits = [index[nid] for nid in node_ids]
+    summed = weights.reshape((-1,) + (2,) * n)
+    if len(bits) < n and n <= _BLOCK_BITS:
+        summed = summed.sum(axis=tuple(n - k for k in range(n) if k not in bits))
+    elif len(bits) < n:  # one row, folded block by block
+        summed = _fold(weights[0], sorted(bits)).reshape((1,) + (2,) * len(bits))
+    kept = sorted(bits, reverse=True)  # the axes of summed after the first
+    return summed.transpose([0, *(1 + kept.index(k) for k in bits)])
 
 
 def _fold(weights: np.ndarray, kept: Sequence[int]) -> np.ndarray:
@@ -587,31 +593,11 @@ class _Family:
                 energies += term
             low = energies.min(axis=1)
             shifts = np.where(np.isfinite(low), low, np.nan)
-            if self.rest.size > 1 << _BLOCK_BITS:  # one row, in blocks
-                if not np.isnan(shifts[0]):
-                    _stabilize(energies[0], self.lattice.beta, float(low[0]))
-            else:
-                np.subtract(energies, low[:, None], out=energies)
-                np.multiply(energies, -self.lattice.beta, out=energies)
-                np.exp(energies, out=energies)
+        if self.rest.size <= 1 << _BLOCK_BITS:
+            _stabilize(energies, self.lattice.beta, low[:, None])
+        elif not np.isnan(shifts[0]):  # one row, in blocks
+            _stabilize(energies[0], self.lattice.beta, float(low[0]))
         return energies, shifts
-
-    def tables(self, weights: np.ndarray, node_ids: Sequence[str]) -> np.ndarray:
-        """Each row's BoltzmannModel.weight_table over node_ids, bit for bit,
-        stacked on a leading axis; beyond 2^_BLOCK_BITS words a batch is one
-        row, folded as weight_table folds it."""
-        n = self.lattice.n
-        index = self.lattice.index
-        bits = [index[nid] for nid in node_ids]
-        if len(bits) == n:
-            summed = weights.reshape((-1,) + (2,) * n)
-        elif n <= _BLOCK_BITS:
-            tensor = weights.reshape((-1,) + (2,) * n)
-            summed = tensor.sum(axis=tuple(n - k for k in range(n) if k not in bits))
-        else:
-            summed = _fold(weights[0], sorted(bits)).reshape((1,) + (2,) * len(bits))
-        kept = sorted(bits, reverse=True)  # the axes of summed after the first
-        return summed.transpose([0, *(1 + kept.index(k) for k in bits)])
 
 
 def _check_cap(n: int, rows: int = 1) -> None:

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import InsufficientPostselectionWarning, InvalidArgumentError
 from .lattice import Spin
 from .model import BoltzmannModel
-from ._format import csv_table, fmt, pm
+from ._format import check_counts, csv_table, fmt, pm
 
 __all__ = [
     "SampleRun",
@@ -79,10 +79,8 @@ class SampleRun:
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
-        for field in ("n", "burn_in", "thinning"):
-            value = getattr(self, field)
-            if not (isinstance(value, (int, np.integer)) or value is None and field != "n"):
-                raise InvalidArgumentError(f"{field} must be an integer, got {value!r}")
+        optional = {"burn_in": self.burn_in, "thinning": self.thinning}
+        check_counts(n=self.n, **{k: v for k, v in optional.items() if v is not None})
         if self.n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {self.n}")
         if self.n > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:
@@ -322,6 +320,7 @@ def frequency_report(
     overlap = set(event) & set(given)
     if overlap:
         raise InvalidArgumentError(f"event and condition overlap on nodes: {sorted(overlap)}")
+    check_counts(**{f"checkpoints[{i}]": c for i, c in enumerate(checkpoints or ())})
 
     exact = model.conditional(dict(event), given)
     words = sample(model, run)
@@ -340,7 +339,7 @@ def frequency_report(
     if checkpoints is None:
         marks = [c for c in DEFAULT_CHECKPOINTS if c <= run.n]
     else:
-        marks = sorted({int(c) for c in checkpoints if 1 <= int(c) <= run.n})
+        marks = sorted({int(c) for c in checkpoints if 1 <= c <= run.n})
     if not marks or marks[-1] != run.n:
         marks.append(run.n)
 

@@ -35,7 +35,7 @@ from collections.abc import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bell import _bell_terms, _check_columns, _correlators, chsh, conditional_table
+from .bell import _x_bi_rows, chsh, conditional_table
 from .errors import (
     DegenerateModelError,
     InvalidArgumentError,
@@ -44,9 +44,9 @@ from .errors import (
 )
 from .independence import _md_pairs, _md_rows, independence_report, measurement_dependence
 from .lattice import Lattice
-from .model import ZERO_MEASURE, BoltzmannModel, _Family, build_model
+from .model import BoltzmannModel, _Family, _tables, build_model
 from .sampling import _generator
-from ._format import csv_table, fmt
+from ._format import check_counts, csv_table, fmt
 
 __all__ = [
     "SearchParam",
@@ -77,21 +77,6 @@ def _objective_md(model: BoltzmannModel) -> float:
 
 
 OBJECTIVES = {"x_bi": _objective_x_bi, "md": _objective_md}
-
-
-def _x_bi_rows(weights: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, x_bi) of weight tables over (P, s1, s2, sa, sb) with their
-    setting masses over (P, sa, sb): keep marks the tables whose every
-    setting has weight, and x_bi is chsh(conditional_table(...)).x_bi of
-    each kept table, -inf elsewhere, with the same operations."""
-    keep = ~(masses < ZERO_MEASURE).any(axis=(1, 2))
-    tables = weights[keep]
-    tables /= masses[keep][:, None, None]
-    tables = np.moveaxis(tables, 0, -1)  # (s1, s2, sa, sb, table)
-    _check_columns(tables)
-    x_bi = np.full(len(keep), -np.inf)
-    x_bi[keep] = _bell_terms(_correlators(tables))[2]
-    return keep, x_bi
 
 
 @dataclass(frozen=True)
@@ -252,13 +237,13 @@ class SearchSpace:
         if not ok.any():
             return scores
         rows = weights if ok.all() else weights[ok]
-        ids = self.base.bell_ids()
+        index, ids = self.base.index, self.base.bell_ids()
         if objective == "x_bi":
-            tables = self._family.tables(rows, ids)
+            tables = _tables(rows, index, ids)
             scores[ok] = _x_bi_rows(tables, tables.sum(axis=(1, 2)))[1]
         else:
             hidden = self.base.hidden_ids
-            scores[ok] = _md_rows(self._family.tables(rows, [*ids, *hidden]), len(hidden))
+            scores[ok] = _md_rows(_tables(rows, index, [*ids, *hidden]), len(hidden))
         return scores
 
     def _scores(self, points: Sequence[tuple[float, ...]]) -> list[float]:
@@ -349,6 +334,7 @@ def maximize_chsh(
     function of (space, budget, seed, start). The returned incumbent is
     certified by one fresh evaluation outside the search loop.
     """
+    check_counts(budget=budget, restarts=restarts)
     if budget < 1:
         raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
     if restarts < 1:
@@ -429,6 +415,7 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
     SearchSpace._batches), and each row's measures are read from its
     batch row, so every row is == to one built point by point.
     """
+    check_counts(resolution=resolution)
     if resolution < 2:
         raise InvalidArgumentError(f"resolution must be >= 2, got {resolution}")
     axes = [_grid_axis(p, resolution) for p in space.params]
@@ -586,6 +573,7 @@ def role_permutation_search(
     """
     from .presets import grid_lattice, grid_positions
 
+    check_counts(columns=columns, top=top)
     if top < 0:
         raise InvalidArgumentError(f"top must be >= 0, got {top}")
     positions = grid_positions(columns)

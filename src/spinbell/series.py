@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericRangeError, ZeroMeasureConditionError
 from .lattice import Lattice
 from .model import ZERO_MEASURE, BoltzmannModel, build_model
-from ._format import check_spins, csv_table, fmt, fmt_assignment, spin_of
+from ._format import check_counts, check_spins, csv_table, fmt, fmt_assignment, spin_of
 
 __all__ = [
     "SeriesContext",
@@ -61,6 +61,7 @@ _LADDER_HH_EDGES = (("3", "6"), ("3", "4"), ("6", "7"), ("4", "7"), ("4", "5"), 
 
 
 def _check_chain_n(n: int) -> None:
+    check_counts(n=n)
     if n < 5:
         raise InvalidArgumentError(f"chain forms need n >= 5, got {n}")
 
@@ -368,7 +369,7 @@ def chain_md_profile(n_values: Iterable[int], k: float) -> list[ChainMdRow]:
     asserted here; the rows simply tabulate both so the divergence between
     the readings is visible.
     """
-    return [ChainMdRow(int(n), chain_md_closed(int(n), k), chain_md_per_config(int(n), k)) for n in n_values]
+    return [ChainMdRow(int(n), chain_md_closed(n, k), chain_md_per_config(n, k)) for n in n_values]
 
 
 def profile_csv(rows: Iterable[ChainMdRow], precision: int | None = None) -> str:
@@ -474,6 +475,7 @@ def series_check(
     """
     from .presets import canonical_ladder, chain_lattice
 
+    check_counts(chain_n=chain_n)
     _check_chain_n(chain_n)
     if not (math.isfinite(beta) and beta > 0.0):
         raise InvalidArgumentError(f"beta must be positive and finite, got {beta}")

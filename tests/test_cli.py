@@ -363,7 +363,9 @@ _GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: full-precision outputs recorded before the closed forms ran on whole spin
 #: grids and the Metropolis sampler cached its acceptance thresholds, and
-#: the optimize outputs recorded before the search scored points in batches
+#: the optimize outputs recorded before the search scored points in batches,
+#: and the eval and freewill reports recorded before the search batch shared
+#: weight_table's reduction
 _GOLDEN = {
     "series-chain-n-10.csv": ["series", "--chain-n", "10", "--format", "csv", "--precision", "full"],
     "chain-profile-5-40-k0.37.csv": ["chain", "--profile", "5", "40", "--k", "0.37", "--precision", "full"],
@@ -382,6 +384,10 @@ _GOLDEN = {
     "optimize-grid4.csv": [
         "optimize", "--config", str(_GOLDEN_DIR / "search-ladder-x_bi.json"),
         "--grid", "4", "--format", "csv", "--precision", "full",
+    ],
+    "eval-second-neighbor.txt": ["eval", "--builtin", "second-neighbor", "--precision", "full"],
+    "freewill-grid-tuned.csv": [
+        "freewill", "--builtin", "grid-tuned", "--format", "csv", "--precision", "full",
     ],
 }
 

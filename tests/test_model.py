@@ -527,7 +527,7 @@ def test_family_rows_equal_one_point(spins):
         weights, shifts = family.weights(batch)
         assert np.isnan(shifts).tolist() == [lo + k == 1 for k in range(len(batch))]
         if not np.isnan(shifts).all():
-            tables = [family.tables(weights, ids) for ids in subsets]
+            tables = [model._tables(weights, lattice.index, ids) for ids in subsets]
         for k, (values, shift) in enumerate(zip(batch.tolist(), shifts.tolist())):
             if math.isnan(shift):
                 with pytest.raises(NumericRangeError):

@@ -412,6 +412,11 @@ def test_report_validates_event(fast_mixing_model):
         frequency_report(
             fast_mixing_model, SampleRun(seed=0, n=10), event={"1": 1}, given={"1": 1}
         )
+    # a fractional checkpoint is refused, not truncated
+    with pytest.raises(InvalidArgumentError, match=r"^checkpoints\[1\] must be an integer, got 10.5"):
+        frequency_report(
+            fast_mixing_model, SampleRun(seed=0, n=20), event={"1": 1}, checkpoints=[5, 10.5]
+        )
 
 
 def test_report_zero_postselection_warns():

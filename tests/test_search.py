@@ -215,6 +215,10 @@ def test_search_validation():
         maximize_chsh(space, restarts=0)
     with pytest.raises(InvalidArgumentError, match="min_step"):
         maximize_chsh(space, min_step=0.9, initial_step=0.5)
+    with pytest.raises(InvalidArgumentError, match="^budget must be an integer, got 2.5"):
+        maximize_chsh(space, budget=2.5)
+    with pytest.raises(InvalidArgumentError, match="^restarts must be an integer, got 1.5"):
+        maximize_chsh(space, restarts=1.5)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
@@ -313,6 +317,8 @@ def test_grid_scan_skips_points_without_pd():
 def test_grid_scan_resolution_validation():
     with pytest.raises(InvalidArgumentError, match="resolution"):
         grid_scan(_two_param_space(), resolution=1)
+    with pytest.raises(InvalidArgumentError, match="^resolution must be an integer, got 2.5"):
+        grid_scan(_two_param_space(), resolution=2.5)
 
 
 def test_grid_axis_stays_inside_the_range():
@@ -394,6 +400,10 @@ def test_placement_top_truncates(placement_results):
 def test_placement_top_rejects_negative():
     with pytest.raises(InvalidArgumentError, match="top must be >= 0"):
         role_permutation_search(top=-1)
+    with pytest.raises(InvalidArgumentError, match="^top must be an integer, got 2.5"):
+        role_permutation_search(top=2.5)
+    with pytest.raises(InvalidArgumentError, match="^columns must be an integer, got 2.5"):
+        role_permutation_search(columns=2.5)
 
 
 # -- shared enumerations: placements and energy columns --------------------------------

@@ -108,6 +108,8 @@ def test_series_check_rejects_bad_k():
     for beta in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InvalidArgumentError, match="beta must be positive"):
             series_check(k_values=(0.2,), beta=beta)
+    with pytest.raises(InvalidArgumentError, match="^chain_n must be an integer, got 5.5"):
+        series_check(k_values=(0.2,), chain_n=5.5)
 
 
 def test_series_check_report_output():
@@ -238,6 +240,13 @@ def test_chain_md_validation():
             fn(8, 1.0)
         with pytest.raises(InvalidArgumentError, match="k must lie"):
             fn(8, -1.5)
+        with pytest.raises(InvalidArgumentError, match="^n must be an integer, got 5.5"):
+            fn(5.5, 0.5)
+    # a fractional length is refused, not truncated or carried into the edge count
+    with pytest.raises(InvalidArgumentError, match="^n must be an integer, got 5.5"):
+        chain_md_profile([5, 5.5], 0.5)
+    with pytest.raises(InvalidArgumentError, match="^n must be an integer, got 7.5"):
+        SeriesContext.chain(7.5)
 
 
 def test_chain_md_closed_matches_enumeration():
