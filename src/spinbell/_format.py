@@ -5,10 +5,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from numbers import Integral
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError
+
+if TYPE_CHECKING:  # presets and the CLI import this module before they need numpy
+    import numpy as np
 
 __all__ = ["fmt", "csv_table", "SPINS", "spin_of", "spin_index", "check_spins", "check_counts", "pm",
            "fmt_assignment"]
@@ -59,6 +61,8 @@ def spin_index(s: int) -> int:
 
 def check_spins(*spins: int | np.ndarray) -> None:
     """Refuse any spin value but -1 and +1; an array is checked elementwise."""
+    import numpy as np
+
     for s in spins:
         if isinstance(s, np.ndarray):
             bad = (s != 1) & (s != -1)
@@ -69,9 +73,10 @@ def check_spins(*spins: int | np.ndarray) -> None:
 
 
 def check_counts(**counts: object) -> None:
-    """Refuse, by its name, any count that is not an integer (Python's or numpy's)."""
+    """Refuse, by its name, any count that is not an integer (Python's or
+    numpy's); a bool is a flag, not a count."""
     for name, value in counts.items():
-        if not isinstance(value, Integral):
+        if isinstance(value, bool) or not isinstance(value, Integral):
             raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 

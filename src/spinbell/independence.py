@@ -18,13 +18,17 @@ calls (see reevaluate). All suprema scan their grids in a fixed lexicographic
 order and keep the first maximizer, so witnesses are deterministic.
 
 The reductions are pure functions of the stabilized weights over
-(s1, s2, sa, sb, lambda). One reader walks them a block of lambda values at
-a time and computes every measure from each block while it is in cache. It
-reads tables made by weight_table's reduction, of a model or of a batch of
-search rows (_md_rows): every public measure takes the model's weight_table
-over those axes, so the direct route, the stacked clamped model of freewill,
-the grid scan and the batched md of search share identical arithmetic. An
-ensemble built some other way is read as a BoltzmannModel over its weights.
+(s1, s2, sa, sb, lambda). One reader (_read) walks a stack of such tables a
+block of lambda values at a time and computes every measure of every table
+from each block while it is in cache; each table's results depend on it
+alone. It reads tables made by weight_table's reduction: a model's is a
+stack of one, and a batch of search rows (_tables) a stack of many, read at
+once by the grid scan and, for their masses only, by the md objective of the
+search. So the direct route, the stacked clamped model of freewill, the grid
+scan and the batched md of search share identical arithmetic, and md from
+setting masses gathered any other way (the placement sweep) goes through
+the same _md_rows. An ensemble built some other way is read as a
+BoltzmannModel over its weights.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], 
     return tuple((nid, spin_of(int(b))) for nid, b in zip(lam_ids, bits))
 
 
-# -- measurement dependence over the (..., sa, sb, lambda-flat) setting masses --
+# -- measurement dependence over the (P, sa, sb, lambda-flat) setting masses --
 
 # The 6 unordered setting pairs in the order _md_pairs sums them, and for each
 # of the 16 ordered pairs (setting index sa * 2 + sb) its slot in that list;
@@ -121,201 +125,206 @@ _PAIR_SLOT = np.array(
 
 def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_lambda |P(lambda|a,b) - P(lambda|a',b')| for all 16 ordered
-    setting pairs, from weights over (..., sa, sb, lambda-flat), which are
+    setting pairs, from weights over (P, sa, sb, lambda-flat), which are
     overwritten with P(lambda | a, b).
 
-    Returns (diff, pair_valid), both (..., 2, 2, 2, 2); diff is -1 where
-    either setting has zero weight, so it is -1 everywhere when every
-    setting has. Leading axes stack independent models. Only the 6
-    unordered pairs are summed, each over its own contiguous lambda row:
-    |p - q| equals |q - p| exactly, and the diagonal is 0.
+    Returns (diff, pair_valid), both (P, 16), the pair index holding sa,
+    sb, sa', sb' from its top bit down; diff is -1 where either setting has
+    zero weight. Only the 6 unordered pairs are summed, each over its own
+    contiguous lambda row: |p - q| equals |q - p| exactly, and the diagonal
+    is 0.
     """
-    mass_ab = mass_ab_lam.sum(axis=-1)  # (..., 2, 2)
+    rows = len(mass_ab_lam)
+    mass_ab = mass_ab_lam.sum(axis=-1)  # (P, 2, 2)
     valid = mass_ab >= ZERO_MEASURE
-    lead = mass_ab.shape[:-2]
     p = np.divide(mass_ab_lam, np.where(valid, mass_ab, 1.0)[..., None], out=mass_ab_lam)
-    p = p.reshape(lead + (4, -1))
-    rows = np.empty(lead + (6, p.shape[-1]))
-    np.subtract(p[..., :3, :], p[..., 1:, :], out=rows[..., :3, :])
-    np.subtract(p[..., :2, :], p[..., 2:, :], out=rows[..., 3:5, :])
-    np.subtract(p[..., :1, :], p[..., 3:, :], out=rows[..., 5:, :])
-    sums = np.zeros(lead + (7,))
-    np.abs(rows, out=rows).sum(axis=-1, out=sums[..., :6])
-    diff = sums[..., _PAIR_SLOT].reshape(lead + (2, 2, 2, 2))
-    pair_valid = valid[..., :, :, None, None] & valid[..., None, None, :, :]
-    return np.where(pair_valid, diff, -1.0), pair_valid
+    p = p.reshape(rows, 4, mass_ab_lam.shape[-1])
+    terms = np.empty((rows, 6, p.shape[-1]))
+    np.subtract(p[:, :3], p[:, 1:], out=terms[:, :3])
+    np.subtract(p[:, :2], p[:, 2:], out=terms[:, 3:5])
+    np.subtract(p[:, :1], p[:, 3:], out=terms[:, 5:])
+    sums = np.zeros((rows, 7))
+    np.abs(terms, out=terms).sum(axis=-1, out=sums[:, :6])
+    valid = valid.reshape(rows, 4)
+    pair_valid = (valid[:, :, None] & valid[:, None, :]).reshape(rows, 16)
+    return np.where(pair_valid, sums[:, _PAIR_SLOT], -1.0), pair_valid
 
 
-def _md_result(mass: np.ndarray) -> tuple[float, Witness]:
+def _md_rows(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """md of each row of setting masses over (P, sa, sb, lambda-flat),
+    which are overwritten with P(lambda | a, b): its value, -inf where no
+    setting has weight (where measurement_dependence raises), the index of
+    its first maximizing pair (see _md_pairs) and the number of pairs whose
+    settings both have weight."""
     diff, pair_valid = _md_pairs(mass)
-    if not pair_valid.any():
-        raise DegenerateModelError("every analyzer setting carries zero weight")
-    k = int(np.argmax(diff))  # bits of k: sa, sb, sa', sb'
-    value = float(diff.flat[k])
-    witness = Witness(
+    pairs = pair_valid.sum(axis=1)
+    return np.where(pairs > 0, diff.max(axis=1), -np.inf), diff.argmax(axis=1), pairs
+
+
+def _md_witness(md: float, k: int, pairs: int) -> Witness:
+    """The witness of one table's md (see _md_rows)."""
+    return Witness(
         kind="md",
         settings=(spin_of(k >> 3), spin_of(k >> 2 & 1)),
         alt_settings=(spin_of(k >> 1 & 1), spin_of(k & 1)),
-        value=value,
-        skipped_cells=16 - int(np.count_nonzero(pair_valid)),
+        value=md,
+        skipped_cells=16 - pairs,
     )
-    return value, witness
-
-
-def _md_rows(table: np.ndarray, lam_bits: int) -> np.ndarray:
-    """md of P models, each == to measurement_dependence of its model (-inf
-    where that raises DegenerateModelError), from a stack of their weight
-    tables over (P, s1, s2, sa, sb, lambda...), each a transpose of a
-    C-contiguous array as weight_table returns it. The setting masses are
-    summed as _read sums them: a stack of tables with at most
-    _LAM_BLOCK_BITS lambda bits in one block, a larger table by _read."""
-    if lam_bits > _LAM_BLOCK_BITS:
-        mass = np.stack([_read(t, lam_bits, masses_only=True).mass for t in table])
-    else:
-        w = np.empty((len(table), 2, 2, 2, 2, 1 << lam_bits))
-        np.copyto(w.reshape(table.shape), table)
-        mass = w.sum(axis=(1, 2))
-    md = _md_pairs(mass)[0].reshape(len(mass), -1).max(axis=1)
-    return np.where(md < 0.0, -np.inf, md)
 
 
 # -- the block reader ------------------------------------------------------------
 
-# lambda values per block: the reader's (2, 2, 2, 2, C) buffer then holds 2^16
-# words (512 KiB), so every pass over a block runs in cache. A lambda set of
-# at most this many bits is read in one block, with nothing to merge.
+# lambda values per block: the reader's (1, 2, 2, 2, 2, C) buffer then holds
+# 2^16 words (512 KiB), so every pass over a block runs in cache. A lambda
+# set of at most this many bits is read in one block per table, with nothing
+# to merge.
 _LAM_BLOCK_BITS = 12
 # blocks whose masses are written out together: 8 words, one cache line
 _TILE_BITS = 3
+# (table, lambda value) pairs per read of a stack of one-block tables in
+# _measure_rows: the read's buffers then hold 576 KiB, and a search batch of
+# 2^16 words is read in four
+_CHUNK_BITS = 10
 
 
 class _Scan:
-    """What one read of a weight table leaves.
+    """What one read of a stack of P weight tables leaves, row by row.
 
-    mass is the setting mass over (sa, sb, lambda-flat) until _md_result
+    mass is the setting mass over (P, sa, sb, lambda-flat) until _md_rows
     consumes it: md overwrites it with P(lambda | a, b), so md runs after
     anything that reads the mass values (its size stays the cell count).
-    top holds, per quantity, (value, -cell, -m): its largest value over
-    every cell and lambda value, the first cell in cell order that reaches
-    it, and the smallest lambda index m at which that cell does. The
+    value and at hold, per quantity and row (3, P), the largest value over
+    every cell and lambda value and where it is first reached: at is
+    cell << lam_bits | m for the first cell in cell order that reaches it
+    and the smallest lambda index m at which that cell does. The
     quantities are od over cells (sa, sb), pd against analyzer a over
     (s2, b) and pd against analyzer b over (s1, a); a cell without weight
-    reads -1. The other fields gather what _reduce_block finds in each
-    block. A masses-only read leaves all but mass unset.
+    reads -1. The other fields, one value per row, gather what
+    _reduce_block finds in each block; each is >= 0 once a block is in. A
+    masses-only read leaves all but mass unset.
     """
 
-    od_skipped = pd_skipped = 0
-    od_max_cell = defect = -np.inf
-    _unset = (-np.inf, 0, 0)
+    def __init__(self, mass: np.ndarray, lam_bits: int, masses_only: bool = False) -> None:
+        self.mass, self.lam_bits = mass, lam_bits
+        if not masses_only:
+            floats, ints = np.zeros((5, len(mass))), np.zeros((5, len(mass)), dtype=np.int64)
+            floats[:3] = -np.inf
+            self.value, self.od_max_cell, self.defect = floats[:3], floats[3], floats[4]
+            self.at, self.od_skipped, self.pd_skipped = ints[:3], ints[3], ints[4]
 
-    def __init__(self, mass: np.ndarray) -> None:
-        self.mass = mass
-        self.top = [self._unset] * 3
-
-    def offer(self, k: int, key: tuple[float, int, int]) -> None:
-        """Keep quantity k's maximum (value, -cell, -m): a larger value, or
-        an equal one at an earlier cell, or at the same cell and a smaller
-        lambda index. This is a total order, so no result depends on how
-        the blocks are split or ordered."""
-        if key > self.top[k]:
-            self.top[k] = key
+    def offer(self, value: np.ndarray, at: np.ndarray) -> None:
+        """Keep, per quantity and row, the maximum (value, -at): a larger
+        value, or an equal one reached earlier. This is a total order, so
+        no result depends on how the blocks are split or ordered."""
+        better = (value > self.value) | (value == self.value) & (at < self.at)
+        np.copyto(self.value, value, where=better)
+        np.copyto(self.at, at, where=better)
 
     def add_block(
         self, buf: _Buffers, single: bool, m_inner: np.ndarray, m_outer: int
     ) -> None:
         """Reduce the block in buf and fold it in. Its lambda value c has
         the flat index m_inner[c] + m_outer."""
-        values = _reduce_block(self, buf, single)
-        tops = values.max(axis=-1).reshape(3, 4)
-        cells = tops.argmax(axis=1)
-        for k, (cell, value) in enumerate(zip(cells.tolist(), tops[(0, 1, 2), cells].tolist())):
-            if value >= self.top[k][0]:
-                hits = values[k].reshape(4, -1)[cell] == value
-                self.offer(k, (value, -cell, -int(m_inner[hits].min()) - m_outer))
+        rows = np.arange(len(buf.w))
+        values = _reduce_block(self, buf, single).reshape(3, len(rows), 4, -1)
+        tops = values.max(axis=-1)
+        value, cell = tops.max(axis=-1), tops.argmax(axis=-1)
+        if not (value >= self.value).any():
+            return
+        hits = values[_QUANTITY, rows, cell] == value[..., None]
+        m = np.where(hits, m_inner, 1 << self.lam_bits).min(axis=-1) + m_outer
+        self.offer(value, cell << self.lam_bits | m)
 
     def merge(self, other: _Scan) -> None:
         """Fold in the scan of another share."""
         self.od_skipped += other.od_skipped
         self.pd_skipped += other.pd_skipped
-        self.od_max_cell = max(self.od_max_cell, other.od_max_cell)
-        self.defect = max(self.defect, other.defect)
-        for k in range(3):
-            self.offer(k, other.top[k])
+        np.maximum(self.od_max_cell, other.od_max_cell, out=self.od_max_cell)
+        np.maximum(self.defect, other.defect, out=self.defect)
+        self.offer(other.value, other.at)
+
+
+_QUANTITY = np.arange(3)[:, None]
 
 
 class _Buffers:
-    """One share's buffers for a block w over (s1, s2, sa, sb, c) and its
-    setting masses mass over (sa, sb, c): a work array of w's shape, the
-    per-cell values (quantity, 2, 2, c) described on _Scan, the conditional
-    outcome marginals p1 over (s1, sa, sb, c) and p2 over (s2, sa, sb, c),
-    the weights g1 over (s1, sa, c) and g2 over (s2, sb, c), and their sums
-    over the outcome."""
+    """One share's buffers for a block w over (R, s1, s2, sa, sb, c) of R
+    tables and its setting masses mass over (R, sa, sb, c): a work array of
+    w's shape, the per-cell values (quantity, R, 2, 2, c) described on
+    _Scan, the conditional outcome marginals p1 over (R, s1, sa, sb, c) and
+    p2 over (R, s2, sa, sb, c), the weights g1 over (R, s1, sa, c) and g2
+    over (R, s2, sb, c), and their sums over the outcome."""
 
     def __init__(self, w: np.ndarray, mass: np.ndarray) -> None:
+        rows, lam = len(w), w.shape[-1]
         self.w, self.mass = w, mass
         self.work = np.empty_like(w)
-        self.values = np.empty((3,) + mass.shape)
-        self.p = np.empty_like(w)
-        self.g = np.empty((2,) + mass.shape)
-        self.marginal = np.empty_like(mass)
+        self.values = np.empty((3, rows, 2, 2, lam))
+        self.p = np.empty((2, rows, 2, 2, 2, lam))
+        self.g = np.empty((2, rows, 2, 2, lam))
+        self.marginal = np.empty((2, rows, 2, lam))
 
 
 def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
-    """od, pd and factorization reductions of the block buf.w over (s1, s2,
-    sa, sb, c) with setting masses buf.mass, for scan.
+    """od, pd and factorization reductions of the block buf.w over (R, s1,
+    s2, sa, sb, c) with setting masses buf.mass, for scan.
 
     Every sum adds its terms in the order of numpy's sum over a C-ordered
     (s1, s2, sa, sb, lambda-flat) array. A sum over the two leading axes
     adds their four slices one after another at any block width; the sums
     onto (s1, a) and (s2, b) are spelled out, because numpy pairs their
     terms when the trailing axis has length 1 (single is set when lambda
-    takes a single value). w is overwritten with P(s1, s2 | sa, sb, lambda),
-    zero on cells without weight (a division by inf). Adds the skipped od
-    cells and pd pairs, the largest single-cell od term and the
-    factorization defect into scan; returns buf.values, the per-cell values.
+    takes a single value). Every operation acts on each table alone, so a
+    table's results do not depend on the others in its block. w is
+    overwritten with P(s1, s2 | sa, sb, lambda), zero on cells without
+    weight (a division by inf). Adds each table's skipped od cells and pd
+    pairs, largest single-cell od term and factorization defect into scan;
+    returns buf.values, the per-cell values.
     """
     w, work, mass, values = buf.w, buf.work, buf.mass, buf.values
     valid = mass >= ZERO_MEASURE
     every = bool(valid.all())
     # weights over (s1, a, c) and (s2, b, c), before w is normalized
     g1, g2 = buf.g
-    np.add(w[:, 0, :, 0], w[:, 0, :, 1], out=g1)
+    np.add(w[:, :, 0, :, 0], w[:, :, 0, :, 1], out=g1)
     if single:
-        g1 += w[:, 1, :, 0] + w[:, 1, :, 1]
+        g1 += w[:, :, 1, :, 0] + w[:, :, 1, :, 1]
     else:
-        g1 += w[:, 1, :, 0]
-        g1 += w[:, 1, :, 1]
-    np.add(w[0, :, 0], w[0, :, 1], out=g2)
-    g2 += w[1, :, 0]
-    g2 += w[1, :, 1]
+        g1 += w[:, :, 1, :, 0]
+        g1 += w[:, :, 1, :, 1]
+    np.add(w[:, 0, :, 0], w[:, 0, :, 1], out=g2)
+    g2 += w[:, 1, :, 0]
+    g2 += w[:, 1, :, 1]
 
-    np.divide(w, np.where(valid, mass, np.inf), out=w)
+    np.divide(w, np.where(valid, mass, np.inf)[:, None, None], out=w)
     p1, p2 = buf.p
-    np.add(w[:, 0], w[:, 1], out=p1)  # P(s1 | sa, sb, lambda)
-    np.add(w[0], w[1], out=p2)  # P(s2 | sa, sb, lambda)
+    np.add(w[:, :, 0], w[:, :, 1], out=p1)  # P(s1 | sa, sb, lambda)
+    np.add(w[:, 0], w[:, 1], out=p2)  # P(s2 | sa, sb, lambda)
 
     od, pd_a, pd_b = values
     # outcome 2 against a flip of analyzer a at fixed (b, lambda), and
     # outcome 1 against a flip of analyzer b at fixed (a, lambda)
-    np.subtract(p2[:, 1], p2[:, 0], out=pd_a)
-    np.subtract(p1[:, :, 1], p1[:, :, 0], out=pd_b)
+    np.subtract(p2[:, :, 1], p2[:, :, 0], out=pd_a)
+    np.subtract(p1[:, :, :, 1], p1[:, :, :, 0], out=pd_b)
     np.abs(values[1:], out=values[1:])
 
-    np.multiply(p1[:, None], p2[None], out=work)
+    terms = work.reshape(len(work), -1)
+    np.multiply(p1[:, :, None], p2[:, None], out=work)
     np.subtract(w, work, out=work)
     np.abs(work, out=work)
     # a cell without weight has all-zero terms, so the largest term is the
     # largest over cells with weight, or 0
-    scan.od_max_cell = max(scan.od_max_cell, float(work.max()))
+    np.maximum(scan.od_max_cell, terms.max(axis=1), out=scan.od_max_cell)
     _setting_mass(work, od)
     if not every:
         np.copyto(od, -1.0, where=~valid)
-        ok_a = valid[1] & valid[0]
-        np.copyto(pd_a, -1.0, where=~ok_a)
-        ok_b = valid[:, 1] & valid[:, 0]
-        np.copyto(pd_b, -1.0, where=~ok_b)
-        scan.pd_skipped += int(np.count_nonzero(~ok_a) + np.count_nonzero(~ok_b))
-        scan.od_skipped += int(np.count_nonzero(~valid))
+        ok_a = valid[:, 1] & valid[:, 0]
+        np.copyto(pd_a, -1.0, where=~ok_a[:, None])
+        ok_b = valid[:, :, 1] & valid[:, :, 0]
+        np.copyto(pd_b, -1.0, where=~ok_b[:, None])
+        scan.pd_skipped += np.count_nonzero(~ok_a, axis=(1, 2))
+        scan.pd_skipped += np.count_nonzero(~ok_b, axis=(1, 2))
+        scan.od_skipped += np.count_nonzero(~valid, axis=(1, 2, 3))
 
     # P(s1 | a, lambda) P(s2 | b, lambda) against P(s1, s2 | a, b, lambda).
     # A cell with weight has weight on both marginals (sums of nonnegative
@@ -323,37 +332,41 @@ def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
     # weight are masked: their product is zeroed, like their w, and the
     # defect is the largest |difference| over cells with weight, or 0.
     g = buf.g
-    marginal = np.add(g[:, 0], g[:, 1], out=buf.marginal)
+    marginal = np.add(g[:, :, 0], g[:, :, 1], out=buf.marginal)
     if not every:
         np.copyto(marginal, np.inf, where=marginal < ZERO_MEASURE)
-    np.divide(g, marginal[:, None], out=g)
-    np.multiply(g1[:, None, :, None], g2[None, :, None], out=work)
+    np.divide(g, marginal[:, :, None], out=g)
+    np.multiply(g1[:, :, None, :, None], g2[:, None, :, None], out=work)
     if not every:
-        work *= valid
+        work *= valid[:, None, None]
     np.subtract(w, work, out=work)
-    defect = max(float(work.max()), -float(work.min())) + 0.0  # + 0.0: no -0.0
-    scan.defect = max(scan.defect, defect)
+    np.abs(work, out=work)
+    np.maximum(scan.defect, terms.max(axis=1), out=scan.defect)
     return values
 
 
 def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
-    """Read a weight table one block of lambda values at a time.
+    """Read a stack of weight tables one block of lambda values at a time.
 
-    table is over (s1, s2, sa, sb, lambda...), its lambda axes in lam_ids
-    order, and is a transpose of a C-contiguous array (as weight_table
-    returns): axis k's stride gives the bit it holds in that array's words.
-    With at most _LAM_BLOCK_BITS lambda bits the table is one block, copied
-    with its lambda axes in lam_ids order, so its lambda index is the flat
-    index m of _decode_lambda.
+    table is over (P, s1, s2, sa, sb, lambda...), its lambda axes in
+    lam_ids order, each table a transpose of a C-contiguous array (as
+    weight_table and _tables return): axis k's stride gives the bit it
+    holds in that array's words. With at most _LAM_BLOCK_BITS lambda bits
+    each table is one block, copied with its lambda axes in lam_ids order,
+    so its lambda index is the flat index m of _decode_lambda, and the
+    whole stack is one block of _reduce_block; its buffers take 72 words
+    per (table, lambda value) pair beyond the copy, which is all that a
+    masses-only read needs.
 
-    Otherwise a block fixes every lambda bit at or above some bit: it is
+    Otherwise the stack holds one table (_tables makes one row beyond 2^16
+    words), and a block fixes every lambda bit at or above some bit: it is
     the contiguous runs of words below that bit, one run per value of the
-    role bits above it. Each block is copied into one (s1, s2, sa, sb, c)
-    buffer with c in memory order, a transpose of each run; no copied run
-    is shorter than the span between two role bits. Lambda value c of the
-    block has m = m_inner[c] + m_outer. The blocks are split into shares
-    (see model._each), each with its own buffers and running scan; with
-    more shares a block holds fewer lambda values, so that all buffers
+    role bits above it. Each block is copied into one (1, s1, s2, sa, sb,
+    c) buffer with c in memory order, a transpose of each run; no copied
+    run is shorter than the span between two role bits. Lambda value c of
+    the block has m = m_inner[c] + m_outer. The blocks are split into
+    shares (see model._each), each with its own buffers and running scan;
+    with more shares a block holds fewer lambda values, so that all buffers
     together stay below half the table's size.
 
     Only the masses need m order, because md sums them in it. Each block's
@@ -367,13 +380,14 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     copies each block the same way and skips the reductions.
     """
     if lam_bits <= _LAM_BLOCK_BITS:
-        w = np.empty((2, 2, 2, 2, 1 << lam_bits))
+        w = np.empty((len(table), 2, 2, 2, 2, 1 << lam_bits))
         np.copyto(w.reshape(table.shape), table)
-        scan = _Scan(w.sum(axis=(0, 1)))
+        scan = _Scan(w.sum(axis=(1, 2)), lam_bits, masses_only)
         if not masses_only:
             scan.add_block(_Buffers(w, scan.mass), lam_bits == 0, np.arange(1 << lam_bits), 0)
         return scan
 
+    (table,) = table
     shares = _shares(1 << (lam_bits - _LAM_BLOCK_BITS))
     # a share's buffers hold 108 words per lambda value of its block, the
     # table 16 words per lambda value
@@ -395,7 +409,7 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     # highest m bit first; with lambda in bit order (the default) the outer
     # bits are the lowest bits of m, so a tile of blocks fills runs of words
     tile_bits = min(_TILE_BITS, len(outer))
-    mass_all = np.empty((2, 2, 1 << lam_bits))
+    mass_all = np.empty((1, 2, 2, 1 << lam_bits))
     order = [*(k - 2 for k in sorted(outer)), 0, 1, *(k - 2 for k in sorted(inner))]
     by_rank = mass_all.reshape((2, 2) + (2,) * lam_bits).transpose(order)
 
@@ -407,12 +421,12 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     # allocates stays with its malloc arena after it is freed
     tiles = [np.empty((1 << tile_bits, 2, 2, 1 << width)) for _ in range(shares)]
     buffers = [
-        _Buffers(np.empty((2, 2, 2, 2, 1 << width)), np.empty((2, 2, 1 << width)))
+        _Buffers(np.empty((1, 2, 2, 2, 2, 1 << width)), np.empty((1, 2, 2, 1 << width)))
         for _ in range(shares)
     ]
 
     def read_share(k: int) -> _Scan:
-        scan = _Scan(mass_all)
+        scan = _Scan(mass_all, lam_bits, masses_only)
         tiled = tiles[k]
         buf = buffers[k]
         target = buf.w.reshape(source.shape[len(outer) :])
@@ -430,7 +444,7 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
         return scan
 
     scan, *others = _each(read_share, shares)
-    for other in others:
+    for other in others if not masses_only else ():
         scan.merge(other)
     return scan
 
@@ -446,11 +460,12 @@ def _flat_index(axes: list[int], ndim: int) -> np.ndarray:
 
 
 def _setting_mass(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of w over its two leading (outcome) axes, the four slices added
-    one after another, as numpy sums a C-ordered array over them."""
-    np.add(w[0, 0], w[0, 1], out=out)
-    out += w[1, 0]
-    out += w[1, 1]
+    """Sum of w over (R, s1, s2, ...) onto (R, ...): the four outcome
+    slices added one after another, as numpy sums a C-ordered array over
+    them."""
+    np.add(w[:, 0, 0], w[:, 0, 1], out=out)
+    out += w[:, 1, 0]
+    out += w[:, 1, 1]
     return out
 
 
@@ -458,18 +473,52 @@ def _read_model(
     model: BoltzmannModel, lam: Sequence[str] | None, masses_only: bool = False
 ) -> tuple[_Scan, tuple[str, ...]]:
     """Resolve lambda and read the model's weights over (s1, s2, sa, sb,
-    lambda...). With lambda every hidden node weight_table sums nothing and
-    returns a transposed view of the model's own tensor."""
+    lambda...) as a stack of one. With lambda every hidden node
+    weight_table sums nothing and returns a transposed view of the model's
+    own tensor."""
     lam_ids = _lambda_ids(model, lam)
     table = model.weight_table([*model.lattice.bell_ids(), *lam_ids])
-    return _read(table, len(lam_ids), masses_only), lam_ids
+    return _read(table[None], len(lam_ids), masses_only), lam_ids
+
+
+# why independence_report refuses a model, in the order it checks
+_REFUSALS = (
+    "every analyzer setting carries zero weight",
+    "every (setting, lambda) cell carries zero weight",
+    "no analyzer flip leaves both (setting, lambda) cells with weight",
+)
+
+
+def _report_rows(scan: _Scan) -> tuple[tuple, tuple]:
+    """The md of each table of a full read (see _md_rows), and for each of
+    _REFUSALS a mask of the tables that independence_report refuses for
+    it."""
+    md = _md_rows(scan.mass)  # consumes scan.mass (see _Scan)
+    cells = 4 << scan.lam_bits
+    return md, (md[2] == 0, scan.od_skipped == cells, scan.value[1:].max(axis=0) < 0.0)
+
+
+def _measure_rows(table: np.ndarray, lam_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """md, od and pd (P, 3) of each table in a stack of one-block tables,
+    each == to independence_report's on its model, and a mask of the tables
+    where independence_report raises DegenerateModelError. The stack is
+    read 2^_CHUNK_BITS (table, lambda value) pairs at a time, and at least
+    one table."""
+    step = max((1 << _CHUNK_BITS) >> lam_bits, 1)
+    measures, refused = np.empty((len(table), 3)), np.empty(len(table), dtype=bool)
+    for lo in range(0, len(table), step):
+        scan = _read(table[lo : lo + step], lam_bits)
+        (md, _, _), (no_md, no_od, no_pd) = _report_rows(scan)
+        measures[lo : lo + step] = np.stack([md, scan.value[0], scan.value[1:].max(axis=0)], axis=1)
+        refused[lo : lo + step] = no_md | no_od | no_pd
+    return measures, refused
 
 
 def _top(scan: _Scan, k: int, lam_ids: Sequence[str]) -> tuple[float, int, tuple]:
     """(value, cell, lambda assignment) of quantity k's first maximum in
-    (cell, lambda) order; cell is row * 2 + column."""
-    value, cell, m = scan.top[k]
-    return value, -cell, _decode_lambda(lam_ids, -m)
+    (cell, lambda) order for the first table; cell is row * 2 + column."""
+    cell, m = divmod(int(scan.at[k, 0]), 1 << scan.lam_bits)
+    return float(scan.value[k, 0]), cell, _decode_lambda(lam_ids, m)
 
 
 # -- public measures -----------------------------------------------------------
@@ -479,7 +528,10 @@ def measurement_dependence(
     model: BoltzmannModel, lam: Sequence[str] | None = None
 ) -> tuple[float, Witness]:
     """sup over setting pairs of sum_lambda |P(lambda|a,b) - P(lambda|a',b')|."""
-    return _md_result(_read_model(model, lam, masses_only=True)[0].mass)
+    md, k, pairs = (v.item() for v in _md_rows(_read_model(model, lam, masses_only=True)[0].mass))
+    if not pairs:
+        raise DegenerateModelError(_REFUSALS[0])
+    return md, _md_witness(md, k, pairs)
 
 
 @dataclass(frozen=True)
@@ -534,23 +586,22 @@ def independence_report(
 ) -> IndependenceReport:
     """All three measures with premise verdicts at one tolerance."""
     scan, lam_ids = _read_model(model, lam)
+    (md, k, pairs), refused = _report_rows(scan)
+    for reason, mask in zip(_REFUSALS, refused):
+        if mask[0]:
+            raise DegenerateModelError(reason)
+    md = float(md[0])
+    w_md = _md_witness(md, int(k[0]), int(pairs[0]))
     id1, id2, _, _ = model.lattice.bell_ids()
-    md, w_md = _md_result(scan.mass)  # consumes scan.mass (see _Scan)
-    if scan.od_skipped == scan.mass.size:
-        raise DegenerateModelError("every (setting, lambda) cell carries zero weight")
     od, cell, lam_od = _top(scan, 0, lam_ids)
     w_od = Witness(
         kind="od",
         settings=(spin_of(cell >> 1), spin_of(cell & 1)),
         lam=lam_od,
         value=od,
-        skipped_cells=scan.od_skipped,
+        skipped_cells=int(scan.od_skipped[0]),
     )
-    best_a, best_b = scan.top[1][0], scan.top[2][0]
-    if best_a < 0.0 and best_b < 0.0:
-        raise DegenerateModelError(
-            "no analyzer flip leaves both (setting, lambda) cells with weight"
-        )
+    best_a, best_b = scan.value[1:, 0].tolist()
     # strict max; ties go to outcome 2 against analyzer a
     side_a = best_a >= best_b
     pd, cell, lam_pd = _top(scan, 1 if side_a else 2, lam_ids)
@@ -563,8 +614,9 @@ def independence_report(
         lam=lam_pd,
         outcome=(id2 if side_a else id1, spin_of(cell >> 1)),
         value=pd,
-        skipped_cells=scan.pd_skipped,
+        skipped_cells=int(scan.pd_skipped[0]),
     )
+    defect = float(scan.defect[0])
     return IndependenceReport(
         md=md,
         od=od,
@@ -572,15 +624,15 @@ def independence_report(
         mi_holds=md <= tol,
         oi_holds=od <= tol,
         pi_holds=pd <= tol,
-        factorizable=scan.defect <= tol,
+        factorizable=defect <= tol,
         tol=tol,
         witnesses={"md": w_md, "od": w_od, "pd": w_pd},
-        od_max_cell=max(scan.od_max_cell, 0.0),
+        od_max_cell=max(float(scan.od_max_cell[0]), 0.0),
         pd_sides={
             "outcome2_vs_analyzer_a": max(best_a, 0.0),
             "outcome1_vs_analyzer_b": max(best_b, 0.0),
         },
-        factorization_defect=scan.defect,
+        factorization_defect=defect,
         skipped_cells=w_md.skipped_cells + w_od.skipped_cells + w_pd.skipped_cells,
     )
 

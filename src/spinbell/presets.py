@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 from .lattice import Lattice, NodeRole
+from ._format import check_counts
 
 __all__ = [
     "canonical_ladder",
@@ -65,6 +66,7 @@ _NODE_ORDER = ("1", "2", "a", "b", "3", "4", "5", "6", "7", "8")
 
 def grid_positions(columns: int = 5) -> tuple[str, ...]:
     """Position names of the 2 x columns grid, top row then bottom row."""
+    check_counts(columns=columns)
     return tuple(f"t{c}" for c in range(columns)) + tuple(f"u{c}" for c in range(columns))
 
 
@@ -236,6 +238,7 @@ def grid_lattice(
 def chain_lattice(n: int, j: float = 1.0, beta: float = 1.0, h: float = 0.0) -> Lattice:
     """Open chain 1-a-3-4-...-n-b-2: outcomes at the two ends, analyzers
     just inside them, hidden path 3..n in between. n >= 3 hidden labels."""
+    check_counts(n=n)
     if n < 3:
         raise InvalidArgumentError(f"chain needs n >= 3, got {n}")
     hidden = [str(i) for i in range(3, n + 1)]

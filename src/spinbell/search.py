@@ -23,7 +23,8 @@ evaluate's order, so every batched score is == to evaluate's, -inf included.
 Also here: a dense grid scan over the same parameter space, and an exhaustive
 search over placements of the four measurement roles on a two-row grid. The
 placements share one enumerated grid and differ only in which axes they
-read.
+read. Both sweeps read stacks: a batch of grid rows, or the placements that
+share a transpose, go through one reduction each.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .errors import (
     NumericRangeError,
     ZeroMeasureConditionError,
 )
-from .independence import _md_pairs, _md_rows, independence_report, measurement_dependence
+from .independence import _md_rows, _measure_rows, _read, measurement_dependence
 from .lattice import Lattice
-from .model import BoltzmannModel, _Family, _tables, build_model
+from .model import _BLOCK_BITS, BoltzmannModel, _Family, _tables, build_model
 from .sampling import _generator
 from ._format import check_counts, csv_table, fmt
 
@@ -243,7 +244,8 @@ class SearchSpace:
             scores[ok] = _x_bi_rows(tables, tables.sum(axis=(1, 2)))[1]
         else:
             hidden = self.base.hidden_ids
-            scores[ok] = _md_rows(_tables(rows, index, [*ids, *hidden]), len(hidden))
+            scan = _read(_tables(rows, index, [*ids, *hidden]), len(hidden), masses_only=True)
+            scores[ok] = _md_rows(scan.mass)[0]
         return scores
 
     def _scores(self, points: Sequence[tuple[float, ...]]) -> list[float]:
@@ -412,24 +414,28 @@ def grid_scan(space: SearchSpace, resolution: int = 5) -> list[GridRow]:
 
     Each row carries the CHSH combination and all three dependence measures;
     degenerate points are skipped. The points are scored in batches (see
-    SearchSpace._batches), and each row's measures are read from its
-    batch row, so every row is == to one built point by point.
+    SearchSpace._batches). The rows of a batch with a finite CHSH
+    combination are read as one stack of weight tables by the
+    independence reader, whose results for each table depend on it alone,
+    so every row is == to one built point by point.
     """
     check_counts(resolution=resolution)
     if resolution < 2:
         raise InvalidArgumentError(f"resolution must be >= 2, got {resolution}")
     axes = [_grid_axis(p, resolution) for p in space.params]
+    index, hidden = space.base.index, space.base.hidden_ids
+    ids = [*space.base.bell_ids(), *hidden]
     rows = []
     for points, weights, shifts in space._batches(list(itertools.product(*axes))):
-        x_bi = space._score_rows("x_bi", weights, shifts).tolist()
-        for values, w, shift, x in zip(points, weights, shifts.tolist(), x_bi):
-            if x == -math.inf:
-                continue
-            try:
-                report = independence_report(BoltzmannModel(space.base, w, shift))
-            except DegenerateModelError:
-                continue
-            rows.append(GridRow(values, x, report.md, report.od, report.pd))
+        x_bi = space._score_rows("x_bi", weights, shifts)
+        read = np.flatnonzero(x_bi != -np.inf)
+        tables = _tables(weights if len(read) == len(weights) else weights[read], index, ids)
+        measures, refused = _measure_rows(tables, len(hidden))
+        rows += [
+            GridRow(points[i], x, *m)
+            for i, x, m, r in zip(read.tolist(), x_bi[read].tolist(), measures.tolist(), refused)
+            if not r
+        ]
     return rows
 
 
@@ -449,94 +455,101 @@ class PlacementResult:
         return f"x_bi={self.x_bi:.6f} md={self.md:.6f} [{spots}]"
 
 
-def _placements(
-    columns: int, fields: Sequence[float], dedup_symmetry: bool
-) -> Iterator[tuple[int, ...]]:
-    """Role placements as position indices (outcome1, outcome2, analyzer_a,
-    analyzer_b), in permutation order.
+def _placements(columns: int, fields: Sequence[float], dedup_symmetry: bool) -> np.ndarray:
+    """Role placements as rows of position indices (outcome1, outcome2,
+    analyzer_a, analyzer_b), in permutation order.
 
     With dedup_symmetry only the first placement of each orbit is kept,
     under those of the grid's row and column flips that map every position
     onto one with the same field (fields[k] is position k's). The couplings
-    are the same under every flip, so the fields alone decide. Position
-    index r * columns + c is row r ("t" = 0, "u" = 1), column c, as in
-    grid_positions.
+    are the same under every flip, so the fields alone decide. Permutation
+    order is lexicographic, so the first placement of an orbit is the one
+    that no kept flip makes smaller. Position index r * columns + c is row
+    r ("t" = 0, "u" = 1), column c, as in grid_positions.
     """
-    combos = itertools.permutations(range(2 * columns), 4)
+    size = 2 * columns
+    count = math.perm(size, 4)
+    combos = itertools.chain.from_iterable(itertools.permutations(range(size), 4))
+    combos = np.fromiter(combos, dtype=np.intp, count=4 * count).reshape(count, 4)
     if not dedup_symmetry:
-        yield from combos
-        return
+        return combos
     flips = [
         [(r ^ fr) * columns + (columns - 1 - c if fc else c)
          for r in (0, 1) for c in range(columns)]
         for fr, fc in itertools.product((0, 1), repeat=2)
     ]
     flips = [f for f in flips if all(fields[f[k]] == h for k, h in enumerate(fields))]
-    seen: set = set()
-    for combo in combos:
-        if combo not in seen:
-            seen.update(tuple(f[k] for k in combo) for f in flips)
-            yield combo
+    digits = size ** np.arange(3, -1, -1)  # a placement's rank in permutation order
+    rank = combos @ digits
+    first = np.all([rank <= np.take(f, combos) @ digits for f in flips], axis=0)
+    return combos[first]
 
 
-def _placement_x_bi(
-    model: BoltzmannModel, combos: list[tuple[int, ...]], set_sums: dict
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The placements that give every setting weight, and their CHSH
-    combinations.
+def _placement_x_bi(model: BoltzmannModel, combos: np.ndarray) -> np.ndarray:
+    """The CHSH combination of each placement, -inf where a setting has
+    no weight.
 
     A placement's (o1, o2, a, b) weights are a transpose of its four-node
-    set's weight table, kept in set_sums; its setting masses are summed on
-    that view, as conditional_table sums them.
+    set's weight table, one weight_table per set; the tables are stacked in
+    their own memory order. The placements are grouped by the order of
+    their four positions (24 groups): a group's weights are one transposed
+    view of its gathered tables, which has every placement's strides, and
+    its setting masses are summed on that view, as conditional_table sums
+    them.
     """
     ids = model.lattice.node_ids
-    weights = np.empty((len(combos), 2, 2, 2, 2))
-    masses = np.empty((len(combos), 2, 2))
-    for i, combo in enumerate(combos):
-        key = tuple(sorted(combo))
-        if key not in set_sums:
-            set_sums[key] = model.weight_table([ids[k] for k in key])
-        view = set_sums[key].transpose([key.index(k) for k in combo])
-        weights[i] = view
-        masses[i] = view.sum(axis=(0, 1))
-    keep, x_bi = _x_bi_rows(weights, masses)
-    return [combo for combo, k in zip(combos, keep) if k], x_bi[keep]
+    order = combos.argsort(axis=1)
+    _, first, set_of = np.unique((1 << combos).sum(axis=1), return_index=True, return_inverse=True)
+    # weight_table returns a transpose of its sum; .T is that sum, highest bit first
+    keys = np.take_along_axis(combos[first], order[first], axis=1).tolist()
+    tables = np.stack([model.weight_table([ids[k] for k in key]).T for key in keys])
+    places = order.argsort(axis=1)  # each role's place among the four positions
+    _, first, group_of = np.unique(places @ [64, 16, 4, 1], return_index=True, return_inverse=True)
+    x_bi = np.empty(len(combos))
+    for g, place in enumerate(places[first].tolist()):
+        rows = np.flatnonzero(group_of == g)
+        weights = tables[set_of[rows]].transpose(0, *(4 - k for k in place))
+        x_bi[rows] = _x_bi_rows(weights, weights.sum(axis=(1, 2)))[1]
+    return x_bi
 
 
-# Upper bound on the md difference array of one batch of placements.
-_MD_BATCH_BYTES = 1 << 18
+def _placement_md(model: BoltzmannModel, combos: np.ndarray) -> np.ndarray:
+    """md of each placement, lambda being the other positions in grid order.
 
-
-def _placement_md(model: BoltzmannModel, combos: list[tuple[int, ...]]) -> np.ndarray:
-    """md of placements that share their outcome nodes, lambda being the
-    other positions in grid order.
-
-    Every (a, b, lambda) weight table is a transpose of one sum over the
-    two outcome axes of the full weight table.
+    A placement's (a, b, lambda) masses are a transpose of its outcome
+    pair's masses: the full weight table summed over the two outcome axes,
+    over the other positions in grid order, one weight_table per ordered
+    outcome pair. Those sums are stacked, and each placement's masses are
+    gathered from its pair's sum through the index row of its (a, b)
+    slots among the other positions, a batch of at most 2^_BLOCK_BITS
+    words at a time.
     """
     n = model.n
-    md = np.empty(len(combos))
-    if not combos:
-        return md
-    o1, o2 = combos[0][:2]
-    rest = [k for k in range(n) if k not in (o1, o2)]
     ids = model.lattice.node_ids
-    table = model.weight_table([ids[k] for k in (o1, o2, *rest)])
-    summed = np.ascontiguousarray(table).sum(axis=(0, 1))
-    cells = 16 << (n - 4)  # setting pairs times lambda states, per placement
-    step = max(1, _MD_BATCH_BYTES // (8 * cells))
+    pairs = combos[:, 0] * n + combos[:, 1]
+    _, first, pair_of = np.unique(pairs, return_index=True, return_inverse=True)
+    sums = np.empty((len(first), 1 << (n - 2)))
+    for row, (o1, o2) in zip(sums, combos[first, :2].tolist()):
+        rest = [ids[k] for k in range(n) if k not in (o1, o2)]
+        table = model.weight_table([ids[o1], ids[o2], *rest])
+        row[:] = np.ascontiguousarray(table).sum(axis=(0, 1)).reshape(-1)
+    # the slots of a and b among the other positions
+    slots = combos[:, 2:] - (combos[:, 2:, None] > combos[:, None, :2]).sum(axis=2)
+    _, first, slot_of = np.unique(slots @ [n - 2, 1], return_index=True, return_inverse=True)
+    words = sums.shape[1]
+    lam = np.arange(words).reshape((2,) * (n - 2))
+    index = np.array([
+        lam.transpose([a, b, *(k for k in range(n - 2) if k not in (a, b))]).reshape(-1)
+        for a, b in slots[first].tolist()
+    ], dtype=np.intp).reshape(len(first), words)
+    offset = pair_of * words
+    md = np.empty(len(combos))
+    step = max((1 << _BLOCK_BITS) >> (n - 2), 1)
     for lo in range(0, len(combos), step):
-        batch = combos[lo : lo + step]
-        stack = np.stack([
-            summed.transpose(
-                [rest.index(a), rest.index(b)] + [x for x, k in enumerate(rest) if k not in (a, b)]
-            )
-            for _, _, a, b in batch
-        ])
-        # C order, as in the report's setting masses: numpy adds a strided
-        # lambda axis in another order than a contiguous one
-        stack = np.ascontiguousarray(stack).reshape(len(batch), 2, 2, -1)
-        md[lo : lo + step] = _md_pairs(stack)[0].reshape(len(batch), -1).max(axis=1)
+        rows = slice(lo, lo + step)
+        at = index[slot_of[rows]]
+        at += offset[rows, None]
+        md[rows] = _md_rows(np.take(sums, at).reshape(len(at), 2, 2, -1))[0]
     return md
 
 
@@ -562,14 +575,16 @@ def role_permutation_search(
 
     Roles do not enter the energy, so the grid is enumerated once and every
     placement is a view of its weight tables. The CHSH tables come from one
-    weight_table per unordered four-node set, and md from one sum over the
-    two outcomes of the full weight table per ordered outcome pair, with
-    lambda the remaining positions in grid order. Each sum, and each
-    per-placement reduction, adds the same terms in the same order as
-    weight_table and measurement_dependence on that placement, so every
-    x_bi and md is bit-identical to a per-placement build. Placements are evaluated in
-    groups that share their outcome nodes, so each numpy work array holds
-    one group.
+    weight_table per unordered four-node set, read for all placements that
+    put their roles on the set in the same order as one stack. md comes
+    from one sum over the two outcomes of the full weight table per ordered
+    outcome pair, with lambda the remaining positions in grid order, each
+    placement's masses gathered from it and read in stacks of at most 2^16
+    words. Each sum, and each per-placement reduction, adds the same terms
+    in the same order as weight_table and measurement_dependence on that
+    placement, so every x_bi and md is bit-identical to a per-placement
+    build. The placements, their order and the top ones are found on
+    arrays; only the results returned are built one by one.
     """
     from .presets import grid_lattice, grid_positions
 
@@ -585,23 +600,20 @@ def role_permutation_search(
         )
     except NumericRangeError:
         return []
-    by_outcomes: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     fields_at = [node.h for node in model.lattice.nodes]  # nodes in position order
-    for combo in _placements(columns, fields_at, dedup_symmetry):
-        by_outcomes.setdefault(combo[:2], []).append(combo)
+    combos = _placements(columns, fields_at, dedup_symmetry)
+    x_bi = _placement_x_bi(model, combos)
+    kept = x_bi != -np.inf
+    combos, x_bi = combos[kept], x_bi[kept]
+    md = _placement_md(model, combos)
+    # a placement is its (position, label) spots in order; spot[:, i] is
+    # the rank of role i's spot among all spots
     labels = ("outcome1", "outcome2", "analyzer_a", "analyzer_b")
-    set_sums: dict[tuple[int, ...], np.ndarray] = {}
-    results = []
-    for group in by_outcomes.values():
-        placed, x_bi = _placement_x_bi(model, group, set_sums)
-        md = _placement_md(model, placed)
-        results += [
-            PlacementResult(
-                placement=tuple(sorted(zip((positions[k] for k in combo), labels))),
-                x_bi=x,
-                md=m,
-            )
-            for combo, x, m in zip(placed, x_bi.tolist(), md.tolist())
-        ]
-    results.sort(key=lambda r: (-r.x_bi, r.placement))
-    return results[: top or None]
+    spots = sorted(itertools.product(positions, labels))
+    spot = 4 * np.argsort(np.argsort(positions))[combos] + np.argsort(np.argsort(labels))
+    spot.sort(axis=1)
+    best = np.lexsort([*spot.T[::-1], -x_bi])[: top or None]
+    return [
+        PlacementResult(tuple(map(spots.__getitem__, at)), x, m)
+        for at, x, m in zip(spot[best].tolist(), x_bi[best].tolist(), md[best].tolist())
+    ]

@@ -365,7 +365,8 @@ _GOLDEN_DIR = Path(__file__).parent / "golden"
 #: grids and the Metropolis sampler cached its acceptance thresholds, and
 #: the optimize outputs recorded before the search scored points in batches,
 #: and the eval and freewill reports recorded before the search batch shared
-#: weight_table's reduction
+#: weight_table's reduction, and the resolution-6 md grid recorded before
+#: the grid scan read each batch of rows as one stack
 _GOLDEN = {
     "series-chain-n-10.csv": ["series", "--chain-n", "10", "--format", "csv", "--precision", "full"],
     "chain-profile-5-40-k0.37.csv": ["chain", "--profile", "5", "40", "--k", "0.37", "--precision", "full"],
@@ -384,6 +385,10 @@ _GOLDEN = {
     "optimize-grid4.csv": [
         "optimize", "--config", str(_GOLDEN_DIR / "search-ladder-x_bi.json"),
         "--grid", "4", "--format", "csv", "--precision", "full",
+    ],
+    "optimize-md-grid6.csv": [
+        "optimize", "--config", str(_GOLDEN_DIR / "search-ladder-md.json"),
+        "--grid", "6", "--format", "csv", "--precision", "full",
     ],
     "eval-second-neighbor.txt": ["eval", "--builtin", "second-neighbor", "--precision", "full"],
     "freewill-grid-tuned.csv": [

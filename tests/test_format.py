@@ -1,6 +1,11 @@
-"""The shared csv writer: one header line, then one line per row."""
+"""The shared csv writer (one header line, then one line per row) and the
+count check."""
 
-from spinbell._format import csv_table
+import numpy as np
+import pytest
+
+from spinbell._format import check_counts, csv_table
+from spinbell.errors import InvalidArgumentError
 
 
 def test_csv_table_cells():
@@ -19,3 +24,13 @@ def test_csv_table_full_precision_round_trips():
 
 def test_csv_table_header_only():
     assert csv_table(("a", "b"), []) == "a,b"
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, "3", None])
+def test_check_counts_refuses_what_is_not_a_count(value):
+    with pytest.raises(InvalidArgumentError, match=f"^n must be an integer, got {value!r}$"):
+        check_counts(n=value)
+
+
+def test_check_counts_takes_python_and_numpy_integers():
+    check_counts(a=3, b=np.int64(-2), c=np.uint8(7))

@@ -20,6 +20,10 @@ from spinbell.independence import (
     Witness,
     _decode_lambda,
     _md_rows,
+    _md_witness,
+    _measure_rows,
+    _read,
+    _report_rows,
     decoupling_sweep,
     independence_report,
     measurement_dependence,
@@ -584,10 +588,96 @@ def test_md_rows_equal_measurement_dependence(n):
     models = [built, BoltzmannModel(lattice, 0.5 * built.weights, 0.0)]
     models.append(BoltzmannModel(lattice, np.full(1 << n, 1e-305), 0.0))
     ids = [*lattice.bell_ids(), *lattice.hidden_ids]
-    rows = _md_rows(np.stack([m.weight_table(ids) for m in models]), n - 4)
+    tables = np.stack([m.weight_table(ids) for m in models])
+    stacks = [tables] if n == 10 else [table[None] for table in tables]
+    mass = np.concatenate([_read(stack, n - 4, masses_only=True).mass for stack in stacks])
+    rows = _md_rows(mass)[0]
     assert rows.tolist() == [measurement_dependence(m)[0] for m in models[:2]] + [-np.inf]
     with pytest.raises(DegenerateModelError, match="every analyzer setting carries zero weight"):
         measurement_dependence(models[2])
+
+
+def _stack_models(seed: int) -> list[BoltzmannModel]:
+    """Ensembles over one lattice of 5 to 10 spins, given as weights: random
+    ones, uniform ones (ties everywhere), one where setting (+, -) has no
+    weight, one where half the lambda values of setting (+, +) have none,
+    and one where no setting has weight (independence_report refuses it)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 11))
+    roles = ["outcome1", "outcome2", "analyzer_a", "analyzer_b"] + ["hidden"] * (n - 4)
+    ids = ["1", "2", "a", "b"] + [str(k) for k in range(3, n - 1)]
+    lattice = Lattice.from_parts(list(zip(ids, roles)), [])
+    rows = [rng.uniform(0.05, 1.0, 1 << n) for _ in range(4)] + [np.ones(1 << n)]
+    # the node declared at position k is axis n - 1 - k of the tensor
+    blocked = rng.uniform(0.05, 1.0, 1 << n)
+    blocked.reshape((2,) * n)[(slice(None),) * (n - 4) + (0, 1)] = 0.0
+    sparse = rng.uniform(0.05, 1.0, 1 << n)
+    sparse.reshape((2,) * n)[(0,) + (slice(None),) * (n - 5) + (1, 1)] = 0.0
+    rows += [blocked, sparse, np.full(1 << n, 1e-305)]
+    return [BoltzmannModel(lattice, w, 0.0) for w in rng.permutation(rows)]
+
+
+@pytest.mark.parametrize("chunk_bits", [independence_mod._CHUNK_BITS, 0])
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_reader_rows_equal_their_reports(seed, chunk_bits, monkeypatch):
+    """Each row of a stack read at once is == to independence_report and
+    measurement_dependence on its model, and so is each row that
+    _measure_rows reads, in one read or a table per read: over every
+    hidden node, over none (one lambda value), and over a subset in
+    another order."""
+    monkeypatch.setattr(independence_mod, "_CHUNK_BITS", chunk_bits)
+    models = _stack_models(seed)
+    lattice = models[0].lattice
+    hidden = lattice.hidden_ids
+    for lam in (hidden, (), hidden[::-2]):
+        tables = np.stack([m.weight_table([*lattice.bell_ids(), *lam]) for m in models])
+        scan = _read(tables, len(lam))
+        (md, k, pairs), refused = _report_rows(scan)
+        refused = np.any(refused, axis=0)
+        measures, measured_refused = _measure_rows(tables, len(lam))
+        assert measured_refused.tolist() == refused.tolist()
+        want = np.stack([md, scan.value[0], scan.value[1:].max(axis=0)], axis=1)
+        assert measures[~refused].tolist() == want[~refused].tolist()
+        masses = _read(tables, len(lam), masses_only=True).mass
+        assert _md_rows(masses)[0].tolist() == md.tolist()
+        for i, model in enumerate(models):
+            try:
+                direct = measurement_dependence(model, lam)[0]
+            except DegenerateModelError:
+                direct = -np.inf
+            assert md[i] == direct
+            try:
+                report = independence_report(model, lam)
+            except DegenerateModelError:
+                assert refused[i]
+                continue
+            assert not refused[i]
+            w = report.witnesses
+            assert (md[i], scan.value[0, i], max(scan.value[1:, i])) == (report.md, report.od, report.pd)
+            assert scan.defect[i] == report.factorization_defect
+            assert scan.od_max_cell[i] == report.od_max_cell
+            assert (16 - pairs[i], scan.od_skipped[i], scan.pd_skipped[i]) == (
+                w["md"].skipped_cells, w["od"].skipped_cells, w["pd"].skipped_cells
+            )
+            assert _md_witness(md[i], int(k[i]), int(pairs[i])) == w["md"]
+            # where od and the chosen side of pd are first reached
+            side = 1 if scan.value[1, i] >= scan.value[2, i] else 2
+            for q, kind in ((0, "od"), (side, "pd")):
+                cell, m = divmod(int(scan.at[q, i]), 1 << len(lam))
+                assert _decode_lambda(lam, m) == w[kind].lam
+                fixed = spin_of(cell & 1)
+                assert w[kind].settings == {
+                    0: (spin_of(cell >> 1), fixed), 1: (1, fixed), 2: (fixed, 1)
+                }[q]
+    assert any(report.skipped_cells for report in _outcomes(models))
+
+
+def _outcomes(models):
+    for model in models:
+        try:
+            yield independence_report(model)
+        except DegenerateModelError:
+            pass
 
 
 def test_strided_weights_read_like_contiguous_ones(chain18_model):

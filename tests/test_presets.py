@@ -160,6 +160,20 @@ def test_chain_lattice_parameters():
         chain_lattice(2)
 
 
+@pytest.mark.parametrize("n", [5.5, True, "5"])
+def test_chain_lattice_refuses_a_length_that_is_not_an_integer(n):
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"n must be an integer, got {n!r}")):
+        chain_lattice(n)
+
+
+@pytest.mark.parametrize("columns", [2.5, True, "5"])
+def test_grid_positions_refuse_a_length_that_is_not_an_integer(columns):
+    with pytest.raises(
+        InvalidArgumentError, match=re.escape(f"columns must be an integer, got {columns!r}")
+    ):
+        grid_positions(columns)
+
+
 # -- quantity verdicts ---------------------------------------------------------------
 
 

@@ -74,6 +74,11 @@ def test_run_validation():
         SampleRun(seed=0, n=10, kind="metropolis", burn_in=2.5)
     with pytest.raises(InvalidArgumentError, match="^thinning must be an integer, got 1.5"):
         SampleRun(seed=0, n=10, kind="metropolis", thinning=1.5)
+    # a bool is an int to Python, but not a count
+    with pytest.raises(InvalidArgumentError, match="^n must be an integer, got True"):
+        SampleRun(seed=1, n=True)
+    with pytest.raises(InvalidArgumentError, match="^thinning must be an integer, got True"):
+        SampleRun(seed=1, n=10, kind="metropolis", thinning=True)
 
 
 # -- reproducibility -----------------------------------------------------------------

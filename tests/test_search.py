@@ -3,6 +3,8 @@ exhaustive role-placement search on the two-row grid."""
 
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from spinbell.errors import (
 )
 from spinbell.independence import independence_report, measurement_dependence
 from spinbell.lattice import Lattice
+from spinbell.latticefile import load_search_config
 from spinbell.model import ENUM_CAP_ENV, BoltzmannModel, build_model
 from spinbell.presets import (
     canonical_ladder,
@@ -319,6 +322,8 @@ def test_grid_scan_resolution_validation():
         grid_scan(_two_param_space(), resolution=1)
     with pytest.raises(InvalidArgumentError, match="^resolution must be an integer, got 2.5"):
         grid_scan(_two_param_space(), resolution=2.5)
+    with pytest.raises(InvalidArgumentError, match="^resolution must be an integer, got True"):
+        grid_scan(_two_param_space(), resolution=True)
 
 
 def test_grid_axis_stays_inside_the_range():
@@ -404,6 +409,11 @@ def test_placement_top_rejects_negative():
         role_permutation_search(top=2.5)
     with pytest.raises(InvalidArgumentError, match="^columns must be an integer, got 2.5"):
         role_permutation_search(columns=2.5)
+    # bools are refused as counts, not read as 1 column or the top 1
+    with pytest.raises(InvalidArgumentError, match="^columns must be an integer, got True"):
+        role_permutation_search(columns=True, top=True)
+    with pytest.raises(InvalidArgumentError, match="^top must be an integer, got True"):
+        role_permutation_search(top=True)
 
 
 # -- shared enumerations: placements and energy columns --------------------------------
@@ -522,10 +532,12 @@ def test_placements_with_every_setting_empty():
     assert role_permutation_search(j=0.7, fields=400.0, top=0) == []
 
 
-@pytest.mark.parametrize("batch_bytes", [1, 7 << 11], ids=["one", "seven"])
-def test_placement_md_batches_agree(monkeypatch, batch_bytes):
+@pytest.mark.parametrize("rows", [1, 32], ids=["one", "uneven"])
+def test_placement_md_batches_agree(monkeypatch, rows):
+    """The md stack of _GRID4's 1,680 placements, 2^6 words each, read one
+    placement per batch and in batches of 32, which do not divide it."""
     whole = role_permutation_search(top=0, dedup_symmetry=False, **_GRID4)
-    monkeypatch.setattr(search_mod, "_MD_BATCH_BYTES", batch_bytes)
+    monkeypatch.setattr(search_mod, "_BLOCK_BITS", 6 + rows.bit_length() - 1)
     assert role_permutation_search(top=0, dedup_symmetry=False, **_GRID4) == whole
 
 
@@ -799,3 +811,30 @@ def test_search_evaluates_one_point_only_to_certify(monkeypatch):
     assert res.certified
     grid_scan(space, resolution=2)
     assert len(calls) == 1
+
+
+# -- memory --------------------------------------------------------------------------
+
+_X_BI_CONFIG = Path(__file__).parent / "golden" / "search-ladder-x_bi.json"
+
+
+@pytest.mark.parametrize(
+    ("sweep", "limit_mb"),
+    [("placements", 4.0), ("grid", 2.5)],
+)
+def test_search_sweeps_keep_their_traced_peak(sweep, limit_mb):
+    """The placement sweep and a resolution-6 grid scan read their stacks a
+    bounded batch at a time: about 3 MB and 1.8 MB traced at the
+    benchmark's sizes, whose peak RSS these bounds guard."""
+    if sweep == "placements":
+        run = lambda: role_permutation_search(top=0, dedup_symmetry=False)  # noqa: E731
+    else:
+        space = load_search_config(_X_BI_CONFIG)
+        run = lambda: grid_scan(space, resolution=6)  # noqa: E731
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
