@@ -314,15 +314,41 @@ def _check_config(lattice: Lattice, config: Mapping[str, Spin], require_full: bo
         raise InvalidConfigurationError(f"configuration misses nodes: {missing}")
 
 
+#: Up to this many spins the terms of H are added in declaration order;
+#: past it, by their highest node (see _terms).
+_DECLARED_ORDER_SPINS = 16
+
+
+def _terms(lattice: Lattice) -> list[tuple[float, tuple[int, ...]]]:
+    """(coefficient, nodes) of every term of H, by node position, in the
+    order energy applies them: each is subtracted as the coefficient times
+    the spin product of its nodes. A triple's coefficient is negated, and
+    e - (-c)*p equals e + c*p exactly.
+
+    Up to _DECLARED_ORDER_SPINS spins the order is declaration order:
+    fields, edges, triples. Past it, terms are sorted by their highest node
+    position, in declaration order among ties, so the terms on the low
+    nodes come first (an exact enumeration builds them once for many
+    blocks of words). The order depends on the number of spins alone.
+    """
+    index = lattice.index
+    terms = [(node.h, (k,)) for k, node in enumerate(lattice.nodes)]
+    terms += [(e.j, (index[e.a], index[e.b])) for e in lattice.edges]
+    terms += [(-t.c, tuple(index[i] for i in t.nodes)) for t in lattice.cubic]
+    if lattice.n > _DECLARED_ORDER_SPINS:
+        terms.sort(key=lambda term: max(term[1]))
+    return terms
+
+
 def energy(lattice: Lattice, config: Mapping[str, Spin]) -> float:
-    """H(s) for one full configuration (plain float arithmetic)."""
+    """H(s) for one full configuration (plain float arithmetic): the
+    offset, then every term in the order of _terms."""
     _check_config(lattice, config, require_full=True)
+    spins = [config[nid] for nid in lattice.node_ids]
     e = lattice.offset
-    for node in lattice.nodes:
-        e -= node.h * config[node.id]
-    for edge in lattice.edges:
-        e -= edge.j * config[edge.a] * config[edge.b]
-    for term in lattice.cubic:
-        i, j, k = term.nodes
-        e += term.c * config[i] * config[j] * config[k]
+    for coef, nodes in _terms(lattice):
+        p = 1
+        for k in nodes:
+            p *= spins[k]
+        e -= coef * p
     return e

@@ -17,7 +17,9 @@ measure zero: conditioning on them raises ZeroMeasureConditionError.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import math
 import os
 import threading
@@ -34,7 +36,7 @@ from .errors import (
     NumericRangeError,
     ZeroMeasureConditionError,
 )
-from .lattice import Lattice, Spin, _check_config
+from .lattice import Lattice, Spin, _check_config, _terms
 from ._format import fmt_assignment, spin_index, spin_of
 
 __all__ = [
@@ -85,8 +87,8 @@ _DENSE_BITS = 6
 
 # -- shares of the 2^N block passes ------------------------------------------------
 
-# The passes over more than one block (energies, weights, the independence
-# reader) split their blocks into one share per usable core, at most
+# The passes over more than one block (energies, weights, the partition sum,
+# the independence reader) split their blocks into one share per usable core, at most
 # _MAX_SHARES; numpy releases the interpreter lock inside each block's ufunc
 # calls. Every word gets the same operands in the same order in any share, so
 # results are bit-identical at any share count. The count is read once.
@@ -159,17 +161,6 @@ def _each(fn: Callable[[int], _T], shares: int) -> list[_T]:
     return [first, *(future.result() for future in futures)]
 
 
-def _terms(lattice: Lattice) -> list[tuple[float, tuple[int, ...]]]:
-    """(coefficient, bits) of every nonzero term, each to be subtracted, in
-    the order of lattice.energy: fields, edges, triples. A triple's
-    coefficient is negated, and e - (-c)*p equals e + c*p exactly."""
-    index = lattice.index
-    terms = [(node.h, (k,)) for k, node in enumerate(lattice.nodes) if node.h != 0.0]
-    terms += [(e.j, (index[e.a], index[e.b])) for e in lattice.edges if e.j != 0.0]
-    terms += [(-t.c, tuple(index[i] for i in t.nodes)) for t in lattice.cubic if t.c != 0.0]
-    return terms
-
-
 def _factor(coef: float, bits: Sequence[int], width: int) -> np.ndarray:
     """coef times the spin product of the given bits, spanning only their
     axes of a (2,)*width tensor (bit k on axis width-1-k). The patterns are
@@ -184,29 +175,41 @@ def _energies(lattice: Lattice, out: np.ndarray | None = None) -> np.ndarray:
     """Energy of every configuration, indexed by integer word, written into
     out (a contiguous array of 2^N floats) when given.
 
-    Each term is subtracted in place onto the (2,)*N tensor (node k on axis
-    N-1-k) as a factor that spans only the term's own axes, in the order of
-    lattice.energy: offset, fields, edges, triples. Every factor entry is
-    exactly +-coefficient, so the result equals lattice.energy bit for bit.
-    A configuration and its global flip receive the same +-j from every
-    edge, in the same order, so without fields or triples their energies
-    are bit-identical.
+    Each nonzero term is subtracted in place onto the (2,)*N tensor (node k
+    on axis N-1-k) as a factor that spans only the term's own axes, in the
+    order of lattice.energy after the offset: declaration order (fields,
+    edges, triples) up to 16 spins, by highest node past them (see
+    lattice._terms). Every factor entry is exactly +-coefficient, so the
+    result equals lattice.energy bit for bit. A configuration and its
+    global flip receive the same +-j from every edge, in the same order,
+    so without fields or triples their energies are bit-identical.
 
     Beyond 2^_BLOCK_BITS words the tensor is filled one block at a time.
     Within a block the nodes at bit >= _BLOCK_BITS are fixed, so a term's
     factor spans only its block nodes and its sign is the parity of its
     fixed nodes at spin -1; a term on fixed nodes alone is a scalar. The
     terms before the first one that touches a fixed node are the same in
-    every block and are built once. Every word still receives the same
-    +-coefficient operands in the same order, and the blocks are split
-    into shares (see _each).
+    every block and are built once, into start. Each later term has a
+    level: the highest fixed bit among it and every term before it, so the
+    partial sum through a level depends only on the fixed bits up to it
+    and is shared by every block that agrees on those bits.
+
+    The blocks are split into shares (see _each), each a run of a counter
+    whose bit-reversed value is the block's fixed bits, so the low fixed
+    bits change least often. A block recomputes only the levels at or
+    above its lowest changed bit, from the partial below them. A level's
+    partial is kept in the block that its share visits last among those
+    that share it, until that block is reached. Every word still receives
+    the same +-coefficient operands in the same order, at any share count.
     """
     n = lattice.n
     width = min(n, _BLOCK_BITS)
-    terms = _terms(lattice)
+    terms = [(coef, bits) for coef, bits in _terms(lattice) if coef != 0.0]
     split = len(terms)
     if width < n:
-        split = next((i for i, (_, bits) in enumerate(terms) if max(bits) >= width), split)
+        # the level of each term, after a leading -1; the terms at -1 make start
+        levels = list(itertools.accumulate((max(bits) - width for _, bits in terms), max, initial=-1))
+        split = levels.count(-1) - 1
     if out is None or width < n:
         start = np.full((2,) * width, float(lattice.offset))
     else:
@@ -218,8 +221,8 @@ def _energies(lattice: Lattice, out: np.ndarray | None = None) -> np.ndarray:
         return start.reshape(-1)
 
     dense = min(_DENSE_BITS, width)
-    rest = []
-    for coef, bits in terms[split:]:
+    steps: dict[int, list] = {}  # level -> its terms, as (f, -f, fixed bits)
+    for (coef, bits), level in zip(terms[split:], levels[split + 1 :]):
         inner = [k for k in bits if k < width]
         fixed = sum(1 << (k - width) for k in bits if k >= width)
         if not inner:
@@ -229,18 +232,34 @@ def _energies(lattice: Lattice, out: np.ndarray | None = None) -> np.ndarray:
             if min(inner) < dense:
                 shape = f.shape[: width - dense] + (2,) * dense
                 f = np.ascontiguousarray(np.broadcast_to(f, shape))
-        rest.append((f, -f, fixed))
+        steps.setdefault(level, []).append((f, -f, fixed))
+    at_level, step_terms = list(steps), list(steps.values())
     e = np.empty(1 << n) if out is None else out
     blocks = e.reshape((-1,) + start.shape)
+    high = n - width  # fixed bits
+    rev = [int(f"{c:0{high}b}"[::-1], 2) for c in range(len(blocks))]
     shares = _shares(len(blocks))
 
     def fill(k: int) -> None:
-        for q in _share(len(blocks), shares, k):
-            block = blocks[q]
-            np.copyto(block, start)
-            for f, neg, fixed in rest:
-                # an odd count of fixed nodes at spin -1 (bit 0) flips the sign
-                block -= neg if (fixed & ~q).bit_count() & 1 else f
+        part = _share(len(blocks), shares, k)
+        held = [0] * len(steps)  # the block holding each level's partial
+        for c in part:
+            q = rev[c]
+            # the levels at or above the lowest fixed bit changed since the previous block
+            first = 0 if c == part.start else bisect.bisect_left(at_level, high - (c & -c).bit_length())
+            src = held[first - 1] if first else None  # None: start
+            for i in range(first, len(steps)):
+                # the block this share visits last among those that agree with q on
+                # the fixed bits through the level
+                dst = rev[min(c | ((1 << (high - 1 - at_level[i])) - 1), part.stop - 1)]
+                for f, neg, fixed in step_terms[i]:
+                    # an odd count of fixed nodes at spin -1 (bit 0) flips the sign
+                    term = neg if (fixed & ~q).bit_count() & 1 else f
+                    np.subtract(start if src is None else blocks[src], term, out=blocks[dst])
+                    src = dst
+                held[i] = dst
+            if src != q:
+                np.copyto(blocks[q], start if src is None else blocks[src])
 
     _each(fill, shares)
     return e
@@ -298,6 +317,28 @@ def _stabilize(
         return energies, shift
 
 
+def _total(weights: np.ndarray) -> float:
+    """weights.sum() of 2^N weights. Past one block of 2^_BLOCK_BITS words
+    each block is summed on its share (see _each), and the block sums are
+    added in a pairwise tree over the block index. numpy sums a contiguous
+    float64 array pairwise too, halving it down to runs of 128 words, so
+    with blocks of at least 128 words the two are equal bit for bit."""
+    if weights.size <= 1 << _BLOCK_BITS:
+        return float(weights.sum())
+    blocks = weights.reshape(-1, 1 << _BLOCK_BITS)
+    sums = np.empty(len(blocks))
+    shares = _shares(len(blocks))
+
+    def add(k: int) -> None:
+        for q in _share(len(blocks), shares, k):
+            sums[q] = blocks[q].sum()
+
+    _each(add, shares)
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0])
+
+
 def _check_shift(shift: float) -> float:
     if not math.isfinite(shift):
         raise NumericRangeError(
@@ -327,7 +368,7 @@ class BoltzmannModel:
         weights.flags.writeable = False
         self.weights = weights
         self.shift = shift
-        self.z_shifted = float(weights.sum())
+        self.z_shifted = _total(weights)
         if not (self.z_shifted > 0.0) or not math.isfinite(self.z_shifted):
             raise NumericRangeError(f"stabilized partition sum is {self.z_shifted}")
         self.log_z = math.log(self.z_shifted) - lattice.beta * shift

@@ -96,7 +96,8 @@ class SampleRun:
 
 
 def _check_seed(seed: int) -> None:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    """Refuse a seed outside 0 <= seed < 2^64; a bool is a flag, not a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 

@@ -20,7 +20,7 @@ from spinbell.errors import (
     ZeroMeasureConditionError,
 )
 from spinbell import model
-from spinbell.lattice import Lattice, energy
+from spinbell.lattice import Lattice, _terms, energy
 from spinbell.model import (
     ENUM_CAP_ENV,
     BoltzmannModel,
@@ -296,6 +296,39 @@ def test_energies_in_blocks_match_lattice_energy_on_generated(h, j, c, offset):
         offset=offset,
     )
     _assert_energies_exact_in_blocks(lat)
+
+
+def _declared_highest_node_first(rng, n):
+    """n spins whose declaration order is already by highest node: fields on
+    nodes 0 and 1, a path plus long edges sorted by their higher end, and
+    triples on the last node."""
+    edges = [(k - 1, k) for k in range(1, n)]
+    edges += [(int(a), int(b)) for a, b in (sorted(rng.choice(n, 2, replace=False)) for _ in range(n))]
+    edges = sorted(set(edges), key=max)
+    triples = [(int(a), int(b), n - 1) for a, b in (sorted(rng.choice(n - 1, 2, replace=False)) for _ in range(3))]
+    lat = Lattice.from_parts(
+        nodes=[(f"n{k}", "hidden", float(rng.uniform(-1, 1)) if k < 2 else 0.0) for k in range(n)],
+        edges=[(f"n{a}", f"n{b}", float(rng.uniform(-1, 1))) for a, b in edges],
+        cubic=[(tuple(f"n{k}" for k in t), float(rng.uniform(-1, 1))) for t in set(triples)],
+        offset=float(rng.uniform(-3, 3)),
+    )
+    highest = [max(bits) for coef, bits in _terms(lat) if coef != 0.0]
+    assert highest == sorted(highest)
+    return lat
+
+
+@pytest.mark.parametrize("n", [5, 8, 11, 14])
+def test_energies_in_blocks_share_partials_by_level(n, rng):
+    """In highest-node order each per-block term's level is its own highest
+    fixed bit, so the levels hold partial sums that many blocks share; every
+    word must still equal lattice.energy, at any share count."""
+    lat = _declared_highest_node_first(rng, n)
+    expect = [energy(lat, dict(zip(lat.node_ids, _spins(w, n)))) for w in range(1 << n)]
+    for shares in (1, 2, 3):
+        for block, dense in _SMALL_BLOCKS:
+            with _small_blocks(block, dense), mock.patch.object(model, "_SHARES", shares):
+                got = _energies(lat)
+            assert np.array_equal(got, expect), (shares, block, dense)
 
 
 def test_energies_in_default_blocks_match_lattice_energy(rng):

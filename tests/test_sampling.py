@@ -81,6 +81,16 @@ def test_run_validation():
         SampleRun(seed=1, n=10, kind="metropolis", thinning=True)
 
 
+@pytest.mark.parametrize("seed", [True, False, np.True_])
+def test_bool_seeds_are_refused(seed):
+    """A bool is an int to Python, but not a seed: True would draw seed 1's stream."""
+    message = f"^seed must be a 64-bit unsigned integer, got {seed}$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        SampleRun(seed=seed, n=3)
+    with pytest.raises(InvalidArgumentError, match=message):
+        sampling_mod._generator(seed)
+
+
 # -- reproducibility -----------------------------------------------------------------
 
 

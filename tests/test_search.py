@@ -224,7 +224,7 @@ def test_search_validation():
         maximize_chsh(space, restarts=1.5)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.True_])
 def test_search_rejects_seeds_outside_64_bits(seed):
     message = f"seed must be a 64-bit unsigned integer, got {seed}"
     with pytest.raises(InvalidArgumentError, match=message):

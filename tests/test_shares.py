@@ -20,9 +20,9 @@ from spinbell.errors import NumericRangeError
 from spinbell.bell import conditional_table
 from spinbell.freewill import clamped_independence_report, clamped_models, freewill_report
 from spinbell.independence import independence_report, measurement_dependence
-from spinbell.lattice import Lattice
-from spinbell.model import _each, _energies, _stabilize, _weights, build_model
-from spinbell.presets import chain_lattice
+from spinbell.lattice import Lattice, _terms
+from spinbell.model import _each, _energies, _stabilize, _total, _weights, build_model
+from spinbell.presets import chain_lattice, grid_lattice, grid_positions
 
 from test_independence import (
     _assert_reports_equal as _assert_equal_to_reference,
@@ -71,6 +71,73 @@ def test_energies_weights_and_shift_do_not_depend_on_the_share_count(n, shares):
         assert np.array_equal(other[1], weights)
         assert other[2] == shift
         assert other[3] == log_z
+
+
+def _applied(lat):
+    """The offset, then every term of lattice._terms in its order, applied
+    to each word as a whole-tensor subtraction of its +-coefficient."""
+    n = lat.n
+    e = np.full((2,) * n, lat.offset)
+    for coef, bits in _terms(lat):
+        p = np.ones((1,) * n)
+        for k in bits:
+            shape = [1] * n
+            shape[n - 1 - k] = 2
+            p = p * np.array([-1.0, 1.0]).reshape(shape)
+        e -= coef * p
+    return e.reshape(-1)
+
+
+def _grid_2x9(seed):
+    rng = np.random.default_rng(seed)
+    placement = {"t0": "outcome1", "t8": "outcome2", "u3": "analyzer_a", "u6": "analyzer_b"}
+    fields = {pos: float(rng.uniform(-0.5, 0.5)) for pos in grid_positions(9)}
+    return grid_lattice(placement, j=0.8, fields=fields, columns=9, diagonal_j=0.3)
+
+
+def _chain_with_fields(n, seed):
+    lat = chain_lattice(n - 2, j=0.9)
+    rng = np.random.default_rng(seed)
+    return lat.with_fields({nid: float(rng.uniform(-0.5, 0.5)) for nid in lat.node_ids})
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [_chain_with_fields(17, 1), _chain_with_fields(19, 2), _chain_with_fields(22, 3), _grid_2x9(4)],
+    ids=["chain17", "chain19", "chain22", "grid18"],
+)
+def test_energies_are_the_terms_applied_word_by_word(lattice, shares):
+    """Past 16 spins the blocks share partial sums by level; each word still
+    gets the terms of lattice._terms in that order, at any share count (three
+    shares do not line up with the subtrees of the levels)."""
+    expect = _applied(lattice)
+    for count in SHARE_COUNTS:
+        shares(count)
+        assert np.array_equal(_energies(lattice), expect), count
+
+
+def test_flip_symmetry_is_exact_past_one_block(shares):
+    """Without fields a word and its global flip (the reversed index) get the
+    same +-j from every edge in the same order, at any share count."""
+    lat = chain_lattice(20, j=0.7)
+    assert lat.n == 22
+    for count in SHARE_COUNTS:
+        shares(count)
+        weights = build_model(lat).weights
+        assert np.array_equal(weights, weights[::-1]), count
+
+
+def test_total_is_numpy_sum_bit_for_bit(shares):
+    """z_shifted past one block: block sums on the shares, added in a pairwise
+    tree over the block index, equal numpy's pairwise sum at N = 17 to 24."""
+    weights = np.exp(-4.0 * np.random.default_rng(17).random(1 << 24))
+    for n in range(17, 25):
+        part = weights[: 1 << n]
+        for count in SHARE_COUNTS:
+            shares(count)
+            assert _total(part) == part.sum(), (n, count)
+    lat = chain_lattice(16, h=0.3)
+    assert build_model(lat).z_shifted == _weights(lat)[0].sum()
 
 
 def _reports(m):
