@@ -134,11 +134,11 @@ def _bell_terms(m) -> tuple[tuple, object, object]:
     return (m_ab, m_apb, m_abp, m_apbp), total, total - 2.0 * m_apbp
 
 
-def _x_bi_rows(weights: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, x_bi) of weight tables over (P, s1, s2, sa, sb) with their
-    setting masses over (P, sa, sb): keep marks the tables whose every
-    setting has weight, and x_bi is chsh(conditional_table(...)).x_bi of
-    each kept table, -inf elsewhere, with the same operations."""
+def _x_bi_rows(weights: np.ndarray) -> np.ndarray:
+    """chsh(conditional_table(...)).x_bi of each weight table over (P, s1,
+    s2, sa, sb) whose every setting has weight, with the same operations,
+    and -inf for the others."""
+    masses = weights.sum(axis=(1, 2))
     keep = ~(masses < ZERO_MEASURE).any(axis=(1, 2))
     tables = weights[keep]
     tables /= masses[keep][:, None, None]
@@ -146,7 +146,7 @@ def _x_bi_rows(weights: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.
     _check_columns(tables)
     x_bi = np.full(len(keep), -np.inf)
     x_bi[keep] = _bell_terms(_correlators(tables))[2]
-    return keep, x_bi
+    return x_bi
 
 
 @dataclass(frozen=True)

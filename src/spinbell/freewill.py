@@ -36,7 +36,7 @@ from .errors import EquivalenceViolationError, InvalidArgumentError
 from .lattice import CubicTerm, Edge, Lattice, Node, Spin, _check_config
 from .model import BoltzmannModel, _weights
 from .independence import IndependenceReport, independence_report
-from ._format import SPINS, csv_table, fmt
+from ._format import SPINS, check_tol, csv_table, fmt
 
 __all__ = [
     "clamp_reduce",
@@ -134,8 +134,9 @@ def assert_equivalence(model: BoltzmannModel, tol: float = 1e-12) -> float:
     """Check both the 16-cell table identity and the partition of unity.
 
     Returns the max cell discrepancy; raises EquivalenceViolationError if
-    either it or the partition gap exceeds tol.
+    either it or the partition gap exceeds tol, a finite number >= 0.
     """
+    check_tol(tol)
     report = freewill_report(model)
     disc, gap = report.max_discrepancy, report.partition_gap
     if disc > tol or gap > tol:

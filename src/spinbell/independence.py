@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DegenerateModelError, InvalidArgumentError
 from .lattice import Lattice, NodeRole
 from .model import ZERO_MEASURE, BoltzmannModel, _each, _share, _shares, build_model
-from ._format import SPINS, csv_table, fmt, pm, spin_of
+from ._format import SPINS, check_tol, csv_table, fmt, pm, spin_of
 
 __all__ = [
     "Witness",
@@ -114,7 +114,7 @@ def _decode_lambda(lam_ids: Sequence[str], flat: int) -> tuple[tuple[str, int], 
 
 # -- measurement dependence over the (P, sa, sb, lambda-flat) setting masses --
 
-# The 6 unordered setting pairs in the order _md_pairs sums them, and for each
+# The 6 unordered setting pairs in the order _md_rows sums them, and for each
 # of the 16 ordered pairs (setting index sa * 2 + sb) its slot in that list;
 # slot 6 holds the diagonal's 0.
 _PAIRS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
@@ -123,22 +123,23 @@ _PAIR_SLOT = np.array(
 ).reshape(-1)
 
 
-def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_lambda |P(lambda|a,b) - P(lambda|a',b')| for all 16 ordered
-    setting pairs, from weights over (P, sa, sb, lambda-flat), which are
-    overwritten with P(lambda | a, b).
+def _md_rows(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """md of each row of setting masses over (P, sa, sb, lambda-flat),
+    which are overwritten with P(lambda | a, b): its value, -inf where no
+    setting has weight (where measurement_dependence raises), the index of
+    its first maximizing pair and the number of pairs whose settings both
+    have weight.
 
-    Returns (diff, pair_valid), both (P, 16), the pair index holding sa,
-    sb, sa', sb' from its top bit down; diff is -1 where either setting has
-    zero weight. Only the 6 unordered pairs are summed, each over its own
-    contiguous lambda row: |p - q| equals |q - p| exactly, and the diagonal
-    is 0.
+    A pair index holds sa, sb, sa', sb' from its top bit down, and a pair
+    with a setting without weight reads -1. Only the 6 unordered pairs are
+    summed over lambda, each over its own contiguous row: |p - q| equals
+    |q - p| exactly, and the diagonal is 0.
     """
-    rows = len(mass_ab_lam)
-    mass_ab = mass_ab_lam.sum(axis=-1)  # (P, 2, 2)
+    rows = len(mass)
+    mass_ab = mass.sum(axis=-1)  # (P, 2, 2)
     valid = mass_ab >= ZERO_MEASURE
-    p = np.divide(mass_ab_lam, np.where(valid, mass_ab, 1.0)[..., None], out=mass_ab_lam)
-    p = p.reshape(rows, 4, mass_ab_lam.shape[-1])
+    p = np.divide(mass, np.where(valid, mass_ab, 1.0)[..., None], out=mass)
+    p = p.reshape(rows, 4, mass.shape[-1])
     terms = np.empty((rows, 6, p.shape[-1]))
     np.subtract(p[:, :3], p[:, 1:], out=terms[:, :3])
     np.subtract(p[:, :2], p[:, 2:], out=terms[:, 3:5])
@@ -147,16 +148,7 @@ def _md_pairs(mass_ab_lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.abs(terms, out=terms).sum(axis=-1, out=sums[:, :6])
     valid = valid.reshape(rows, 4)
     pair_valid = (valid[:, :, None] & valid[:, None, :]).reshape(rows, 16)
-    return np.where(pair_valid, sums[:, _PAIR_SLOT], -1.0), pair_valid
-
-
-def _md_rows(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """md of each row of setting masses over (P, sa, sb, lambda-flat),
-    which are overwritten with P(lambda | a, b): its value, -inf where no
-    setting has weight (where measurement_dependence raises), the index of
-    its first maximizing pair (see _md_pairs) and the number of pairs whose
-    settings both have weight."""
-    diff, pair_valid = _md_pairs(mass)
+    diff = np.where(pair_valid, sums[:, _PAIR_SLOT], -1.0)
     pairs = pair_valid.sum(axis=1)
     return np.where(pairs > 0, diff.max(axis=1), -np.inf), diff.argmax(axis=1), pairs
 
@@ -193,24 +185,24 @@ class _Scan:
     mass is the setting mass over (P, sa, sb, lambda-flat) until _md_rows
     consumes it: md overwrites it with P(lambda | a, b), so md runs after
     anything that reads the mass values (its size stays the cell count).
-    value and at hold, per quantity and row (3, P), the largest value over
-    every cell and lambda value and where it is first reached: at is
+    Its last axis gives lam_bits, the number of lambda bits. value and at
+    hold, per quantity and row (3, P), the largest value over every cell
+    and lambda value and where it is first reached: at is
     cell << lam_bits | m for the first cell in cell order that reaches it
     and the smallest lambda index m at which that cell does. The
     quantities are od over cells (sa, sb), pd against analyzer a over
     (s2, b) and pd against analyzer b over (s1, a); a cell without weight
     reads -1. The other fields, one value per row, gather what
     _reduce_block finds in each block; each is >= 0 once a block is in. A
-    masses-only read leaves all but mass unset.
+    masses-only read leaves all but mass as they start.
     """
 
-    def __init__(self, mass: np.ndarray, lam_bits: int, masses_only: bool = False) -> None:
-        self.mass, self.lam_bits = mass, lam_bits
-        if not masses_only:
-            floats, ints = np.zeros((5, len(mass))), np.zeros((5, len(mass)), dtype=np.int64)
-            floats[:3] = -np.inf
-            self.value, self.od_max_cell, self.defect = floats[:3], floats[3], floats[4]
-            self.at, self.od_skipped, self.pd_skipped = ints[:3], ints[3], ints[4]
+    def __init__(self, mass: np.ndarray) -> None:
+        self.mass, self.lam_bits = mass, mass.shape[-1].bit_length() - 1
+        floats, ints = np.zeros((5, len(mass))), np.zeros((5, len(mass)), dtype=np.int64)
+        floats[:3] = -np.inf
+        self.value, self.od_max_cell, self.defect = floats[:3], floats[3], floats[4]
+        self.at, self.od_skipped, self.pd_skipped = ints[:3], ints[3], ints[4]
 
     def offer(self, value: np.ndarray, at: np.ndarray) -> None:
         """Keep, per quantity and row, the maximum (value, -at): a larger
@@ -220,13 +212,11 @@ class _Scan:
         np.copyto(self.value, value, where=better)
         np.copyto(self.at, at, where=better)
 
-    def add_block(
-        self, buf: _Buffers, single: bool, m_inner: np.ndarray, m_outer: int
-    ) -> None:
+    def add_block(self, buf: _Buffers, m_inner: np.ndarray, m_outer: int) -> None:
         """Reduce the block in buf and fold it in. Its lambda value c has
         the flat index m_inner[c] + m_outer."""
         rows = np.arange(len(buf.w))
-        values = _reduce_block(self, buf, single).reshape(3, len(rows), 4, -1)
+        values = _reduce_block(self, buf).reshape(3, len(rows), 4, -1)
         tops = values.max(axis=-1)
         value, cell = tops.max(axis=-1), tops.argmax(axis=-1)
         if not (value >= self.value).any():
@@ -265,7 +255,7 @@ class _Buffers:
         self.marginal = np.empty((2, rows, 2, lam))
 
 
-def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
+def _reduce_block(scan: _Scan, buf: _Buffers) -> np.ndarray:
     """od, pd and factorization reductions of the block buf.w over (R, s1,
     s2, sa, sb, c) with setting masses buf.mass, for scan.
 
@@ -273,8 +263,9 @@ def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
     (s1, s2, sa, sb, lambda-flat) array. A sum over the two leading axes
     adds their four slices one after another at any block width; the sums
     onto (s1, a) and (s2, b) are spelled out, because numpy pairs their
-    terms when the trailing axis has length 1 (single is set when lambda
-    takes a single value). Every operation acts on each table alone, so a
+    terms when the table's trailing axis has length 1 (scan.lam_bits ==
+    0); a block one lambda value wide of a larger table still adds them
+    one after another. Every operation acts on each table alone, so a
     table's results do not depend on the others in its block. w is
     overwritten with P(s1, s2 | sa, sb, lambda), zero on cells without
     weight (a division by inf). Adds each table's skipped od cells and pd
@@ -287,7 +278,7 @@ def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
     # weights over (s1, a, c) and (s2, b, c), before w is normalized
     g1, g2 = buf.g
     np.add(w[:, :, 0, :, 0], w[:, :, 0, :, 1], out=g1)
-    if single:
+    if scan.lam_bits == 0:
         g1 += w[:, :, 1, :, 0] + w[:, :, 1, :, 1]
     else:
         g1 += w[:, :, 1, :, 0]
@@ -315,7 +306,7 @@ def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
     # a cell without weight has all-zero terms, so the largest term is the
     # largest over cells with weight, or 0
     np.maximum(scan.od_max_cell, terms.max(axis=1), out=scan.od_max_cell)
-    _setting_mass(work, od)
+    work.sum(axis=(1, 2), out=od)
     if not every:
         np.copyto(od, -1.0, where=~valid)
         ok_a = valid[:, 1] & valid[:, 0]
@@ -331,11 +322,10 @@ def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
     # terms are no smaller than each term), so only the cells without
     # weight are masked: their product is zeroed, like their w, and the
     # defect is the largest |difference| over cells with weight, or 0.
-    g = buf.g
-    marginal = np.add(g[:, :, 0], g[:, :, 1], out=buf.marginal)
+    marginal = np.add(buf.g[:, :, 0], buf.g[:, :, 1], out=buf.marginal)
     if not every:
         np.copyto(marginal, np.inf, where=marginal < ZERO_MEASURE)
-    np.divide(g, marginal[:, :, None], out=g)
+    np.divide(buf.g, marginal[:, :, None], out=buf.g)
     np.multiply(g1[:, :, None, :, None], g2[:, None, :, None], out=work)
     if not every:
         work *= valid[:, None, None]
@@ -345,13 +335,13 @@ def _reduce_block(scan: _Scan, buf: _Buffers, single: bool) -> np.ndarray:
     return values
 
 
-def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
+def _read(table: np.ndarray, masses_only: bool = False) -> _Scan:
     """Read a stack of weight tables one block of lambda values at a time.
 
-    table is over (P, s1, s2, sa, sb, lambda...), its lambda axes in
-    lam_ids order, each table a transpose of a C-contiguous array (as
-    weight_table and _tables return): axis k's stride gives the bit it
-    holds in that array's words. With at most _LAM_BLOCK_BITS lambda bits
+    table is over (P, s1, s2, sa, sb, lambda...), its table.ndim - 5
+    lambda axes in lam_ids order, each table a transpose of a C-contiguous
+    array (as weight_table and _tables return): axis k's stride gives the
+    bit it holds in that array's words. With at most _LAM_BLOCK_BITS bits
     each table is one block, copied with its lambda axes in lam_ids order,
     so its lambda index is the flat index m of _decode_lambda, and the
     whole stack is one block of _reduce_block; its buffers take 72 words
@@ -379,12 +369,13 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     witness depends on the split or the block order. A masses-only read
     copies each block the same way and skips the reductions.
     """
+    lam_bits = table.ndim - 5
     if lam_bits <= _LAM_BLOCK_BITS:
         w = np.empty((len(table), 2, 2, 2, 2, 1 << lam_bits))
         np.copyto(w.reshape(table.shape), table)
-        scan = _Scan(w.sum(axis=(1, 2)), lam_bits, masses_only)
+        scan = _Scan(w.sum(axis=(1, 2)))
         if not masses_only:
-            scan.add_block(_Buffers(w, scan.mass), lam_bits == 0, np.arange(1 << lam_bits), 0)
+            scan.add_block(_Buffers(w, scan.mass), np.arange(1 << lam_bits), 0)
         return scan
 
     (table,) = table
@@ -426,25 +417,24 @@ def _read(table: np.ndarray, lam_bits: int, masses_only: bool = False) -> _Scan:
     ]
 
     def read_share(k: int) -> _Scan:
-        scan = _Scan(mass_all, lam_bits, masses_only)
-        tiled = tiles[k]
-        buf = buffers[k]
+        scan = _Scan(mass_all)
+        tiled, buf = tiles[k], buffers[k]
         target = buf.w.reshape(source.shape[len(outer) :])
         for t in _share(blocks >> tile_bits, shares, k):
             for i in range(1 << tile_bits):
                 q = int(ranked[t << tile_bits | i])
                 block = source[tuple(q >> (len(outer) - 1 - j) & 1 for j in range(len(outer)))]
                 np.copyto(target, block)
-                np.take(_setting_mass(buf.w, buf.mass), cell, out=tiled[i], mode="clip")
+                np.take(buf.w.sum(axis=(1, 2), out=buf.mass), cell, out=tiled[i], mode="clip")
                 if not masses_only:
-                    scan.add_block(buf, False, m_inner, int(m_outer[q]))
+                    scan.add_block(buf, m_inner, int(m_outer[q]))
             top = len(outer) - tile_bits
             slot = by_rank[tuple(t >> (top - 1 - j) & 1 for j in range(top))]
             np.copyto(slot, tiled.reshape(slot.shape))
         return scan
 
     scan, *others = _each(read_share, shares)
-    for other in others if not masses_only else ():
+    for other in others:
         scan.merge(other)
     return scan
 
@@ -459,16 +449,6 @@ def _flat_index(axes: list[int], ndim: int) -> np.ndarray:
     return m
 
 
-def _setting_mass(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of w over (R, s1, s2, ...) onto (R, ...): the four outcome
-    slices added one after another, as numpy sums a C-ordered array over
-    them."""
-    np.add(w[:, 0, 0], w[:, 0, 1], out=out)
-    out += w[:, 1, 0]
-    out += w[:, 1, 1]
-    return out
-
-
 def _read_model(
     model: BoltzmannModel, lam: Sequence[str] | None, masses_only: bool = False
 ) -> tuple[_Scan, tuple[str, ...]]:
@@ -478,7 +458,7 @@ def _read_model(
     own tensor."""
     lam_ids = _lambda_ids(model, lam)
     table = model.weight_table([*model.lattice.bell_ids(), *lam_ids])
-    return _read(table[None], len(lam_ids), masses_only), lam_ids
+    return _read(table[None], masses_only), lam_ids
 
 
 # why independence_report refuses a model, in the order it checks
@@ -498,16 +478,16 @@ def _report_rows(scan: _Scan) -> tuple[tuple, tuple]:
     return md, (md[2] == 0, scan.od_skipped == cells, scan.value[1:].max(axis=0) < 0.0)
 
 
-def _measure_rows(table: np.ndarray, lam_bits: int) -> tuple[np.ndarray, np.ndarray]:
+def _measure_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """md, od and pd (P, 3) of each table in a stack of one-block tables,
     each == to independence_report's on its model, and a mask of the tables
     where independence_report raises DegenerateModelError. The stack is
     read 2^_CHUNK_BITS (table, lambda value) pairs at a time, and at least
     one table."""
-    step = max((1 << _CHUNK_BITS) >> lam_bits, 1)
+    step = max((1 << _CHUNK_BITS) >> (table.ndim - 5), 1)
     measures, refused = np.empty((len(table), 3)), np.empty(len(table), dtype=bool)
     for lo in range(0, len(table), step):
-        scan = _read(table[lo : lo + step], lam_bits)
+        scan = _read(table[lo : lo + step])
         (md, _, _), (no_md, no_od, no_pd) = _report_rows(scan)
         measures[lo : lo + step] = np.stack([md, scan.value[0], scan.value[1:].max(axis=0)], axis=1)
         refused[lo : lo + step] = no_md | no_od | no_pd
@@ -584,7 +564,9 @@ def independence_report(
     lam: Sequence[str] | None = None,
     tol: float = 1e-9,
 ) -> IndependenceReport:
-    """All three measures with premise verdicts at one tolerance."""
+    """All three measures with premise verdicts at one tolerance, a finite
+    number >= 0."""
+    check_tol(tol)
     scan, lam_ids = _read_model(model, lam)
     (md, k, pairs), refused = _report_rows(scan)
     for reason, mask in zip(_REFUSALS, refused):
@@ -689,11 +671,8 @@ def decoupling_sweep(
     s = 0 disconnects both analyzers from the rest of the lattice (their
     fields stay); s = 1 is the original lattice. Returns [(s, md), ...].
     """
-    analyzer_ids = {
-        nid
-        for nid in (lattice.role_id(NodeRole.ANALYZER_A), lattice.role_id(NodeRole.ANALYZER_B))
-        if nid is not None
-    }
+    roles = (NodeRole.ANALYZER_A, NodeRole.ANALYZER_B)
+    analyzer_ids = {lattice.role_id(role) for role in roles} - {None}
     if not analyzer_ids:
         raise InvalidArgumentError("lattice has no analyzer nodes to decouple")
     keys = [e.key() for e in lattice.edges if analyzer_ids & {e.a, e.b}]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidConfigurationError, LatticeDefinitionError
+from ._format import is_bool
 
 __all__ = [
     "NodeRole",
@@ -307,7 +308,7 @@ def _check_config(lattice: Lattice, config: Mapping[str, Spin], require_full: bo
     for nid, s in config.items():
         if nid not in known:
             raise InvalidConfigurationError(f"unknown node {nid!r} in configuration")
-        if s not in (-1, 1):
+        if is_bool(s) or s not in (-1, 1):
             raise InvalidConfigurationError(f"node {nid!r} has spin {s!r}; expected -1 or +1")
     if require_full and len(config) != lattice.n:
         missing = sorted(known - set(config))

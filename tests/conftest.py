@@ -56,6 +56,53 @@ def oracle_conditional(
     return joint / cond
 
 
+def oracle_independence(lattice: Lattice, lam: list[str] | None = None) -> tuple[float, float, float]:
+    """(md, od, pd) over lam (default: every hidden node) by plain sums of
+    oracle_distribution, for lattices where every (setting, lambda) cell has
+    weight. Each sup runs over the definitions in spinbell.independence."""
+    ids = lattice.node_ids
+    lam = list(lattice.hidden_ids if lam is None else lam)
+    roles = [ids.index(nid) for nid in lattice.bell_ids()]
+    hidden = [ids.index(nid) for nid in lam]
+    # P(s1, s2, sa, sb, lambda), keyed by ((sa, sb), lambda, (s1, s2))
+    joint: dict = {}
+    for config, p in oracle_distribution(lattice).items():
+        s1, s2, sa, sb = (config[k] for k in roles)
+        key = ((sa, sb), tuple(config[k] for k in hidden), (s1, s2))
+        joint[key] = joint.get(key, 0.0) + p
+    spins = (-1, 1)
+    settings = list(itertools.product(spins, repeat=2))
+    lams = list(itertools.product(spins, repeat=len(hidden)))
+    outcomes = settings
+
+    def cell(x, l):
+        return {o: joint[(x, l, o)] for o in outcomes}
+
+    lam_mass = {(x, l): sum(cell(x, l).values()) for x in settings for l in lams}
+    setting_mass = {x: sum(lam_mass[(x, l)] for l in lams) for x in settings}
+    p_lam = {(x, l): lam_mass[(x, l)] / setting_mass[x] for x in settings for l in lams}
+    md = max(sum(abs(p_lam[(x, l)] - p_lam[(y, l)]) for l in lams) for x in settings for y in settings)
+
+    def conditional(x, l):  # P(s1, s2 | x, lambda) and its two marginals
+        c = cell(x, l)
+        total = sum(c.values())
+        joint_p = {o: v / total for o, v in c.items()}
+        m1 = {s: joint_p[(s, -1)] + joint_p[(s, 1)] for s in spins}
+        m2 = {s: joint_p[(-1, s)] + joint_p[(1, s)] for s in spins}
+        return joint_p, m1, m2
+
+    od = pd = 0.0
+    for l in lams:
+        given = {x: conditional(x, l) for x in settings}
+        for x, (joint_p, m1, m2) in given.items():
+            od = max(od, sum(abs(joint_p[(s1, s2)] - m1[s1] * m2[s2]) for s1, s2 in outcomes))
+        for fixed, s in itertools.product(spins, repeat=2):
+            # outcome 2 against analyzer a, outcome 1 against analyzer b
+            pd = max(pd, abs(given[(1, fixed)][2][s] - given[(-1, fixed)][2][s]))
+            pd = max(pd, abs(given[(fixed, 1)][1][s] - given[(fixed, -1)][1][s]))
+    return md, od, pd
+
+
 # -- random lattice generators ---------------------------------------------------
 
 BELL_NODES = [

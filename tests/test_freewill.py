@@ -136,6 +136,18 @@ def test_equivalence_violation_raises():
         assert_equivalence(model, tol=1e-18)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_bad_tolerance_refused_by_name(tol):
+    """A negative tol made every equivalence fail and a NaN every premise
+    read violated; both are refused before any work, on both routes."""
+    model = build_model(canonical_ladder())
+    message = f"^tol must be a finite number >= 0, got {tol!r}$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        assert_equivalence(model, tol=tol)
+    with pytest.raises(InvalidArgumentError, match=message):
+        clamped_independence_report(model, tol=tol)
+
+
 def test_discrepancy_nonzero_but_tiny(rng):
     model = build_model(random_bell_lattice(rng, "dense"))
     assert 0.0 <= freewill_report(model).max_discrepancy <= 1e-13

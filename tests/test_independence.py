@@ -39,7 +39,7 @@ from spinbell.presets import (
     tuned_ladder,
 )
 
-from conftest import RANDOM_STYLES, random_bell_lattice
+from conftest import RANDOM_STYLES, oracle_independence, random_bell_lattice
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,32 @@ def test_lambda_rejects_unknown_node(ladder_model):
 def test_lambda_rejects_role_nodes(ladder_model):
     with pytest.raises(InvalidArgumentError, match="role node"):
         measurement_dependence(ladder_model, lam=["a"])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_report_refuses_bad_tolerance(ladder_model, tol):
+    """A NaN tol read every premise as violated; it is refused by name."""
+    with pytest.raises(InvalidArgumentError, match=f"^tol must be a finite number >= 0, got {tol!r}$"):
+        independence_report(ladder_model, tol=tol)
+
+
+# -- the pure-Python oracle -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("style", RANDOM_STYLES)
+def test_measures_match_the_oracle(style):
+    """md, od and pd of independence_report against plain sums over the
+    conftest oracle's distribution, over every hidden node and over a
+    reordered subset, at 1e-13 absolute: the two sum in different orders,
+    and every quantity lies in [0, 2] (the largest gap seen is 7e-16)."""
+    rng = np.random.default_rng(20261020 + RANDOM_STYLES.index(style))
+    for _ in range(4):
+        lattice = random_bell_lattice(rng, style)
+        model = build_model(lattice)
+        for lam in (None, list(lattice.hidden_ids[::-2])):
+            report = independence_report(model, lam)
+            oracle = oracle_independence(lattice, lam)
+            assert np.abs(np.subtract((report.md, report.od, report.pd), oracle)).max() <= 1e-13
 
 
 # -- frozen reference values --------------------------------------------------------
@@ -590,7 +616,7 @@ def test_md_rows_equal_measurement_dependence(n):
     ids = [*lattice.bell_ids(), *lattice.hidden_ids]
     tables = np.stack([m.weight_table(ids) for m in models])
     stacks = [tables] if n == 10 else [table[None] for table in tables]
-    mass = np.concatenate([_read(stack, n - 4, masses_only=True).mass for stack in stacks])
+    mass = np.concatenate([_read(stack, masses_only=True).mass for stack in stacks])
     rows = _md_rows(mass)[0]
     assert rows.tolist() == [measurement_dependence(m)[0] for m in models[:2]] + [-np.inf]
     with pytest.raises(DegenerateModelError, match="every analyzer setting carries zero weight"):
@@ -631,14 +657,14 @@ def test_stacked_reader_rows_equal_their_reports(seed, chunk_bits, monkeypatch):
     hidden = lattice.hidden_ids
     for lam in (hidden, (), hidden[::-2]):
         tables = np.stack([m.weight_table([*lattice.bell_ids(), *lam]) for m in models])
-        scan = _read(tables, len(lam))
+        scan = _read(tables)
         (md, k, pairs), refused = _report_rows(scan)
         refused = np.any(refused, axis=0)
-        measures, measured_refused = _measure_rows(tables, len(lam))
+        measures, measured_refused = _measure_rows(tables)
         assert measured_refused.tolist() == refused.tolist()
         want = np.stack([md, scan.value[0], scan.value[1:].max(axis=0)], axis=1)
         assert measures[~refused].tolist() == want[~refused].tolist()
-        masses = _read(tables, len(lam), masses_only=True).mass
+        masses = _read(tables, masses_only=True).mass
         assert _md_rows(masses)[0].tolist() == md.tolist()
         for i, model in enumerate(models):
             try:

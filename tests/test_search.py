@@ -797,20 +797,39 @@ def test_batched_polls_follow_the_serial_search(monkeypatch, objective):
 
 
 def test_search_evaluates_one_point_only_to_certify(monkeypatch):
-    calls = []
+    """The search and the grid scan score every point in batches of the
+    energy family, none through evaluate; the certificate reads one fresh
+    build of the incumbent's lattice."""
+    calls, builds = [], []
     evaluate = SearchSpace.evaluate
 
     def counting(self, values):
         calls.append(values)
         return evaluate(self, values)
 
+    def building(lattice):
+        builds.append(lattice)
+        return build_model(lattice)
+
     monkeypatch.setattr(SearchSpace, "evaluate", counting)
+    monkeypatch.setattr(search_mod, "build_model", building)
     space = _ladder_space("x_bi")
     res = maximize_chsh(space, budget=60, seed=3)
-    assert calls == [res.best_values]
+    assert calls == []
+    assert builds == [space.build(res.best_values)]
     assert res.certified
     grid_scan(space, resolution=2)
-    assert len(calls) == 1
+    assert (len(calls), len(builds)) == (0, 1)
+
+
+def test_certificate_fails_when_a_fresh_build_disagrees(monkeypatch):
+    """The certificate reads the lattice, not the energy family the search
+    scored: a build that moves one field refuses it."""
+    moved = lambda lattice: build_model(lattice.with_fields({"1": 0.3}))  # noqa: E731
+    monkeypatch.setattr(search_mod, "build_model", moved)
+    res = maximize_chsh(_ladder_space("x_bi"), budget=20, seed=3)
+    assert math.isfinite(res.best_score)
+    assert not res.certified
 
 
 # -- memory --------------------------------------------------------------------------
