@@ -22,18 +22,7 @@ import sys
 import warnings
 
 from . import __version__
-from .errors import (
-    DegenerateModelError,
-    EnumerationLimitError,
-    EquivalenceViolationError,
-    InsufficientPostselectionWarning,
-    InvalidArgumentError,
-    InvalidConfigurationError,
-    LatticeDefinitionError,
-    LatticeFileError,
-    NumericRangeError,
-    ZeroMeasureConditionError,
-)
+from .errors import InsufficientPostselectionWarning, InvalidArgumentError, SpinbellError
 from .presets import BUILTIN_LATTICES
 
 # Each subcommand imports the analysis modules it uses, so `--version`,
@@ -45,20 +34,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_MISMATCH = 4
-
-_INPUT_ERRORS = (
-    LatticeFileError,
-    LatticeDefinitionError,
-    InvalidConfigurationError,
-    InvalidArgumentError,
-    EnumerationLimitError,
-)
-_NUMERIC_ERRORS = (
-    ZeroMeasureConditionError,
-    DegenerateModelError,
-    NumericRangeError,
-    EquivalenceViolationError,
-)
 
 _SPIN_TOKENS = {"+": 1, "+1": 1, "1": 1, "up": 1, "-": -1, "-1": -1, "down": -1}
 
@@ -166,9 +141,13 @@ def _cmd_eval(args) -> int:
     from .independence import independence_report
     from .model import build_model
 
+    want = ("chsh", "independence", "table") if args.report == "all" else (args.report,)
+    if args.lam is not None and "independence" not in want:
+        raise InvalidArgumentError(
+            f"--lambda applies to the independence report, not to --report {args.report}"
+        )
     model = build_model(_lattice_from_args(args))
     lam = args.lam.split(",") if args.lam else None
-    want = ("chsh", "independence", "table") if args.report == "all" else (args.report,)
     if args.format == "csv" and len(want) > 1:
         raise InvalidArgumentError("csv output needs a single --report, not 'all'")
     table = functools.cache(lambda: conditional_table(model))
@@ -252,6 +231,8 @@ def _cmd_optimize(args) -> int:
 
     space = load_search_config(args.config)
     if args.grid is not None:
+        if args.start is not None:
+            raise InvalidArgumentError("--start applies to the pattern search, not to a --grid scan")
         rows = grid_scan(space, resolution=args.grid)
         _emit(grid_csv(space, rows, args.precision), args.out)
         return EXIT_OK
@@ -274,6 +255,8 @@ def _cmd_chain(args) -> int:
     from .series import chain_md_closed, chain_md_per_config, chain_md_profile, profile_csv
 
     if args.profile:
+        if args.check:
+            raise InvalidArgumentError("--check applies to one chain length, not to a --profile")
         lo, hi = args.profile
         if lo > hi:
             raise InvalidArgumentError(f"empty profile range {lo}..{hi}")
@@ -415,12 +398,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return 1
-    except _INPUT_ERRORS as exc:
+    except SpinbellError as exc:
+        # the error's family decides: a malformed question or undefined numbers
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_INPUT if isinstance(exc, ValueError) else EXIT_NUMERIC
     except MemoryError as exc:
         # an array the request needs could not be allocated: too large an
         # input for this machine, not a fault of the program

@@ -1,8 +1,9 @@
 """Exception hierarchy for spinbell.
 
 Every error raised on purpose by this package derives from SpinbellError so
-callers can catch the whole family at once. Input problems additionally derive
-from ValueError, numeric breakdowns from ArithmeticError.
+callers can catch the whole family at once, and from exactly one family that
+decides the CLI's exit code: ValueError for input problems (exit 2),
+ArithmeticError for numeric breakdowns (exit 3).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class InvalidArgumentError(SpinbellError, ValueError):
     """An argument is outside its documented domain."""
 
 
-class EnumerationLimitError(SpinbellError):
+class EnumerationLimitError(SpinbellError, ValueError):
     """The lattice has more spins than the enumeration cap allows."""
 
 
@@ -34,15 +35,15 @@ class NumericRangeError(SpinbellError, ArithmeticError):
     """A quantity over- or underflowed even after stabilization."""
 
 
-class ZeroMeasureConditionError(SpinbellError):
+class ZeroMeasureConditionError(SpinbellError, ArithmeticError):
     """A conditioning event has (stabilized) weight below the zero threshold."""
 
 
-class DegenerateModelError(SpinbellError):
+class DegenerateModelError(SpinbellError, ArithmeticError):
     """Every cell relevant to a computation carries zero measure."""
 
 
-class EquivalenceViolationError(SpinbellError):
+class EquivalenceViolationError(SpinbellError, ArithmeticError):
     """Two derivation routes that must agree exceeded their tolerance."""
 
 

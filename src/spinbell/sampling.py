@@ -68,7 +68,8 @@ class SampleRun:
     """Reproducible sampling request.
 
     burn_in and thinning are in single-spin flips and only apply to the
-    metropolis kind; None picks the defaults (10 * 1024 * N and N).
+    metropolis kind, which picks the defaults (10 * 1024 * N and N) for
+    None; the exact kind refuses them, since it would draw the same words.
     """
 
     seed: int
@@ -80,7 +81,8 @@ class SampleRun:
     def __post_init__(self) -> None:
         _check_seed(self.seed)
         optional = {"burn_in": self.burn_in, "thinning": self.thinning}
-        check_counts(n=self.n, **{k: v for k, v in optional.items() if v is not None})
+        given = {k: v for k, v in optional.items() if v is not None}
+        check_counts(n=self.n, **given)
         if self.n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {self.n}")
         if self.n > np.iinfo(np.intp).max // np.dtype(np.int64).itemsize:
@@ -89,6 +91,10 @@ class SampleRun:
             )
         if self.kind not in _KINDS:
             raise InvalidArgumentError(f"unknown sampler kind {self.kind!r}; choose from {_KINDS}")
+        if self.kind == "exact" and given:
+            raise InvalidArgumentError(
+                f"the exact sampler takes no {' or '.join(given)} (metropolis only)"
+            )
         if self.burn_in is not None and self.burn_in < 0:
             raise InvalidArgumentError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thinning is not None and self.thinning < 1:

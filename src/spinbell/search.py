@@ -45,7 +45,7 @@ from .errors import (
 )
 from .independence import _md_rows, _measure_rows, _read, measurement_dependence
 from .lattice import Lattice
-from .model import _BLOCK_BITS, BoltzmannModel, _Family, _tables, build_model
+from .model import _BLOCK_BITS, BoltzmannModel, _check_cap, _Family, _tables, build_model
 from .sampling import _generator
 from ._format import check_counts, csv_table, fmt
 
@@ -78,6 +78,10 @@ def _objective_md(model: BoltzmannModel) -> float:
 
 
 OBJECTIVES = {"x_bi": _objective_x_bi, "md": _objective_md}
+
+# Failures of an objective that score -inf. Named one by one: catching
+# ArithmeticError would also hide a ZeroDivisionError or OverflowError of a bug.
+_MINUS_INF_ERRORS = (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError)
 
 
 @dataclass(frozen=True)
@@ -216,7 +220,7 @@ class SearchSpace:
         """Objective score; -inf where the model is degenerate or overflows."""
         try:
             return OBJECTIVES[self.objective](self._model(values))
-        except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
+        except _MINUS_INF_ERRORS:
             return -math.inf
 
     def _batches(
@@ -372,7 +376,7 @@ def maximize_chsh(
 
     try:
         recheck = OBJECTIVES[space.objective](build_model(space.build(best)))
-    except (ZeroMeasureConditionError, DegenerateModelError, NumericRangeError):
+    except _MINUS_INF_ERRORS:
         recheck = -math.inf
     certified = math.isfinite(best_score) and abs(recheck - best_score) <= 1e-12
     return SearchResult(
@@ -592,6 +596,7 @@ def role_permutation_search(
     check_counts(columns=columns, top=top)
     if top < 0:
         raise InvalidArgumentError(f"top must be >= 0, got {top}")
+    _check_cap(2 * columns)  # refuse from the count, before the grid is built
     positions = grid_positions(columns)
     if len(positions) < 4:  # no placement fits, and an empty grid would not build
         return []

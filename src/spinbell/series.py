@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericRangeError, ZeroMeasureConditionError
 from .lattice import Lattice
-from .model import ZERO_MEASURE, BoltzmannModel, build_model
+from .model import ZERO_MEASURE, BoltzmannModel, _check_cap, build_model
 from ._format import check_counts, check_spins, csv_table, fmt, fmt_assignment, spin_of
 
 __all__ = [
@@ -479,6 +479,7 @@ def series_check(
     _check_chain_n(chain_n)
     if not (math.isfinite(beta) and beta > 0.0):
         raise InvalidArgumentError(f"beta must be positive and finite, got {beta}")
+    _check_cap(chain_n + 2)  # refuse from the count, before the chain is built
     rows: list[SeriesCheckRow] = []
     for k in k_values:
         if not 0.0 <= k < 1.0:

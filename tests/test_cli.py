@@ -20,7 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinbell
+from spinbell import cli, errors
 from spinbell.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_NUMERIC, EXIT_OK, main
+from spinbell.errors import SpinbellError
 from spinbell.latticefile import save_lattice
 from spinbell.model import BoltzmannModel
 from spinbell.presets import tuned_ladder
@@ -119,6 +121,17 @@ def test_eval_lambda_subset(capsys):
     assert main(["eval", "--builtin", "ladder", "--report", "independence",
                  "--lambda", "3,4"]) == EXIT_OK
     assert "md = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("report", ["chsh", "table"])
+def test_eval_refuses_lambda_without_independence(report, capsys):
+    # chsh and table read no hidden nodes, so --lambda, even an unknown id, would be ignored
+    assert main(["eval", "--builtin", "ladder", "--report", report, "--lambda", "zz"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --lambda applies to the independence report, not to --report {report}\n"
+    )
 
 
 def test_eval_out_file(tmp_path, capsys):
@@ -460,6 +473,15 @@ def test_sample_metropolis(capsys):
     assert "metropolis" in capsys.readouterr().out
 
 
+def test_sample_exact_refuses_metropolis_options(capsys):
+    # the exact sampler would draw the same words without them
+    assert main(["sample", "--builtin", "ladder", "--event", "1:+", "--kind", "exact",
+                 "--burn-in", "7", "--thinning", "3"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the exact sampler takes no burn_in or thinning (metropolis only)\n"
+
+
 def test_sample_bad_event(capsys):
     assert main(["sample", "--builtin", "ladder", "--event", "1:#"]) == EXIT_INPUT
     assert "bad spin" in capsys.readouterr().err
@@ -541,6 +563,14 @@ def test_optimize_bad_start(config_file, capsys):
 def test_optimize_start_not_numeric(config_file, capsys):
     assert main(["optimize", "--config", config_file, "--start", "x"]) == EXIT_INPUT
     assert "--start" in capsys.readouterr().err
+
+
+def test_optimize_grid_refuses_start(config_file, capsys):
+    # a grid scan has no start point, so --start, even a non-number, would be ignored
+    assert main(["optimize", "--config", config_file, "--grid", "2", "--start", "x"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --start applies to the pattern search, not to a --grid scan\n"
 
 
 def test_optimize_grid_skips_points_without_pd(tmp_path, capsys):
@@ -643,9 +673,48 @@ def test_chain_longest_per_config_length(capsys):
         assert "k=0.5" in captured.err
 
 
+def test_chain_profile_refuses_check(capsys):
+    # a profile runs no enumeration, so --check would be ignored
+    assert main(["chain", "--profile", "5", "6", "--k", "0.3", "--check"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --check applies to one chain length, not to a --profile\n"
+
+
 def test_chain_bad_range(capsys):
     assert main(["chain", "--k", "0.3", "--profile", "9", "5"]) == EXIT_INPUT
     assert main(["chain", "--k", "1.2", "--n", "8"]) == EXIT_INPUT
+
+
+# -- exit codes by error family -------------------------------------------------------
+
+
+_ERROR_CLASSES = [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, SpinbellError) and c is not SpinbellError
+]
+
+
+class _New(SpinbellError, ArithmeticError):
+    """An error class that main has never been told about."""
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_each_error_is_in_exactly_one_family(cls):
+    assert issubclass(cls, ValueError) != issubclass(cls, ArithmeticError)
+
+
+@pytest.mark.parametrize("cls", [*_ERROR_CLASSES, _New], ids=lambda c: c.__name__)
+def test_error_family_decides_the_exit_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("the message")
+
+    monkeypatch.setattr(cli, "_cmd_reproduce", fail)
+    expected = EXIT_INPUT if issubclass(cls, ValueError) else EXIT_NUMERIC
+    assert main(["reproduce"]) == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the message\n"
 
 
 # -- parser plumbing -----------------------------------------------------------------

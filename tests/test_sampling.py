@@ -68,6 +68,10 @@ def test_run_validation():
         SampleRun(seed=0, n=10, burn_in=-1)
     with pytest.raises(InvalidArgumentError, match="thinning"):
         SampleRun(seed=0, n=10, thinning=0)
+    with pytest.raises(InvalidArgumentError, match="^burn_in must be >= 0, got -1$"):
+        SampleRun(seed=0, n=10, kind="metropolis", burn_in=-1)
+    with pytest.raises(InvalidArgumentError, match="^thinning must be >= 1, got 0$"):
+        SampleRun(seed=0, n=10, kind="metropolis", thinning=0)
     with pytest.raises(InvalidArgumentError, match="^n must be an integer, got 2.5"):
         SampleRun(seed=0, n=2.5)
     with pytest.raises(InvalidArgumentError, match="^burn_in must be an integer, got 2.5"):
@@ -79,6 +83,17 @@ def test_run_validation():
         SampleRun(seed=1, n=True)
     with pytest.raises(InvalidArgumentError, match="^thinning must be an integer, got True"):
         SampleRun(seed=1, n=10, kind="metropolis", thinning=True)
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [({"burn_in": 7}, "burn_in"), ({"thinning": 3}, "thinning"),
+     ({"burn_in": 0, "thinning": 1}, "burn_in or thinning")],
+)
+def test_exact_run_refuses_metropolis_options(options, named):
+    """The exact sampler would draw the same words without them."""
+    with pytest.raises(InvalidArgumentError, match=f"^the exact sampler takes no {named} "):
+        SampleRun(seed=0, n=10, **options)
 
 
 @pytest.mark.parametrize("seed", [True, False, np.True_])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spinbell.search as search_mod
+from spinbell import presets
 from spinbell.bell import chsh, conditional_table
 from spinbell.errors import (
     DegenerateModelError,
@@ -121,6 +122,15 @@ def test_space_refuses_lattices_beyond_the_cap(monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "9")
     with pytest.raises(EnumerationLimitError, match="10 spins"):
         _two_param_space()
+
+
+def test_placement_search_refuses_an_over_cap_grid_before_building_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid_positions called")
+
+    monkeypatch.setattr(presets, "grid_positions", refuse)
+    with pytest.raises(EnumerationLimitError, match="^lattice has 2000000000 spins"):
+        role_permutation_search(columns=10**9)
 
 
 def test_space_bounds_enforced():

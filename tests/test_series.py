@@ -10,9 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinbell import series
+from spinbell import presets, series
 from spinbell._format import check_spins
-from spinbell.errors import InvalidArgumentError, NumericRangeError, ZeroMeasureConditionError
+from spinbell.errors import (
+    EnumerationLimitError,
+    InvalidArgumentError,
+    NumericRangeError,
+    ZeroMeasureConditionError,
+)
 from spinbell.independence import measurement_dependence
 from spinbell.model import BoltzmannModel, build_model
 from spinbell.presets import canonical_ladder, chain_lattice, second_neighbor_lattice, tuned_ladder
@@ -191,6 +196,15 @@ def test_spin_arrays_are_checked_elementwise(bad):
     with pytest.raises(InvalidArgumentError, match="spin value"):
         series.chain_lambda_conditional(5, SeriesContext.chain(5), (1, spins, -1), 1, 1)
     check_spins(np.array([1, -1]), np.array([[1.0], [-1.0]]), np.array(1), -1)
+
+
+def test_series_check_refuses_an_over_cap_chain_before_building_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain_lattice called")
+
+    monkeypatch.setattr(presets, "chain_lattice", refuse)
+    with pytest.raises(EnumerationLimitError, match="^lattice has 1000000002 spins"):
+        series_check(chain_n=10**9)
 
 
 def test_series_check_reads_no_single_cells(monkeypatch):
