@@ -75,15 +75,6 @@ def _precision(text: str) -> int | None:
     return value
 
 
-def _start_values(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise InvalidArgumentError(
-            f"--start must be comma-separated numbers, got {text!r}"
-        ) from None
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -95,6 +86,24 @@ def _emit(text: str, out: str | None) -> None:
             raise InvalidArgumentError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
+
+
+def _given(args, *dests: str, **renamed: str) -> dict:
+    """Library keywords (dest, or keyword=dest) of the options that were typed."""
+    values = {key: getattr(args, d) for key, d in dict(zip(dests, dests), **renamed).items()}
+    return {key: v for key, v in values.items() if v is not None and v is not False}
+
+
+def _refuse(args, reader: str, mode: str, *options: str, writes: str = "") -> None:
+    """Exit 2 naming what reader reads and mode, the one chosen, would ignore:
+    each of options typed, even at its default (a word such as a case id is
+    typed), and a --format other than writes."""
+    typed = [o for o in options if o[:2] != "--" or _given(args, o[2:].replace("-", "_"))]
+    if writes and args.format not in (None, writes):
+        typed.append(f"--format {args.format}")
+    if typed:
+        verb = "applies" if len(typed) == 1 else "apply"
+        raise InvalidArgumentError(f"{', '.join(typed)} {verb} to {reader}, not to {mode}")
 
 
 def _lattice_from_args(args) -> "Lattice":
@@ -117,7 +126,7 @@ def _add_lattice_options(sub) -> None:
 
 
 def _add_output_options(sub) -> None:
-    sub.add_argument("--format", choices=("text", "csv"), default="text")
+    sub.add_argument("--format", choices=("text", "csv"))
     sub.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     sub.add_argument(
         "--precision",
@@ -142,18 +151,15 @@ def _cmd_eval(args) -> int:
     from .model import build_model
 
     want = ("chsh", "independence", "table") if args.report == "all" else (args.report,)
-    if args.lam is not None and "independence" not in want:
-        raise InvalidArgumentError(
-            f"--lambda applies to the independence report, not to --report {args.report}"
-        )
-    model = build_model(_lattice_from_args(args))
-    lam = args.lam.split(",") if args.lam else None
+    if "independence" not in want:
+        _refuse(args, "the independence report", f"--report {args.report}", "--lambda")
     if args.format == "csv" and len(want) > 1:
         raise InvalidArgumentError("csv output needs a single --report, not 'all'")
+    model = build_model(_lattice_from_args(args))
     table = functools.cache(lambda: conditional_table(model))
     reports = {
         "chsh": lambda: chsh(table()),
-        "independence": lambda: independence_report(model, lam=lam),
+        "independence": lambda: independence_report(model, **_given(args, lam="lambda")),
         "table": table,
     }
     _emit("\n\n".join(_render(reports[name](), args) for name in want), args.out)
@@ -164,6 +170,7 @@ def _cmd_reproduce(args) -> int:
     from .presets import all_cases, get_case
 
     if args.list:
+        _refuse(args, "a run", "--list", *(f"case {c}" for c in args.case))
         for case in all_cases():
             print(f"{case.id:<18s} {case.title}")
         return EXIT_OK
@@ -182,10 +189,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from .series import DEFAULT_K_GRID, series_check
+    from .series import series_check
 
-    ks = tuple(args.k) if args.k else DEFAULT_K_GRID
-    report = series_check(k_values=ks, chain_n=args.chain_n)
+    report = series_check(**_given(args, "chain_n", k_values="k"))
     _emit(_render(report, args), args.out)
     return EXIT_OK
 
@@ -205,13 +211,7 @@ def _cmd_sample(args) -> int:
     from .sampling import SampleRun, frequency_report
 
     model = build_model(_lattice_from_args(args))
-    run = SampleRun(
-        seed=args.seed,
-        n=args.n,
-        kind=args.kind,
-        burn_in=args.burn_in,
-        thinning=args.thinning,
-    )
+    run = SampleRun(seed=args.seed, n=args.n, **_given(args, "kind", "burn_in", "thinning"))
     event = _parse_assignment(args.event)
     given = _parse_assignment(args.given) if args.given else None
     with warnings.catch_warnings(record=True) as caught:
@@ -229,23 +229,24 @@ def _cmd_optimize(args) -> int:
     from .latticefile import load_search_config
     from .search import grid_csv, grid_scan, maximize_chsh
 
-    space = load_search_config(args.config)
+    search = ("--budget", "--seed", "--restarts", "--step", "--min-step", "--start")
     if args.grid is not None:
-        if args.start is not None:
-            raise InvalidArgumentError("--start applies to the pattern search, not to a --grid scan")
+        _refuse(args, "the pattern search", "a --grid scan", *search, writes="csv")
+        space = load_search_config(args.config)
         rows = grid_scan(space, resolution=args.grid)
         _emit(grid_csv(space, rows, args.precision), args.out)
         return EXIT_OK
-    start = _start_values(args.start) if args.start else None
-    result = maximize_chsh(
-        space,
-        budget=args.budget,
-        seed=args.seed,
-        start=start,
-        restarts=args.restarts,
-        initial_step=args.step,
-        min_step=args.min_step,
-    )
+    _refuse(args, "a --grid scan", "the pattern search", writes="text")
+    options = _given(args, "budget", "seed", "restarts", "min_step", initial_step="step")
+    if args.start is not None:
+        try:
+            options["start"] = tuple(float(v) for v in args.start.split(","))
+        except ValueError:
+            raise InvalidArgumentError(
+                f"--start must be comma-separated numbers, got {args.start!r}"
+            ) from None
+    space = load_search_config(args.config)
+    result = maximize_chsh(space, **options)
     _emit(result.to_text(space, args.precision), args.out)
     return EXIT_OK
 
@@ -255,18 +256,19 @@ def _cmd_chain(args) -> int:
     from .series import chain_md_closed, chain_md_per_config, chain_md_profile, profile_csv
 
     if args.profile:
-        if args.check:
-            raise InvalidArgumentError("--check applies to one chain length, not to a --profile")
+        _refuse(args, "one chain length", "a --profile", "--n", "--check", writes="csv")
         lo, hi = args.profile
         if lo > hi:
             raise InvalidArgumentError(f"empty profile range {lo}..{hi}")
         rows = chain_md_profile(range(lo, hi + 1), args.k)
         _emit(profile_csv(rows, args.precision), args.out)
         return EXIT_OK
-    summed = chain_md_closed(args.n, args.k)
-    per_config = chain_md_per_config(args.n, args.k)
+    _refuse(args, "a --profile", "one chain length", writes="text")
+    n = 8 if args.n is None else args.n
+    summed = chain_md_closed(n, args.k)
+    per_config = chain_md_per_config(n, args.k)
     lines = [
-        f"chain n={args.n} k={fmt(args.k, args.precision)}",
+        f"chain n={n} k={fmt(args.k, args.precision)}",
         f"  md (summed over ends)   = {fmt(summed, args.precision)}",
         f"  md (per-configuration)  = {fmt(per_config, args.precision)}",
     ]
@@ -278,7 +280,7 @@ def _cmd_chain(args) -> int:
         from .presets import chain_lattice
 
         j = float(np.arctanh(args.k))
-        model = build_model(chain_lattice(args.n, j=j))
+        model = build_model(chain_lattice(n, j=j))
         md, _ = measurement_dependence(model)
         dev = abs(md - summed) / max(abs(md), abs(summed), 1e-300)
         lines.append(f"  md (enumeration)        = {fmt(md, args.precision)}")
@@ -304,10 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lambda",
-        dest="lam",
-        default=None,
+        type=lambda ids: ids.split(",") if ids else [],
         metavar="IDS",
-        help="comma separated hidden-node ids to condition on (default: all hidden nodes)",
+        help="comma separated hidden-node ids to condition on, '' for none (default: all)",
     )
     _add_output_options(p)
     p.set_defaults(func=_cmd_eval)
@@ -318,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce)
 
     p = subs.add_parser("series", help="closed forms vs exact enumeration")
-    p.add_argument("--k", type=float, nargs="*", help="coupling strengths tanh(beta j)")
-    p.add_argument("--chain-n", type=int, default=8, help="chain length for chain checks")
+    p.add_argument("--k", type=float, nargs="+", help="coupling strengths tanh(beta j)")
+    p.add_argument("--chain-n", type=int, help="chain length for chain checks")
     _add_output_options(p)
     p.set_defaults(func=_cmd_series)
 
@@ -331,27 +332,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sample", help="seeded sampling with a frequency trace")
     _add_lattice_options(p)
     p.add_argument("--event", required=True, metavar="ASSIGN", help="e.g. '1:+,2:+'")
-    p.add_argument("--given", default=None, metavar="ASSIGN", help="e.g. 'a:+,b:+'")
+    p.add_argument("--given", metavar="ASSIGN", help="e.g. 'a:+,b:+'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--kind", choices=("exact", "metropolis"), default="exact")
-    p.add_argument("--burn-in", type=int, default=None, help="metropolis burn-in flips")
-    p.add_argument("--thinning", type=int, default=None, help="metropolis flips per sample")
+    p.add_argument("--kind", choices=("exact", "metropolis"))
+    p.add_argument("--burn-in", type=int, help="metropolis burn-in flips")
+    p.add_argument("--thinning", type=int, help="metropolis flips per sample")
     _add_output_options(p)
     p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("optimize", help="search a parameter space config")
     p.add_argument("--config", required=True, metavar="FILE", help="search space (JSON)")
-    p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--min-step", type=float, default=1e-3)
-    p.add_argument("--start", default=None, metavar="V1,V2,...")
+    p.add_argument("--budget", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--step", type=float)
+    p.add_argument("--min-step", type=float)
+    p.add_argument("--start", metavar="V1,V2,...")
     p.add_argument(
         "--grid",
         type=int,
-        default=None,
         metavar="RES",
         help="grid scan at this resolution instead of pattern search",
     )
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("chain", help="closed-form chain dependence values")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=int)
     p.add_argument("--k", type=float, required=True, help="coupling strength tanh(beta j)")
     p.add_argument(
         "--profile",

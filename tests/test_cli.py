@@ -686,6 +686,127 @@ def test_chain_bad_range(capsys):
     assert main(["chain", "--k", "1.2", "--n", "8"]) == EXIT_INPUT
 
 
+# -- options read or refused -----------------------------------------------------------
+
+
+def test_eval_empty_lambda_is_the_empty_set(capsys):
+    # '' conditions on no hidden node, as the library's lam=[] does, not on every one
+    from spinbell.independence import independence_report
+    from spinbell.model import build_model
+    from spinbell.presets import builtin_lattice
+
+    argv = ["eval", "--builtin", "ladder", "--report", "independence", "--lambda", "",
+            "--precision", "full"]
+    assert main(argv) == EXIT_OK
+    report = independence_report(build_model(builtin_lattice("ladder")), lam=[])
+    assert capsys.readouterr().out == report.to_text(None) + "\n"
+    assert report.md == 0.0
+
+
+def test_series_k_needs_a_value():
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--k"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["eval", "--builtin", "ladder", "--format", "csv", "--report", "all"],
+         "error: csv output needs a single --report, not 'all'\n"),
+        (["optimize", "--config", "space.json", "--grid", "2", "--start", "1"],
+         "error: --start applies to the pattern search, not to a --grid scan\n"),
+    ],
+)
+def test_refusals_come_before_any_work(argv, err, monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("a refused command did work")
+
+    monkeypatch.setattr("spinbell.model.build_model", work)
+    monkeypatch.setattr("spinbell.latticefile.load_search_config", work)
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+_GRID = ["optimize", "--config", "missing.json", "--grid", "2"]
+_PROFILE = ["chain", "--profile", "5", "6", "--k", "0.3"]
+_TO_SEARCH = "to the pattern search, not to a --grid scan"
+_TO_ONE_LENGTH = "to one chain length, not to a --profile"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # values equal to the library's defaults count as typed
+        (_GRID + ["--budget", "2000"], f"--budget applies {_TO_SEARCH}"),
+        (_GRID + ["--seed", "0"], f"--seed applies {_TO_SEARCH}"),
+        (_GRID + ["--restarts", "4"], f"--restarts applies {_TO_SEARCH}"),
+        (_GRID + ["--step", "0.5"], f"--step applies {_TO_SEARCH}"),
+        (_GRID + ["--min-step", "1e-3"], f"--min-step applies {_TO_SEARCH}"),
+        (_GRID + ["--seed", "5", "--budget", "1", "--restarts", "0", "--step", "9"],
+         f"--budget, --seed, --restarts, --step apply {_TO_SEARCH}"),
+        (_GRID + ["--start", "0", "--min-step", "0.1"], f"--min-step, --start apply {_TO_SEARCH}"),
+        (_GRID + ["--format", "text"], f"--format text applies {_TO_SEARCH}"),
+        (["optimize", "--config", "missing.json", "--format", "csv"],
+         "--format csv applies to a --grid scan, not to the pattern search"),
+        (_PROFILE + ["--n", "8"], f"--n applies {_TO_ONE_LENGTH}"),
+        (_PROFILE + ["--n", "99"], f"--n applies {_TO_ONE_LENGTH}"),
+        (_PROFILE + ["--check", "--n", "6"], f"--n, --check apply {_TO_ONE_LENGTH}"),
+        (_PROFILE + ["--format", "text"], f"--format text applies {_TO_ONE_LENGTH}"),
+        (["chain", "--k", "0.3", "--format", "csv"],
+         "--format csv applies to a --profile, not to one chain length"),
+        (["reproduce", "--list", "nope"], "case nope applies to a run, not to --list"),
+        (["reproduce", "--list", "ladder-uniform", "all"],
+         "case ladder-uniform, case all apply to a run, not to --list"),
+        (["eval", "--lattice", "missing.json", "--report", "table", "--lambda", ""],
+         "--lambda applies to the independence report, not to --report table"),
+    ],
+)
+def test_options_the_mode_does_not_read_exit_2(argv, err, tmp_path, monkeypatch, capsys):
+    # the named files do not exist: each refusal comes before any file is read
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+
+#: the defaults the CLI owns; every other option parses to None (or False
+#: for a flag) unless typed, and the library's signature holds its default
+_CLI_DEFAULTS = {
+    **{(cmd, "--precision"): 6
+       for cmd in ("eval", "series", "freewill", "sample", "optimize", "chain")},
+    ("eval", "--report"): "all",
+    ("sample", "--seed"): 0,
+    ("sample", "--n"): 100_000,
+}
+
+
+def test_parser_states_no_library_default():
+    import argparse
+
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {}
+    for command, sub in subs.choices.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            flag = isinstance(action, argparse._StoreTrueAction)
+            if action.default is not (False if flag else None):
+                found[command, action.option_strings[0]] = action.default
+    assert found == _CLI_DEFAULTS
+
+
+def test_optimize_without_search_options_runs_the_library_defaults(config_file, capsys):
+    from spinbell.latticefile import load_search_config
+    from spinbell.search import maximize_chsh
+
+    assert main(["optimize", "--config", config_file]) == EXIT_OK
+    space = load_search_config(config_file)
+    assert capsys.readouterr().out == maximize_chsh(space).to_text(space) + "\n"
+
+
 # -- exit codes by error family -------------------------------------------------------
 
 
