@@ -174,10 +174,9 @@ def _cmd_reproduce(args) -> int:
         for case in all_cases():
             print(f"{case.id:<18s} {case.title}")
         return EXIT_OK
-    if not args.case or "all" in args.case:
-        cases = all_cases()
-    else:
-        cases = [get_case(cid) for cid in args.case]
+    # every id is looked up, so an unknown one next to `all` is refused too
+    named = [get_case(cid) for cid in args.case if cid != "all"]
+    cases = all_cases() if not args.case or "all" in args.case else named
     failed = False
     for case in cases:
         print(f"[{case.id}] {case.title}")

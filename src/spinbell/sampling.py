@@ -23,7 +23,13 @@ Two samplers:
 
 Samples are configuration words (see model: node i at bit i, bit 1 = +1).
 frequency_report tracks a conditional event frequency along checkpoints,
-against the exact value, with binomial standard errors.
+against the exact value, with binomial standard errors. For the exact kind
+it draws no words: it reads three masses off the weight table of the event
+and condition nodes (event and condition, condition, total) and scales the
+same uniforms the word sampler would draw by the total, so each draw is a
+hit, kept but missed, or dropped with the probabilities of the projected
+words. It holds about 10 bytes per draw and nothing sized 2^N. Metropolis
+reports read the words.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 from .errors import InsufficientPostselectionWarning, InvalidArgumentError
 from .lattice import Spin
 from .model import BoltzmannModel
-from ._format import check_counts, csv_table, fmt, pm
+from ._format import check_counts, csv_table, fmt, pm, spin_index
 
 __all__ = [
     "SampleRun",
@@ -307,6 +313,19 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
+def _event_masses(
+    model: BoltzmannModel, event: dict[str, Spin], given: dict[str, Spin]
+) -> tuple[float, float, float]:
+    """(hit_w, keep_w, total) off weight_table(event + given): the weight of
+    the one cell of event and given, the summed weight of the given cells
+    (the whole table without a condition), and the table's sum. hit_w <=
+    keep_w, since a float sum of nonnegative terms is at least each term."""
+    table = model.weight_table([*event, *given])
+    cell = tuple(spin_index(s) for s in (*event.values(), *given.values()))
+    given_cells = table[(slice(None),) * len(event) + cell[len(event):]]
+    return float(table[cell]), float(given_cells.sum()), float(table.sum())
+
+
 def frequency_report(
     model: BoltzmannModel,
     run: SampleRun,
@@ -323,25 +342,31 @@ def frequency_report(
     """
     if not event:
         raise InvalidArgumentError("event must assign at least one node")
-    given = dict(given or {})
+    event, given = dict(event), dict(given or {})
     overlap = set(event) & set(given)
     if overlap:
         raise InvalidArgumentError(f"event and condition overlap on nodes: {sorted(overlap)}")
     check_counts(**{f"checkpoints[{i}]": c for i, c in enumerate(checkpoints or ())})
 
-    exact = model.conditional(dict(event), given)
-    words = sample(model, run)
-
-    emask, epattern = model.event_mask(dict(event))
-    if given:
-        gmask, gpattern = model.event_mask(given)
-        keep = (words & gmask) == gpattern
+    exact = model.conditional(event, given)
+    if run.kind == "exact":
+        # inverse transform over the ordered outcomes (hit, kept but missed,
+        # dropped), one uniform of the word sampler's stream per draw: the
+        # counts have the distribution of the drawn words' event bits
+        hit_w, keep_w, total = _event_masses(model, event, given)
+        u = _generator(run.seed).random(run.n)
+        u *= total
+        hit = u < hit_w
+        keep = u < keep_w if given else None
     else:
-        keep = np.ones(words.shape, dtype=bool)
-    hit = keep & ((words & emask) == epattern)
-
-    kept_cum = np.cumsum(keep)
-    hit_cum = np.cumsum(hit)
+        words = sample(model, run)
+        emask, epattern = model.event_mask(event)
+        hit = (words & emask) == epattern
+        keep = None
+        if given:
+            gmask, gpattern = model.event_mask(given)
+            keep = (words & gmask) == gpattern
+            hit &= keep
 
     if checkpoints is None:
         marks = [c for c in DEFAULT_CHECKPOINTS if c <= run.n]
@@ -351,9 +376,12 @@ def frequency_report(
         marks.append(run.n)
 
     rows = []
+    lo = kept = hits = 0
     for c in marks:
-        kept = int(kept_cum[c - 1])
-        hits = int(hit_cum[c - 1])
+        # without a condition every draw is kept
+        kept += c - lo if keep is None else int(np.count_nonzero(keep[lo:c]))
+        hits += int(np.count_nonzero(hit[lo:c]))
+        lo = c
         if kept == 0:
             warnings.warn(
                 f"no samples pass the condition in the first {c} draws",

@@ -256,6 +256,14 @@ def test_reproduce_unknown_case(capsys):
     assert "unknown case" in capsys.readouterr().err
 
 
+def test_reproduce_unknown_case_next_to_all(capsys):
+    # every id is looked up before `all` picks every case, and nothing runs
+    assert main(["reproduce", "nope", "all"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "unknown case 'nope'" in captured.err
+    assert captured.out == ""
+
+
 # -- series -------------------------------------------------------------------------
 
 
@@ -379,13 +387,18 @@ _GOLDEN_DIR = Path(__file__).parent / "golden"
 #: the optimize outputs recorded before the search scored points in batches,
 #: and the eval and freewill reports recorded before the search batch shared
 #: weight_table's reduction, and the resolution-6 md grid recorded before
-#: the grid scan read each batch of rows as one stack
+#: the grid scan read each batch of rows as one stack; the exact sample was
+#: recorded when reports began to draw from three event masses
 _GOLDEN = {
     "series-chain-n-10.csv": ["series", "--chain-n", "10", "--format", "csv", "--precision", "full"],
     "chain-profile-5-40-k0.37.csv": ["chain", "--profile", "5", "40", "--k", "0.37", "--precision", "full"],
     "sample-chain-12-metropolis-seed77.csv": [
         "sample", "--builtin", "chain-12", "--event", "1:+", "--seed", "77", "--n", "5000",
         "--kind", "metropolis", "--format", "csv", "--precision", "full",
+    ],
+    "sample-ladder-exact-seed7.csv": [
+        "sample", "--builtin", "ladder", "--event", "1:+", "--given", "a:+,b:+", "--n", "100000",
+        "--seed", "7", "--format", "csv", "--precision", "full",
     ],
     "optimize-x_bi-budget300-seed7.txt": [
         "optimize", "--config", str(_GOLDEN_DIR / "search-ladder-x_bi.json"),

@@ -478,5 +478,67 @@ def test_report_csv_and_text(fast_mixing_model):
     assert "seed 21" in text
 
 
+def _word_route(model, run, event, given):
+    """Final (kept, hits) of the run's words projected on the event bits."""
+    words = sample(model, run)
+    emask, epattern = model.event_mask(event)
+    gmask, gpattern = model.event_mask(given)
+    keep = (words & gmask) == gpattern
+    return int(keep.sum()), int((keep & ((words & emask) == epattern)).sum())
+
+
+def test_word_route_and_report_meet_the_concentration_floor():
+    """Criterion 12's floor on both routes: the words that sample() draws,
+    projected on the event bits, and frequency_report's event masses."""
+    model = build_model(canonical_ladder())
+    event, given = {"1": 1}, {"a": 1, "b": 1}
+    exact = model.conditional(event, given)
+    words_within = report_within = 0
+    for seed in range(100):
+        run = SampleRun(seed=seed, n=100_000)
+        kept, hits = _word_route(model, run, event, given)
+        freq = hits / kept
+        words_within += abs(freq - exact) <= 4.0 * np.sqrt(freq * (1.0 - freq) / kept)
+        report_within += frequency_report(model, run, event, given).final.within(4.0)
+    assert words_within >= 99, words_within
+    assert report_within >= 99, report_within
+
+
+def test_event_masses_give_the_conditional_and_nest():
+    """hit_w / keep_w is the exact conditional, and the draws under hit_w
+    are a subset of those under keep_w; the report counts exactly those."""
+    model = build_model(chain_lattice(20))
+    event, given = {"1": 1, "2": -1}, {"a": 1, "b": 1}
+    hit_w, keep_w, total = sampling_mod._event_masses(model, event, given)
+    assert hit_w / keep_w == pytest.approx(model.conditional(event, given), rel=1e-12, abs=0)
+    assert keep_w / total == pytest.approx(model.marginal(given), rel=1e-12, abs=0)
+    run = SampleRun(seed=9, n=50_000)
+    u = sampling_mod._generator(run.seed).random(run.n) * total
+    hit, keep = u < hit_w, u < keep_w
+    assert hit.any() and np.all(keep[hit])
+    rep = frequency_report(model, run, event, given)
+    assert rep.exact == model.conditional(event, given)
+    assert rep.final.kept == int(keep.sum())
+    assert rep.final.freq == int(hit.sum()) / int(keep.sum())
+
+
+def test_exact_report_memory_per_draw_is_bounded():
+    """Three event masses and one uniform per draw: under 30 bytes per draw
+    plus 1 MB, which at 30,000 draws is less than one 2^18 weight array."""
+    model = build_model(chain_lattice(16))
+    assert model.n == 18
+    event, given = {"1": 1, "2": 1}, {"a": 1, "b": 1}
+    frequency_report(model, SampleRun(seed=1, n=1), event)  # first-call caches
+    for n in (30_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            frequency_report(model, SampleRun(seed=1, n=n), event, given)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * n + 2**20, (n, peak)
+    assert 30 * 30_000 + 2**20 < model.weights.nbytes
+
+
 def test_default_checkpoints_are_powers_of_ten():
     assert DEFAULT_CHECKPOINTS == (100, 1_000, 10_000, 100_000, 1_000_000)
