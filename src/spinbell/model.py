@@ -436,25 +436,33 @@ class BoltzmannModel:
 
     def marginal(self, assignment: Mapping[str, Spin]) -> float:
         """P(assignment), summing out all unassigned nodes."""
-        if not assignment:
-            return 1.0
-        return self.weight_sum(assignment) / self.z_shifted
+        return self.conditional(assignment, {})
 
     def conditional(self, target: Mapping[str, Spin], given: Mapping[str, Spin]) -> float:
         """P(target | given); raises ZeroMeasureConditionError on null events."""
+        hit_w, keep_w = self._masses(target, given)
+        return hit_w / keep_w
+
+    def _masses(
+        self, target: Mapping[str, Spin], given: Mapping[str, Spin]
+    ) -> tuple[float, float]:
+        """The numerator and denominator of P(target | given): the weight of
+        target and given together, and the weight of given (z_shifted
+        without a condition). An empty target's numerator is the
+        denominator."""
         overlap = set(target) & set(given)
         if overlap:
             raise InvalidConfigurationError(
                 f"target and condition overlap on nodes: {sorted(overlap)}"
             )
-        if not given:
-            return self.marginal(target)
-        w_given = self.weight_sum(given)
-        if w_given < ZERO_MEASURE:
-            raise ZeroMeasureConditionError(
-                f"conditioning event {fmt_assignment(given)} has weight {w_given!r}"
-            )
-        return self.weight_sum({**target, **given}) / w_given
+        keep_w = self.z_shifted
+        if given:
+            keep_w = self.weight_sum(given)
+            if keep_w < ZERO_MEASURE:
+                raise ZeroMeasureConditionError(
+                    f"conditioning event {fmt_assignment(given)} has weight {keep_w!r}"
+                )
+        return (self.weight_sum({**target, **given}) if target else keep_w), keep_w
 
     def weight_table(self, node_ids: Sequence[str]) -> np.ndarray:
         """Stabilized weights summed onto the requested nodes.

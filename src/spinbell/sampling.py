@@ -23,13 +23,14 @@ Two samplers:
 
 Samples are configuration words (see model: node i at bit i, bit 1 = +1).
 frequency_report tracks a conditional event frequency along checkpoints,
-against the exact value, with binomial standard errors. For the exact kind
-it draws no words: it reads three masses off the weight table of the event
-and condition nodes (event and condition, condition, total) and scales the
-same uniforms the word sampler would draw by the total, so each draw is a
-hit, kept but missed, or dropped with the probabilities of the projected
-words. It holds about 10 bytes per draw and nothing sized 2^N. Metropolis
-reports read the words.
+against the exact value, with binomial standard errors. It takes the two
+masses whose ratio is the model's conditional (event and condition, and
+condition, or the partition sum without one), and that ratio is its exact
+value. For the exact kind it draws no words: it scales the same uniforms
+the word sampler would draw by the stabilized partition sum, so each draw
+is a hit, kept but missed, or dropped with the probabilities of the
+projected words. It holds about 10 bytes per draw and nothing sized 2^N.
+Metropolis reports read the words.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import InsufficientPostselectionWarning, InvalidArgumentError
 from .lattice import Spin
 from .model import BoltzmannModel
-from ._format import check_counts, csv_table, fmt, pm, spin_index
+from ._format import check_counts, csv_table, fmt, pm
 
 __all__ = [
     "SampleRun",
@@ -313,19 +314,6 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _event_masses(
-    model: BoltzmannModel, event: dict[str, Spin], given: dict[str, Spin]
-) -> tuple[float, float, float]:
-    """(hit_w, keep_w, total) off weight_table(event + given): the weight of
-    the one cell of event and given, the summed weight of the given cells
-    (the whole table without a condition), and the table's sum. hit_w <=
-    keep_w, since a float sum of nonnegative terms is at least each term."""
-    table = model.weight_table([*event, *given])
-    cell = tuple(spin_index(s) for s in (*event.values(), *given.values()))
-    given_cells = table[(slice(None),) * len(event) + cell[len(event):]]
-    return float(table[cell]), float(given_cells.sum()), float(table.sum())
-
-
 def frequency_report(
     model: BoltzmannModel,
     run: SampleRun,
@@ -348,25 +336,24 @@ def frequency_report(
         raise InvalidArgumentError(f"event and condition overlap on nodes: {sorted(overlap)}")
     check_counts(**{f"checkpoints[{i}]": c for i, c in enumerate(checkpoints or ())})
 
-    exact = model.conditional(event, given)
+    hit_w, keep_w = model._masses(event, given)
+    exact = hit_w / keep_w
     if run.kind == "exact":
         # inverse transform over the ordered outcomes (hit, kept but missed,
         # dropped), one uniform of the word sampler's stream per draw: the
         # counts have the distribution of the drawn words' event bits
-        hit_w, keep_w, total = _event_masses(model, event, given)
         u = _generator(run.seed).random(run.n)
-        u *= total
-        hit = u < hit_w
-        keep = u < keep_w if given else None
+        u *= model.z_shifted
+        hit, keep = u < hit_w, u < keep_w
     else:
         words = sample(model, run)
-        emask, epattern = model.event_mask(event)
-        hit = (words & emask) == epattern
+        (emask, epattern), (gmask, gpattern) = model.event_mask(event), model.event_mask(given)
+        hit, keep = (words & emask) == epattern, (words & gmask) == gpattern
+    # without a condition every draw is kept
+    if given:
+        hit &= keep
+    else:
         keep = None
-        if given:
-            gmask, gpattern = model.event_mask(given)
-            keep = (words & gmask) == gpattern
-            hit &= keep
 
     if checkpoints is None:
         marks = [c for c in DEFAULT_CHECKPOINTS if c <= run.n]
@@ -378,7 +365,6 @@ def frequency_report(
     rows = []
     lo = kept = hits = 0
     for c in marks:
-        # without a condition every draw is kept
         kept += c - lo if keep is None else int(np.count_nonzero(keep[lo:c]))
         hits += int(np.count_nonzero(hit[lo:c]))
         lo = c

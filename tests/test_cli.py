@@ -211,6 +211,18 @@ def test_bad_precision():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--builtin", "ladder", "--precision", "zero"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--builtin", "ladder", "--precision", "0"])
+    assert exc.value.code == 2
+
+
+def test_precision_counts_significant_digits(capsys):
+    assert main(["eval", "--builtin", "ladder", "--report", "chsh", "--precision", "full"]) == EXIT_OK
+    full = capsys.readouterr().out
+    assert main(["eval", "--builtin", "ladder", "--report", "chsh", "--precision", "3"]) == EXIT_OK
+    short = capsys.readouterr().out
+    m_ab = float(re.search(r"^m_ab += (\S+)$", full, re.M)[1])
+    assert re.search(r"^m_ab += (\S+)$", short, re.M)[1] == f"{m_ab:.3g}" == "0.914"
 
 
 # -- reproduce ----------------------------------------------------------------------
@@ -484,6 +496,9 @@ def test_sample_metropolis(capsys):
                  "--kind", "metropolis", "--n", "200", "--burn-in", "2000",
                  "--thinning", "5"]) == EXIT_OK
     assert "metropolis" in capsys.readouterr().out
+    assert main(["sample", "--builtin", "ladder", "--event", "1:+", "--given", "a:+,b:+",
+                 "--kind", "metropolis", "--n", "200", "--burn-in", "500"]) == EXIT_OK
+    assert "P(1:+ | a:+,b:+)" in capsys.readouterr().out
 
 
 def test_sample_exact_refuses_metropolis_options(capsys):
@@ -496,8 +511,14 @@ def test_sample_exact_refuses_metropolis_options(capsys):
 
 
 def test_sample_bad_event(capsys):
-    assert main(["sample", "--builtin", "ladder", "--event", "1:#"]) == EXIT_INPUT
-    assert "bad spin" in capsys.readouterr().err
+    for event, err in [
+        ("1:#", "bad spin"),
+        ("1+", "bad assignment '1+'"),
+        ("", "event must assign at least one node"),
+        ("1:+,1:-", "node '1' assigned twice"),
+    ]:
+        assert main(["sample", "--builtin", "ladder", "--event", event]) == EXIT_INPUT
+        assert err in capsys.readouterr().err
 
 
 def test_sample_overlap(capsys):

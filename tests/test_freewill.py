@@ -83,6 +83,23 @@ def test_clamp_reduce_preserves_sector_energies():
             for sy in (-1, 1):
                 full = energy(lat, {"x": sx, "y": sy, "z": sz})
                 assert energy(red, {"y": sy}) == pytest.approx(full, abs=1e-12)
+    # a fourth node stays free while the whole triple is clamped: the triple
+    # becomes a constant in the offset
+    lat = Lattice.from_parts(
+        nodes=[
+            ("x", "hidden", 0.4), ("y", "hidden", -0.2), ("z", "hidden", 0.7), ("w", "hidden", -0.3),
+        ],
+        edges=[("x", "y", 1.1), ("y", "z", -0.6), ("z", "w", 0.5)],
+        cubic=[(("x", "y", "z"), 0.35)],
+        offset=0.15,
+        beta=0.8,
+    )
+    for sx, sy, sz in itertools.product((-1, 1), repeat=3):
+        red = clamp_reduce(lat, {"x": sx, "y": sy, "z": sz})
+        assert red.cubic == ()
+        for sw in (-1, 1):
+            full = energy(lat, {"x": sx, "y": sy, "z": sz, "w": sw})
+            assert energy(red, {"w": sw}) == pytest.approx(full, abs=1e-12)
 
 
 def test_clamp_reduce_validation():

@@ -1,6 +1,8 @@
-"""The public surface: every exported name resolves, exports load lazily, and
-`python -m spinbell` runs the command line interface."""
+"""The public surface: every exported name resolves, exports load lazily,
+`python -m spinbell` runs the command line interface, and every import at
+module level is used."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -32,6 +34,40 @@ def test_every_export_resolves():
         if name not in getattr(importlib.import_module(f"spinbell.{home}"), "__all__", [name])
     ]
     assert unlisted == []
+
+
+def _module_imports(tree: ast.Module):
+    """(name, line) of each name bound by an import outside any function or
+    class body, __future__ imports aside."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+        else:
+            pending.extend(n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt))
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(Path(spinbell.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # a name is used when the module reads it or lists it in __all__
+        names = (n for n in ast.walk(tree) if isinstance(n, ast.Name))
+        used = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in _module_imports(tree) if name not in used
+        ]
+    assert unused == []
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:

@@ -487,6 +487,18 @@ def _word_route(model, run, event, given):
     return int(keep.sum()), int((keep & ((words & emask) == epattern)).sum())
 
 
+def test_metropolis_report_postselects_the_words(fast_mixing_model):
+    """A conditioned Metropolis report counts the words sample() draws:
+    kept where the condition holds, hits where the event holds as well."""
+    event, given = {"1": 1}, {"a": 1, "b": 1}
+    run = SampleRun(seed=5, n=3_000, kind="metropolis", burn_in=500, thinning=2)
+    rep = frequency_report(fast_mixing_model, run, event, given)
+    kept, hits = _word_route(fast_mixing_model, run, event, given)
+    assert 0 < kept < run.n
+    assert (rep.final.kept, rep.final.freq) == (kept, hits / kept)
+    assert rep.exact == fast_mixing_model.conditional(event, given)
+
+
 def test_word_route_and_report_meet_the_concentration_floor():
     """Criterion 12's floor on both routes: the words that sample() draws,
     projected on the event bits, and frequency_report's event masses."""
@@ -504,26 +516,38 @@ def test_word_route_and_report_meet_the_concentration_floor():
     assert report_within >= 99, report_within
 
 
-def test_event_masses_give_the_conditional_and_nest():
-    """hit_w / keep_w is the exact conditional, and the draws under hit_w
-    are a subset of those under keep_w; the report counts exactly those."""
+def test_event_masses_give_the_conditional_and_nest(monkeypatch):
+    """hit_w / keep_w is the exact conditional bit for bit, and the report
+    counts the word sampler's uniforms scaled by z_shifted: kept under
+    keep_w, hits under hit_w and kept. It builds no weight table."""
     model = build_model(chain_lattice(20))
     event, given = {"1": 1, "2": -1}, {"a": 1, "b": 1}
-    hit_w, keep_w, total = sampling_mod._event_masses(model, event, given)
-    assert hit_w / keep_w == pytest.approx(model.conditional(event, given), rel=1e-12, abs=0)
-    assert keep_w / total == pytest.approx(model.marginal(given), rel=1e-12, abs=0)
+    hit_w, keep_w = model._masses(event, given)
+    assert hit_w / keep_w == model.conditional(event, given)
+    assert keep_w / model.z_shifted == model.marginal(given)
+    assert model._masses(event, {}) == (model.weight_sum(event), model.z_shifted)
     run = SampleRun(seed=9, n=50_000)
-    u = sampling_mod._generator(run.seed).random(run.n) * total
-    hit, keep = u < hit_w, u < keep_w
-    assert hit.any() and np.all(keep[hit])
-    rep = frequency_report(model, run, event, given)
+    u = sampling_mod._generator(run.seed).random(run.n) * model.z_shifted
+    keep = u < keep_w
+    hit = (u < hit_w) & keep
+    assert hit.any() and not keep.all()
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("an exact report reads no weight table")
+
+    monkeypatch.setattr(type(model), "weight_table", no_table)
+    rep = frequency_report(model, run, event, given, checkpoints=[1_000, 20_000])
     assert rep.exact == model.conditional(event, given)
-    assert rep.final.kept == int(keep.sum())
-    assert rep.final.freq == int(hit.sum()) / int(keep.sum())
+    assert [(r.n, r.kept) for r in rep.rows] == [
+        (c, int(keep[:c].sum())) for c in (1_000, 20_000, run.n)
+    ]
+    assert [r.freq for r in rep.rows] == [
+        int(hit[:c].sum()) / int(keep[:c].sum()) for c in (1_000, 20_000, run.n)
+    ]
 
 
 def test_exact_report_memory_per_draw_is_bounded():
-    """Three event masses and one uniform per draw: under 30 bytes per draw
+    """Two event masses and one uniform per draw: under 30 bytes per draw
     plus 1 MB, which at 30,000 draws is less than one 2^18 weight array."""
     model = build_model(chain_lattice(16))
     assert model.n == 18
